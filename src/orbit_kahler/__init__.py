@@ -33,13 +33,10 @@ from .operators import (
     make_spectrum,
     orbit_point,
     random_density,
-    random_hermitian,
     with_gauge,
 )
 from .tangent import (
-    BlockDecomposition,
     TangentVector,
-    blocks,
     lift,
     make_tangent,
     split_kernel,
@@ -48,7 +45,6 @@ from .tangent import (
 from .kahler import (
     KahlerEvaluation,
     apply_J,
-    hamiltonian_field,
     hermitian_product,
     hermitian_product_blocks,
     j_generator,
@@ -86,13 +82,11 @@ __all__ = [
     "NegativeVarianceError", "DegenerateDriftError", "TheoremViolationError",
     "HermitianOperator", "Spectrum", "OrbitPoint",
     "make_hermitian", "make_spectrum", "orbit_point", "conjugate",
-    "conjugate_point", "with_gauge", "random_hermitian", "random_density",
-    "haar_unitary",
-    "TangentVector", "BlockDecomposition", "tangent_map", "make_tangent",
-    "split_kernel", "blocks", "lift",
+    "conjugate_point", "with_gauge", "random_density", "haar_unitary",
+    "TangentVector", "tangent_map", "make_tangent", "split_kernel", "lift",
     "KahlerEvaluation", "j_generator", "apply_J", "symplectic",
     "symplectic_tangent", "metric", "hermitian_product",
-    "hermitian_product_blocks", "hamiltonian_field", "kahler_evaluation",
+    "hermitian_product_blocks", "kahler_evaluation",
     "CheckReport", "involutivity_check", "nijenhuis_fd", "closedness_check",
     "nondegeneracy_check",
     "UncertaintyReport", "expectation", "uncertainty",

@@ -93,15 +93,16 @@ class _Instances:
         return gaussian_hermitian(dim, self.rng)
 
 
-def _report_max(name, pairs, samples, tolerance):
-    """Build a report from (residual, worst_case) pairs."""
+def _report_max(name, pairs, samples, tolerance, **extra):
+    """Build a report from (residual, worst_case) pairs; ``extra`` entries
+    are appended to the worst case."""
     max_residual = 0.0
     worst = {}
     for residual, case in pairs:
         if residual >= max_residual:
             max_residual = residual
             worst = case
-    return CheckReport.build(name, max_residual, samples, tolerance, worst)
+    return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
 def _check_j_squared(inst, samples, perturb_j=0.0):
@@ -159,9 +160,8 @@ def _check_metric_positivity(inst, samples):
         pairs.append((max(0.0, -ratio),
                       {"sample": index, "dim": p.dim, "witness_ratio": float(ratio),
                        "spectrum": _spectrum_info(p)}))
-    report = _report_max("metric_positivity", pairs, samples, cfg.tol_check)
-    report.worst_case["smallest_witness"] = float(smallest)
-    return report
+    return _report_max("metric_positivity", pairs, samples, cfg.tol_check,
+                       smallest_witness=float(smallest))
 
 
 def _check_compatibility(inst, samples):

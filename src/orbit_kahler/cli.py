@@ -41,7 +41,8 @@ from .errors import (
     TheoremViolationError,
 )
 from .kahler import kahler_evaluation
-from .operators import make_hermitian, orbit_point, random_hermitian
+from .operators import make_hermitian, orbit_point
+from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
     dumps,
@@ -208,8 +209,8 @@ def _cmd_sweep(args) -> int:
         b = _load_hermitian(args.b, cfg)
     else:
         seed = _seed(args)
-        a = random_hermitian(dim, seed, cfg)
-        b = random_hermitian(dim, seed + 1, cfg)
+        a = gaussian_hermitian(dim, np.random.default_rng(seed))
+        b = gaussian_hermitian(dim, np.random.default_rng(seed + 1))
     if a.dim != dim or b.dim != dim:
         raise DimMismatchError(
             f"observable dims {a.dim}, {b.dim} vs spectrum dim {dim}")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import DimMismatchError
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _validate_point
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _validate_point
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
@@ -30,8 +29,7 @@ def unitary_propagator(h: HermitianOperator, t: float, hbar: float) -> np.ndarra
 def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
-    if h.dim != p.dim:
-        raise DimMismatchError(f"generator dim {h.dim} vs point dim {p.dim}")
+    _check_dims(p, h)
     u = unitary_propagator(h, t, cfg.hbar)
     rho_t = u @ p.rho @ u.conj().T
     rho_t = 0.5 * (rho_t + rho_t.conj().T)
@@ -45,8 +43,7 @@ def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
     The derivative is taken by a central difference with step ``cfg.fd_step``,
     so the residual is O(fd_step^2).
     """
-    if a.dim != p.dim or h.dim != p.dim:
-        raise DimMismatchError(f"dims {a.dim}, {h.dim} vs point dim {p.dim}")
+    _check_dims(p, a, h)
     step = cfg.fd_step
     forward = evolve(p, h, step, cfg)
     backward = evolve(p, h, -step, cfg)

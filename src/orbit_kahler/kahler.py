@@ -4,21 +4,24 @@ On the orbit of a density operator the symplectic form is
 
     omega(X_A, X_B) = (1/(i hbar)) Tr([A, B] rho),
 
-the complex structure J acts through generators by multiplying blocks above
-the diagonal by i and blocks below by -i, and the metric is
-
-    g(X, Y) = omega(J X, Y).
+and the metric is g(X, Y) = omega(J X, Y). In the frame of the base point,
+with ``gaps[a, b] = lambda_a - lambda_b`` (zero on the diagonal cluster
+blocks, positive on the upper off-diagonal blocks; see
+:mod:`orbit_kahler.operators`), J acts through generators as the elementwise
+factor ``i sign(gaps)``: blocks above the diagonal are multiplied by i, blocks
+below by -i.
 
 Sign convention. The pair (g, omega) is packaged as h = g + i omega, which is
 linear in the first slot (h(JX, Y) = i h(X, Y)) and conjugate linear in the
 second. With descending eigenvalues this makes g positive definite and matches
 the closed block form
 
-    h(X_A, X_B) = (2/hbar) sum_{i<j} (p_i - p_j) Tr(A_ij B_ij^dag),
+    h(X_A, X_B) = (2/hbar) sum_{i<j} (p_i - p_j) Tr(A_ij B_ij^dag)
+                = (2/hbar) sum_{a,b} max(gaps[a, b], 0) A_ab conj(B_ab),
 
-where A_ij, B_ij are the off-diagonal blocks of the generators in the frame of
-the base point. The alternative packaging g'(X, Y) = omega(X, JY) is
-negative definite here and is not exposed.
+where A, B are the generators in the frame of the base point. The alternative
+packaging g'(X, Y) = omega(X, JY) is negative definite here and is not
+exposed.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import DimMismatchError, NonRealResultError, NotOffDiagonalError
-from .operators import HermitianOperator, OrbitPoint
+from .errors import NonRealResultError, NotOffDiagonalError
+from .operators import HermitianOperator, OrbitPoint, _check_dims
 from .tangent import TangentVector, _require_same_base, lift, tangent_map
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "metric",
     "hermitian_product",
     "hermitian_product_blocks",
-    "hamiltonian_field",
     "kahler_evaluation",
 ]
 
@@ -56,7 +58,7 @@ class KahlerEvaluation:
     base: OrbitPoint
 
 
-def _require_real(z: complex, cfg: Config, what: str) -> float:
+def _real(z: complex, cfg: Config, what: str) -> float:
     if abs(z.imag) > cfg.tol_check:
         raise NonRealResultError(
             f"{what} has imaginary part {z.imag:.3e}; inputs are likely not Hermitian")
@@ -64,7 +66,7 @@ def _require_real(z: complex, cfg: Config, what: str) -> float:
 
 
 def _require_offdiag(framed: np.ndarray, p: OrbitPoint, cfg: Config):
-    worst = max(float(np.max(np.abs(framed[s, s]))) for s in p.block_slices())
+    worst = float(np.max(np.abs(framed), where=p.same_cluster, initial=0.0))
     if worst > cfg.tol_hermitian:
         raise NotOffDiagonalError(
             f"diagonal blocks reach {worst:.3e}; split off the commuting part first")
@@ -77,18 +79,10 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
     In the frame of ``p`` the blocks above the diagonal are multiplied by i
     and the blocks below by -i. Requires ``b`` purely off-block-diagonal.
     """
-    if b.dim != p.dim:
-        raise DimMismatchError(f"operator dim {b.dim} vs point dim {p.dim}")
+    _check_dims(p, b)
     framed = p.to_frame(b.matrix)
     _require_offdiag(framed, p, cfg)
-    slices = p.block_slices()
-    out = np.zeros_like(framed)
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            block = 1j * framed[slices[i], slices[j]]
-            out[slices[i], slices[j]] = block
-            out[slices[j], slices[i]] = block.conj().T
-    return HermitianOperator(p.from_frame(out))
+    return HermitianOperator(p.from_frame(1j * np.sign(p.gaps) * framed))
 
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
@@ -104,11 +98,10 @@ def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     below ``tol_check``; a large one signals corrupted inputs and raises
     :class:`NonRealResultError` instead of being discarded.
     """
-    if a.dim != p.dim or b.dim != p.dim:
-        raise DimMismatchError(f"dims {a.dim}, {b.dim} vs point dim {p.dim}")
+    _check_dims(p, a, b)
     commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
     z = np.trace(commutator @ p.rho) / (1j * cfg.hbar)
-    return _require_real(z, cfg, "symplectic form")
+    return _real(z, cfg, "symplectic form")
 
 
 def symplectic_tangent(x: TangentVector, y: TangentVector,
@@ -120,7 +113,7 @@ def symplectic_tangent(x: TangentVector, y: TangentVector,
     """
     _require_same_base(x.base, y.base)
     z = np.trace(lift(x, cfg).matrix @ y.ambient)
-    return _require_real(complex(z), cfg, "symplectic form")
+    return _real(complex(z), cfg, "symplectic form")
 
 
 def metric(x: TangentVector, y: TangentVector,
@@ -143,33 +136,17 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
 
         h = (2/hbar) sum_{i<j} (p_i - p_j) Tr(A_ij B_ij^dag),
 
-    with descending eigenvalues, so every weight p_i - p_j is positive. Agrees
-    with :func:`hermitian_product` of the generated tangent vectors.
+    with descending eigenvalues, so every weight p_i - p_j is positive; in
+    frame entries the weight is ``max(gaps, 0)``. Agrees with
+    :func:`hermitian_product` of the generated tangent vectors.
     """
-    if a.dim != p.dim or b.dim != p.dim:
-        raise DimMismatchError(f"dims {a.dim}, {b.dim} vs point dim {p.dim}")
+    _check_dims(p, a, b)
     fa = p.to_frame(a.matrix)
     fb = p.to_frame(b.matrix)
     _require_offdiag(fa, p, cfg)
     _require_offdiag(fb, p, cfg)
-    slices = p.block_slices()
-    values = p.spectrum.values
-    total = 0.0 + 0.0j
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            pair = np.trace(fa[slices[i], slices[j]] @ fb[slices[i], slices[j]].conj().T)
-            total += (values[i] - values[j]) * pair
+    total = np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj())
     return complex(2.0 / cfg.hbar * total)
-
-
-def hamiltonian_field(a: HermitianOperator, p: OrbitPoint,
-                      cfg: Config = DEFAULT_CONFIG) -> TangentVector:
-    """Hamiltonian vector field of the expectation function of ``a`` at ``p``.
-
-    Identical to :func:`tangent_map`; named for readability where the
-    symplectic role of the vector matters.
-    """
-    return tangent_map(a, p, cfg)
 
 
 def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,

@@ -2,11 +2,17 @@
 
 A density operator rho with distinct eigenvalues p_1 > ... > p_k (multiplicity
 n_j) is stored together with a unitary frame U whose columns are grouped by
-eigenvalue cluster, so that ``U^dag rho U = diag(p_1 I_{n_1}, ..., p_k I_{n_k})``.
-Every block computation downstream is phrased in that frame. Within a
-degenerate cluster the frame is unique only up to a block unitary (the
-intra-cluster gauge); no canonical gauge is fixed, and all public scalars are
-gauge invariant.
+eigenvalue cluster, so that ``U^dag rho U = diag(lambda_1, ..., lambda_n)`` with
+``lambda`` the eigenvalues repeated by multiplicity, in descending order.
+Within a degenerate cluster the frame is unique only up to a block unitary
+(the intra-cluster gauge); no canonical gauge is fixed, and all public scalars
+are gauge invariant.
+
+Gap-mask convention. Every structure map downstream is an elementwise factor
+on a frame-coordinates matrix, read off ``OrbitPoint.gaps[a, b] = lambda_a -
+lambda_b``. A zero gap means that a and b lie in the same cluster (the
+diagonal blocks, ``OrbitPoint.same_cluster``); gaps > 0 is the upper triangle
+of off-diagonal blocks, gaps < 0 the lower one.
 
 Eigenvalues whose gaps are at most ``tol_cluster`` are merged into one
 cluster. Gaps between clusters that are larger than ``tol_cluster`` but
@@ -16,7 +22,9 @@ rather than silently committing to a block structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +47,6 @@ __all__ = [
     "conjugate",
     "conjugate_point",
     "with_gauge",
-    "random_hermitian",
     "random_density",
     "haar_unitary",
     "hermiticity_defect",
@@ -47,10 +54,20 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _freeze(arr) -> np.ndarray:
+    """Read-only complex copy, so no caller keeps a writeable alias."""
+    return _readonly(np.array(arr, dtype=np.complex128))
+
+
+def _check_dims(p: "OrbitPoint", *operators):
+    for op in operators:
+        if op.dim != p.dim:
+            raise DimMismatchError(f"operator dim {op.dim} vs point dim {p.dim}")
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -74,6 +91,9 @@ class HermitianOperator:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -83,7 +103,7 @@ class HermitianOperator:
             return NotImplemented
         if other.dim != self.dim:
             raise DimMismatchError(f"dims {self.dim} and {other.dim}")
-        return HermitianOperator(_freeze(self.matrix + other.matrix))
+        return HermitianOperator(self.matrix + other.matrix)
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         if not isinstance(other, HermitianOperator):
@@ -91,12 +111,12 @@ class HermitianOperator:
         return self.__add__(-other)
 
     def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(_freeze(-self.matrix))
+        return HermitianOperator(-self.matrix)
 
     def __mul__(self, scalar) -> "HermitianOperator":
         if not np.isrealobj(np.asarray(scalar)) or np.ndim(scalar) != 0:
             return NotImplemented
-        return HermitianOperator(_freeze(float(scalar) * self.matrix))
+        return HermitianOperator(float(scalar) * self.matrix)
 
     __rmul__ = __mul__
 
@@ -149,6 +169,8 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
     mults = tuple(int(m) for m in mults)
     if len(values) != len(mults) or not values:
         raise ValueError("values and mults must be nonempty and of equal length")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"eigenvalues must be finite, got {values}")
     if any(m < 1 for m in mults):
         raise ValueError(f"multiplicities must be positive, got {mults}")
     for a, b in zip(values, values[1:]):
@@ -167,15 +189,41 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A density operator with a cluster-ordered diagonalizing frame."""
+    """A density operator with a cluster-ordered diagonalizing frame.
+
+    The gap masks ``gaps``, ``same_cluster`` and ``inv_gaps`` are computed on
+    first use and cached; like ``rho`` and ``frame`` they are read-only.
+    """
 
     rho: np.ndarray
     spectrum: Spectrum
     frame: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _freeze(self.rho))
+        object.__setattr__(self, "frame", _freeze(self.frame))
+
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """``gaps[a, b] = lambda_a - lambda_b``; exactly 0 inside a cluster."""
+        values = self.spectrum.full_values()
+        return _readonly(values[:, None] - values[None, :])
+
+    @cached_property
+    def same_cluster(self) -> np.ndarray:
+        """Mask of the diagonal cluster blocks (``gaps == 0``)."""
+        return _readonly(self.gaps == 0)
+
+    @cached_property
+    def inv_gaps(self) -> np.ndarray:
+        """``1 / gaps`` off the diagonal cluster blocks, 0 on them."""
+        out = np.zeros_like(self.gaps)
+        np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
+        return _readonly(out)
 
     def block_slices(self) -> tuple:
         """Index slices of the eigenvalue clusters in the frame ordering."""
@@ -208,11 +256,13 @@ def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NotHermitianError("non-finite entries")
     defect = hermiticity_defect(arr)
     if defect > cfg.tol_hermitian:
         raise NotHermitianError(
             f"max |M - M^dag| = {defect:.3e} exceeds {cfg.tol_hermitian:.1e}")
-    return HermitianOperator(_freeze(arr))
+    return HermitianOperator(arr)
 
 
 def _cluster_descending(eigenvalues: np.ndarray, cfg: Config):
@@ -252,7 +302,7 @@ def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
     if residual > 10 * cfg.tol_hermitian + rho.shape[0] * cfg.tol_cluster:
         raise NotHermitianError(
             f"frame does not reduce rho to block-diagonal form: residual {residual:.3e}")
-    return OrbitPoint(rho=_freeze(rho), spectrum=spectrum, frame=_freeze(frame))
+    return OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
 
 
 def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -280,7 +330,7 @@ def conjugate(a: HermitianOperator, unitary: np.ndarray,
     udef = unitarity_defect(u)
     if udef > cfg.tol_unitary:
         raise NotUnitaryError(f"unitarity defect {udef:.3e}")
-    return HermitianOperator(_freeze(u @ a.matrix @ u.conj().T))
+    return HermitianOperator(u @ a.matrix @ u.conj().T)
 
 
 def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
@@ -309,11 +359,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     v = np.asarray(block_unitary, dtype=np.complex128)
     if v.shape != (p.dim, p.dim):
         raise DimMismatchError(f"gauge shape {v.shape} vs dim {p.dim}")
-    slices = p.block_slices()
-    off = v.copy()
-    for s in slices:
-        off[s, s] = 0.0
-    if np.max(np.abs(off)) > cfg.tol_unitary:
+    if np.max(np.abs(v), where=~p.same_cluster, initial=0.0) > cfg.tol_unitary:
         raise NotUnitaryError("gauge matrix is not block diagonal for this point")
     return _validate_point(p.rho, p.spectrum, p.frame @ v, cfg)
 
@@ -326,15 +372,6 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_hermitian(dim: int, seed, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
-    """Gaussian-ensemble Hermitian matrix from a deterministic seeded stream."""
-    if dim < 1:
-        raise DimMismatchError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return make_hermitian(0.5 * (z + z.conj().T), cfg)
 
 
 def random_density(spectrum: Spectrum, seed,

@@ -1,11 +1,14 @@
 """Tangent vectors to a unitary orbit and their operator representations.
 
 The map ``H -> (1/(i hbar)) [H, rho]`` sends Hermitian operators onto the
-tangent space at rho. Its kernel consists of the operators that are block
-diagonal in a frame of rho; the purely off-block-diagonal operators form a
-complement on which the map is invertible block by block:
+tangent space at rho. In the frame of rho it is the elementwise factor
+``-gaps / (i hbar)`` with ``gaps[a, b] = lambda_a - lambda_b`` (see
+:mod:`orbit_kahler.operators`): a zero gap means the same cluster, so its
+kernel consists of the operators supported on the diagonal cluster blocks, and
+on the off-cluster entries (gaps > 0 above the blocks, gaps < 0 below) it is
+inverted entrywise,
 
-    B_ij = i hbar X_ij / (p_j - p_i)    for clusters i != j.
+    B_ab = -i hbar X_ab / gaps[a, b].
 
 Tangent vectors remember their base point. Operations mixing vectors at
 different points raise :class:`BaseMismatchError` rather than re-basing.
@@ -19,15 +22,19 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BaseMismatchError, DimMismatchError, NotHermitianError
-from .operators import HermitianOperator, OrbitPoint, hermiticity_defect
+from .operators import (
+    HermitianOperator,
+    OrbitPoint,
+    _check_dims,
+    _freeze,
+    hermiticity_defect,
+)
 
 __all__ = [
     "TangentVector",
-    "BlockDecomposition",
     "tangent_map",
     "make_tangent",
     "split_kernel",
-    "blocks",
     "lift",
 ]
 
@@ -55,6 +62,9 @@ class TangentVector:
 
     base: OrbitPoint
     ambient: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ambient", _freeze(self.ambient))
 
     @property
     def dim(self) -> int:
@@ -95,37 +105,10 @@ class TangentVector:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Cluster-block partition of a Hermitian operator in the frame of a point.
-
-    ``diag_blocks[j]`` is the n_j x n_j diagonal block; ``upper_blocks[(i, j)]``
-    (i < j) is the n_i x n_j block above the diagonal. The lower blocks are the
-    conjugate transposes and are not stored.
-    """
-
-    base: OrbitPoint
-    diag_blocks: tuple
-    upper_blocks: dict
-
-    def assemble(self) -> HermitianOperator:
-        """Reassemble the ambient operator from its blocks."""
-        n = self.base.dim
-        framed = np.zeros((n, n), dtype=np.complex128)
-        slices = self.base.block_slices()
-        for j, block in enumerate(self.diag_blocks):
-            framed[slices[j], slices[j]] = block
-        for (i, j), block in self.upper_blocks.items():
-            framed[slices[i], slices[j]] = block
-            framed[slices[j], slices[i]] = block.conj().T
-        return HermitianOperator(self.base.from_frame(framed))
-
-
 def tangent_map(h: HermitianOperator, p: OrbitPoint,
                 cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """Tangent vector generated by a Hermitian operator: (1/(i hbar))[H, rho]."""
-    if h.dim != p.dim:
-        raise DimMismatchError(f"operator dim {h.dim} vs point dim {p.dim}")
+    _check_dims(p, h)
     commutator = h.matrix @ p.rho - p.rho @ h.matrix
     return TangentVector(p, commutator / (1j * cfg.hbar))
 
@@ -141,8 +124,7 @@ def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> Tangen
     defect = hermiticity_defect(arr)
     if defect > cfg.tol_hermitian:
         raise NotHermitianError(f"tangent candidate hermiticity defect {defect:.3e}")
-    framed = p.to_frame(arr)
-    worst = max(float(np.max(np.abs(framed[s, s]))) for s in p.block_slices())
+    worst = float(np.max(np.abs(p.to_frame(arr)), where=p.same_cluster, initial=0.0))
     if worst > cfg.tol_hermitian:
         raise NotHermitianError(
             f"diagonal blocks do not vanish: max entry {worst:.3e}")
@@ -156,45 +138,18 @@ def split_kernel(h: HermitianOperator, p: OrbitPoint):
     the frame of ``p`` (it commutes with rho, so it generates no motion), the
     second is purely off-block-diagonal; they sum to ``h``.
     """
-    if h.dim != p.dim:
-        raise DimMismatchError(f"operator dim {h.dim} vs point dim {p.dim}")
+    _check_dims(p, h)
     framed = p.to_frame(h.matrix)
-    diag = np.zeros_like(framed)
-    for s in p.block_slices():
-        diag[s, s] = framed[s, s]
-    off = framed - diag
-    return (HermitianOperator(p.from_frame(diag)),
-            HermitianOperator(p.from_frame(off)))
-
-
-def blocks(h: HermitianOperator, p: OrbitPoint) -> BlockDecomposition:
-    """Partition an operator by the multiplicity pattern of ``p``."""
-    if h.dim != p.dim:
-        raise DimMismatchError(f"operator dim {h.dim} vs point dim {p.dim}")
-    framed = p.to_frame(h.matrix)
-    slices = p.block_slices()
-    diag = tuple(framed[s, s].copy() for s in slices)
-    upper = {}
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            upper[(i, j)] = framed[slices[i], slices[j]].copy()
-    return BlockDecomposition(base=p, diag_blocks=diag, upper_blocks=upper)
+    kernel = np.where(p.same_cluster, framed, 0.0)
+    return (HermitianOperator(p.from_frame(kernel)),
+            HermitianOperator(p.from_frame(framed - kernel)))
 
 
 def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     """The unique off-block-diagonal generator of a tangent vector.
 
     Inverts the tangent map on its complement: in the frame of the base,
-    ``B_ij = i hbar X_ij / (p_j - p_i)`` for i < j, mirrored Hermitianly.
+    ``B = -i hbar X * inv_gaps``, which vanishes on the diagonal blocks.
     """
     p = x.base
-    framed = x.in_frame()
-    values = p.spectrum.values
-    slices = p.block_slices()
-    gen = np.zeros_like(framed)
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            block = 1j * cfg.hbar * framed[slices[i], slices[j]] / (values[j] - values[i])
-            gen[slices[i], slices[j]] = block
-            gen[slices[j], slices[i]] = block.conj().T
-    return HermitianOperator(p.from_frame(gen))
+    return HermitianOperator(p.from_frame(-1j * cfg.hbar * x.in_frame() * p.inv_gaps))

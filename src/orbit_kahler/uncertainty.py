@@ -22,14 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import (
-    DimMismatchError,
-    NegativeVarianceError,
-    NonRealResultError,
-    TheoremViolationError,
-)
-from .kahler import hermitian_product
-from .operators import HermitianOperator, OrbitPoint
+from .errors import NegativeVarianceError, NonRealResultError, TheoremViolationError
+from .kahler import _real, hermitian_product
+from .operators import HermitianOperator, OrbitPoint, _check_dims
 from .tangent import tangent_map
 
 __all__ = [
@@ -41,18 +36,6 @@ __all__ = [
     "rs_bound",
     "full_report",
 ]
-
-
-def _real(z: complex, cfg: Config, what: str) -> float:
-    if abs(z.imag) > cfg.tol_check:
-        raise NonRealResultError(f"{what} has imaginary part {z.imag:.3e}")
-    return float(z.real)
-
-
-def _check_dims(p: OrbitPoint, *operators):
-    for op in operators:
-        if op.dim != p.dim:
-            raise DimMismatchError(f"operator dim {op.dim} vs point dim {p.dim}")
 
 
 def expectation(a: HermitianOperator, p: OrbitPoint,
@@ -90,27 +73,21 @@ def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
     * ``sum_minus = sum_{i<j} (p_i - p_j) Tr(A_ij^dag A_ij)``,
 
     so ``delta_perp_sq + sum_plus`` is the full variance and ``sum_minus``
-    equals ``(hbar/2) Re h(X_A, X_A)``.
+    equals ``(hbar/2) Re h(X_A, X_A)``. In frame entries, with ``lambda``
+    the eigenvalues by multiplicity, the block sums run over ``same_cluster``
+    (weight lambda_a) and over the upper triangle gaps > 0 (weights
+    lambda_a + lambda_b and gaps).
     """
     _check_dims(p, a)
     framed = p.to_frame(a.matrix)
-    slices = p.block_slices()
-    values = p.spectrum.values
-    second = 0.0
-    first = 0.0
-    for i, s in enumerate(slices):
-        block = framed[s, s]
-        second += values[i] * float(np.trace(block @ block).real)
-        first += values[i] * float(np.trace(block).real)
-    delta_perp_sq = second - first * first
-    sum_plus = 0.0
-    sum_minus = 0.0
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            weight = float(np.sum(np.abs(framed[slices[i], slices[j]]) ** 2))
-            sum_plus += (values[i] + values[j]) * weight
-            sum_minus += (values[i] - values[j]) * weight
-    return delta_perp_sq, sum_plus, sum_minus
+    values = p.spectrum.full_values()
+    weight = np.abs(framed) ** 2
+    upper = p.gaps > 0
+    first = float(np.dot(values, framed.diagonal().real))
+    second = float(np.sum(values[:, None] * weight, where=p.same_cluster))
+    sum_plus = float(np.sum((values[:, None] + values[None, :]) * weight, where=upper))
+    sum_minus = float(np.sum(p.gaps * weight, where=upper))
+    return second - first * first, sum_plus, sum_minus
 
 
 def geometric_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,

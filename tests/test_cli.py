@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from orbit_kahler.serialize import matrix_to_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+DATA = Path(__file__).parent / "data"
 
 
 def _write_matrix(path, matrix):
@@ -50,6 +52,13 @@ class TestSpectrumCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["spectrum", str(tmp_path / "absent.json")]) == 2
+
+    def test_non_finite_matrix_exits_3(self, tmp_path, capsys):
+        # JSON's Infinity literal parses to float inf
+        rho = tmp_path / "inf.json"
+        rho.write_text('{"n": 2, "re": [[Infinity, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+        assert main(["spectrum", str(rho)]) == 3
+        assert "non-finite entries" in capsys.readouterr().err
 
 
 class TestTangentAndKahlerCommands:
@@ -240,6 +249,23 @@ class TestSweepCommand:
         assert main(["sweep", "--spectra", str(spectra), "--seed", "2",
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_non_finite_spectrum_exits_2(self, tmp_path, capsys):
+        spectra = tmp_path / "nan.json"
+        spectra.write_text('[{"values": [NaN], "mults": [1]}]')
+        assert main(["sweep", "--spectra", str(spectra),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, golden", [
+        (["--grid", "0.5:1.0:11", "--seed", "3"], "sweep_grid_seed3.csv"),
+        (["--spectra", str(DATA / "spectra_d5.json"), "--seed", "5"],
+         "sweep_spectra_d5_seed5.csv"),
+    ])
+    def test_golden_output(self, args, golden, capsys):
+        # the printed numbers are pinned, not only stable across reruns
+        assert main(["sweep"] + args) == 0
+        assert capsys.readouterr().out == (DATA / golden).read_text()
 
     def test_bad_grid_exits_2(self, qubit_files, tmp_path):
         for grid in ("0.5:1.0", "a:b:c", "0.5:2.0:5", "0.7:0.9:0"):

@@ -10,7 +10,6 @@ from orbit_kahler import (
     conjugate,
     conjugate_point,
     haar_unitary,
-    hamiltonian_field,
     hermitian_product,
     hermitian_product_blocks,
     j_generator,
@@ -246,15 +245,9 @@ class TestHermitianProductBlocks:
 
 
 class TestHamiltonianField:
-    def test_alias_of_tangent_map(self):
-        rng = np.random.default_rng(13)
-        p = random_point(4, rng)
-        a = gaussian_hermitian(4, rng)
-        np.testing.assert_array_equal(hamiltonian_field(a, p).ambient,
-                                      tangent_map(a, p).ambient)
-
+    # the Hamiltonian vector field of <A> is tangent_map(A, p)
     def test_identity_generates_zero_field(self, qubit_point):
-        assert hamiltonian_field(make_hermitian(np.eye(2)), qubit_point).max_norm == 0.0
+        assert tangent_map(make_hermitian(np.eye(2)), qubit_point).max_norm == 0.0
 
     def test_pairing_is_derivative_of_expectation(self):
         # central-difference d/dt Tr(rho(t) A) along the flow of B

@@ -16,10 +16,9 @@ from orbit_kahler import (
     make_spectrum,
     orbit_point,
     random_density,
-    random_hermitian,
     with_gauge,
 )
-from orbit_kahler.sampling import random_gauge, random_spectrum
+from orbit_kahler.sampling import gaussian_hermitian, random_gauge, random_spectrum
 
 
 class TestMakeHermitian:
@@ -37,6 +36,12 @@ class TestMakeHermitian:
     def test_non_square_rejected(self):
         with pytest.raises(DimMismatchError):
             make_hermitian(np.zeros((2, 3)))
+
+    def test_non_finite_rejected(self):
+        # an inf entry leaves a NaN defect, which no tolerance comparison catches
+        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+            with pytest.raises(NotHermitianError, match="non-finite"):
+                make_hermitian([[bad, 0], [0, 1]])
 
     def test_no_silent_symmetrization(self):
         # within tolerance the matrix is kept as-is, not averaged
@@ -69,6 +74,13 @@ class TestSpectrum:
     def test_ordering_enforced(self, cfg):
         with pytest.raises(DegenerateGapError):
             make_spectrum([0.3, 0.7], [1, 1], cfg)
+
+    def test_non_finite_rejected(self, cfg):
+        for values in ([np.nan], [np.inf, 0.0], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                make_spectrum(values, [1] * len(values), cfg)
+            with pytest.raises(ValueError, match="finite"):
+                make_spectrum(values, [1] * len(values), cfg, density=False)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -170,14 +182,14 @@ class TestRandomGenerators:
         s = make_spectrum([0.5, 0.3, 0.2], [1, 1, 1], cfg)
         assert np.array_equal(random_density(s, 42).rho, random_density(s, 42).rho)
 
-    def test_random_hermitian_valid_and_deterministic(self):
-        a = random_hermitian(4, 5)
-        b = random_hermitian(4, 5)
+    def test_gaussian_hermitian_valid_and_deterministic(self):
+        a = gaussian_hermitian(4, np.random.default_rng(5))
+        b = gaussian_hermitian(4, np.random.default_rng(5))
         assert np.array_equal(a.matrix, b.matrix)
         make_hermitian(a.matrix)
 
-    def test_random_hermitian_dim_one_real(self):
-        a = random_hermitian(1, 9)
+    def test_gaussian_hermitian_dim_one_real(self):
+        a = gaussian_hermitian(1, np.random.default_rng(9))
         assert a.matrix.shape == (1, 1) and a.matrix[0, 0].imag == 0.0
 
     def test_haar_unitary_is_unitary(self):

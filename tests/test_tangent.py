@@ -7,7 +7,6 @@ from orbit_kahler import (
     BaseMismatchError,
     DimMismatchError,
     NotHermitianError,
-    blocks,
     conjugate,
     conjugate_point,
     haar_unitary,
@@ -101,18 +100,19 @@ class TestSplitKernel:
 
 
 class TestBlocks:
+    # cluster blocks are read off the gap masks of the point
     def test_sigma_x_blocks(self, sigma_x, qubit_point):
-        decomposition = blocks(sigma_x, qubit_point)
-        assert len(decomposition.diag_blocks) == 2
-        np.testing.assert_allclose(decomposition.diag_blocks[0], [[0.0]], atol=1e-15)
-        np.testing.assert_allclose(decomposition.diag_blocks[1], [[0.0]], atol=1e-15)
-        np.testing.assert_allclose(decomposition.upper_blocks[(0, 1)], [[1.0]],
+        np.testing.assert_allclose(qubit_point.gaps, [[0.0, 0.4], [-0.4, 0.0]], atol=1e-15)
+        np.testing.assert_array_equal(qubit_point.same_cluster,
+                                      [[True, False], [False, True]])
+        framed = qubit_point.to_frame(sigma_x.matrix)
+        np.testing.assert_allclose(framed[qubit_point.same_cluster], [0.0, 0.0],
                                    atol=1e-15)
+        np.testing.assert_allclose(framed[qubit_point.gaps > 0], [1.0], atol=1e-15)
 
     def test_sigma_y_upper_block(self, sigma_y, qubit_point):
-        decomposition = blocks(sigma_y, qubit_point)
-        np.testing.assert_allclose(decomposition.upper_blocks[(0, 1)], [[-1j]],
-                                   atol=1e-15)
+        framed = qubit_point.to_frame(sigma_y.matrix)
+        np.testing.assert_allclose(framed[qubit_point.gaps > 0], [-1j], atol=1e-15)
 
     def test_reassembly_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -120,8 +120,15 @@ class TestBlocks:
             dim = int(rng.integers(2, 8))
             p = random_point(dim, rng)
             h = gaussian_hermitian(dim, rng)
-            rebuilt = blocks(h, p).assemble()
+            kernel, complement = split_kernel(h, p)
+            rebuilt = kernel + complement
             np.testing.assert_allclose(rebuilt.matrix, h.matrix, atol=1e-12)
+            values = p.spectrum.full_values()
+            np.testing.assert_array_equal(p.same_cluster,
+                                          values[:, None] == values[None, :])
+            off_cluster = np.abs(p.to_frame(kernel.matrix))[~p.same_cluster]
+            assert np.max(off_cluster, initial=0.0) < 1e-13
+            assert np.max(np.abs(p.to_frame(complement.matrix))[p.same_cluster]) < 1e-13
 
 
 class TestLift:
