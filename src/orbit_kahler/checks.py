@@ -2,7 +2,10 @@
 
 Each suite draws deterministic instances from a seeded stream, evaluates one
 invariant across dimensions and spectra (degenerate ones included), and
-returns a :class:`CheckReport`. ``run_checks`` executes the whole catalog;
+returns a :class:`CheckReport`. Most suites are one draw function, which
+returns the residual and worst-case record of one sample, wrapped by
+:func:`_sampled` in the ``_CATALOG`` table. ``run_checks`` executes the whole
+catalog;
 the CLI ``checks`` command is a thin wrapper around it. Passing an explicit
 ``spectra`` pool restricts sampling to those orbits.
 
@@ -50,6 +53,11 @@ def _spectrum_info(p) -> dict:
     return {"values": list(p.spectrum.values), "mults": list(p.spectrum.mults)}
 
 
+def _case(p, index, **extra) -> dict:
+    """Worst-case record of one sample at ``p``."""
+    return {"sample": index, "dim": p.dim, **extra, "spectrum": _spectrum_info(p)}
+
+
 class _Instances:
     """Deterministic instance factory shared by all suites.
 
@@ -58,9 +66,11 @@ class _Instances:
     stays covered), or through an explicit spectra pool when one is given.
     """
 
-    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None):
+    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None,
+                 perturb_j: float = 0.0):
         self.rng = rng
         self.cfg = cfg
+        self.perturb_j = perturb_j
         self.pool = list(pool) if pool else None
         self.dims = (tuple(sorted({s.total_dim for s in self.pool}))
                      if self.pool else tuple(dims))
@@ -92,6 +102,10 @@ class _Instances:
     def observable(self, dim: int):
         return gaussian_hermitian(dim, self.rng)
 
+    def tangent(self, p):
+        """Tangent vector at ``p`` generated by a fresh observable."""
+        return tangent_map(self.observable(p.dim), p, self.cfg)
+
 
 def _report_max(name, pairs, samples, tolerance, **extra):
     """Build a report from (residual, worst_case) pairs; ``extra`` entries
@@ -105,137 +119,105 @@ def _report_max(name, pairs, samples, tolerance, **extra):
     return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
-def _check_j_squared(inst, samples, perturb_j=0.0):
+def _sampled(draw, count=None, tolerance=None):
+    """Suite reporting the largest residual of ``draw(inst, index)``.
+
+    ``draw`` returns ``(residual, worst_case)`` for one sample. The suite
+    draws ``count(samples)`` samples (default ``samples``) and gates them at
+    ``tolerance(cfg)`` (default ``tol_check``).
+    """
+    def suite(name, inst, samples):
+        n = count(samples) if count else samples
+        gate = tolerance(inst.cfg) if tolerance else inst.cfg.tol_check
+        return _report_max(name, [draw(inst, index) for index in range(n)], n, gate)
+    return suite
+
+
+def _j_squared(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        x = tangent_map(inst.observable(p.dim), p, cfg)
-        twice = apply_J(apply_J(x, cfg), cfg)
-        residual_matrix = twice.ambient + x.ambient + perturb_j * x.ambient
-        residual = float(np.max(np.abs(residual_matrix)))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("j_squared", pairs, samples, cfg.tol_check)
+    p = inst.point()
+    x = inst.tangent(p)
+    twice = apply_J(apply_J(x, cfg), cfg)
+    residual_matrix = twice.ambient + x.ambient + inst.perturb_j * x.ambient
+    return float(np.max(np.abs(residual_matrix))), _case(p, index)
 
 
-def _check_omega_antisymmetry(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        a = inst.observable(p.dim)
-        b = inst.observable(p.dim)
-        residual = abs(symplectic(a, b, p, cfg) + symplectic(b, a, p, cfg))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("omega_antisymmetry", pairs, samples, cfg.tol_check)
+def _omega_antisymmetry(inst, index):
+    p = inst.point()
+    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    return abs(symplectic(a, b, p, inst.cfg) + symplectic(b, a, p, inst.cfg)), _case(p, index)
 
 
-def _check_metric_symmetry(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        x = tangent_map(inst.observable(p.dim), p, cfg)
-        y = tangent_map(inst.observable(p.dim), p, cfg)
-        residual = abs(metric(x, y, cfg) - metric(y, x, cfg))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("metric_symmetry", pairs, samples, cfg.tol_check)
+def _metric_symmetry(inst, index):
+    p = inst.point()
+    x, y = inst.tangent(p), inst.tangent(p)
+    return abs(metric(x, y, inst.cfg) - metric(y, x, inst.cfg)), _case(p, index)
 
 
-def _check_metric_positivity(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    smallest = np.inf
-    for index in range(samples):
-        p = inst.multi_cluster_point()
-        x = tangent_map(inst.observable(p.dim), p, cfg)
-        squared = x.frobenius ** 2
-        if squared == 0.0:
-            continue
-        ratio = metric(x, x, cfg) / squared
-        smallest = min(smallest, ratio)
-        pairs.append((max(0.0, -ratio),
-                      {"sample": index, "dim": p.dim, "witness_ratio": float(ratio),
-                       "spectrum": _spectrum_info(p)}))
-    return _report_max("metric_positivity", pairs, samples, cfg.tol_check,
+def _metric_positivity(inst, index):
+    p = inst.multi_cluster_point()
+    x = inst.tangent(p)
+    squared = x.frobenius ** 2
+    if squared == 0.0:
+        return None
+    ratio = metric(x, x, inst.cfg) / squared
+    return max(0.0, -ratio), _case(p, index, witness_ratio=float(ratio))
+
+
+def _check_metric_positivity(name, inst, samples):
+    drawn = (_metric_positivity(inst, index) for index in range(samples))
+    pairs = [pair for pair in drawn if pair is not None]
+    smallest = min((case["witness_ratio"] for _, case in pairs), default=np.inf)
+    return _report_max(name, pairs, samples, inst.cfg.tol_check,
                        smallest_witness=float(smallest))
 
 
-def _check_compatibility(inst, samples):
+def _compatibility(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        x = tangent_map(inst.observable(p.dim), p, cfg)
-        y = tangent_map(inst.observable(p.dim), p, cfg)
-        residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
-                       - symplectic_tangent(x, y, cfg))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("compatibility", pairs, samples, cfg.tol_check)
+    p = inst.point()
+    x, y = inst.tangent(p), inst.tangent(p)
+    residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
+                   - symplectic_tangent(x, y, cfg))
+    return residual, _case(p, index)
 
 
-def _check_hermitian_symmetry(inst, samples):
+def _hermitian_symmetry(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        x = tangent_map(inst.observable(p.dim), p, cfg)
-        y = tangent_map(inst.observable(p.dim), p, cfg)
-        residual = abs(hermitian_product(x, y, cfg)
-                       - np.conj(hermitian_product(y, x, cfg)))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("hermitian_symmetry", pairs, samples, cfg.tol_check)
+    p = inst.point()
+    x, y = inst.tangent(p), inst.tangent(p)
+    residual = abs(hermitian_product(x, y, cfg) - np.conj(hermitian_product(y, x, cfg)))
+    return residual, _case(p, index)
 
 
-def _check_block_formula(inst, samples):
+def _block_formula(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        a_off = split_kernel(inst.observable(p.dim), p)[1]
-        b_off = split_kernel(inst.observable(p.dim), p)[1]
-        definitional = hermitian_product(tangent_map(a_off, p, cfg),
-                                         tangent_map(b_off, p, cfg), cfg)
-        closed_form = hermitian_product_blocks(a_off, b_off, p, cfg)
-        residual = abs(closed_form - definitional) / max(1.0, abs(definitional))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("block_formula", pairs, samples, cfg.tol_check)
+    p = inst.point()
+    a_off = split_kernel(inst.observable(p.dim), p)[1]
+    b_off = split_kernel(inst.observable(p.dim), p)[1]
+    definitional = hermitian_product(tangent_map(a_off, p, cfg),
+                                     tangent_map(b_off, p, cfg), cfg)
+    closed_form = hermitian_product_blocks(a_off, b_off, p, cfg)
+    return abs(closed_form - definitional) / max(1.0, abs(definitional)), _case(p, index)
 
 
-def _check_tangent_roundtrip(inst, samples):
+def _tangent_roundtrip(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        h = inst.observable(p.dim)
-        x = tangent_map(h, p, cfg)
-        roundtrip = tangent_map(lift(x, cfg), p, cfg)
-        residual = float(np.max(np.abs(roundtrip.ambient - x.ambient)))
-        complement = split_kernel(h, p)[1]
-        lifted_back = lift(tangent_map(complement, p, cfg), cfg)
-        residual = max(residual,
-                       float(np.max(np.abs(lifted_back.matrix - complement.matrix))))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("tangent_roundtrip", pairs, samples, cfg.tol_check)
+    p = inst.point()
+    h = inst.observable(p.dim)
+    x = tangent_map(h, p, cfg)
+    roundtrip = tangent_map(lift(x, cfg), p, cfg)
+    residual = float(np.max(np.abs(roundtrip.ambient - x.ambient)))
+    complement = split_kernel(h, p)[1]
+    lifted_back = lift(tangent_map(complement, p, cfg), cfg)
+    residual = max(residual, float(np.max(np.abs(lifted_back.matrix - complement.matrix))))
+    return residual, _case(p, index)
 
 
-def _check_split_orthogonality(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        kernel_part, complement_part = split_kernel(inst.observable(p.dim), p)
-        residual = abs(complex(np.trace(kernel_part.matrix @ complement_part.matrix)))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("split_orthogonality", pairs, samples, cfg.tol_check)
+def _split_orthogonality(inst, index):
+    p = inst.point()
+    kernel_part, complement_part = split_kernel(inst.observable(p.dim), p)
+    residual = abs(complex(np.trace(kernel_part.matrix @ complement_part.matrix)))
+    return residual, _case(p, index)
 
 
 def _scalar_panel(a, b, p, cfg) -> np.ndarray:
@@ -256,60 +238,44 @@ def _scalar_panel(a, b, p, cfg) -> np.ndarray:
     ])
 
 
-def _check_ad_equivariance(inst, samples):
+def _ad_equivariance(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point(mixed_every=0)
-        a = inst.observable(p.dim)
-        b = inst.observable(p.dim)
-        u = haar_unitary(p.dim, inst.rng)
-        before = _scalar_panel(a, b, p, cfg)
-        after = _scalar_panel(conjugate(a, u, cfg), conjugate(b, u, cfg),
-                              conjugate_point(p, u, cfg), cfg)
-        residual = float(np.max(np.abs(after - before)))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("ad_equivariance", pairs, samples, cfg.tol_check)
+    p = inst.point(mixed_every=0)
+    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    u = haar_unitary(p.dim, inst.rng)
+    before = _scalar_panel(a, b, p, cfg)
+    after = _scalar_panel(conjugate(a, u, cfg), conjugate(b, u, cfg),
+                          conjugate_point(p, u, cfg), cfg)
+    return float(np.max(np.abs(after - before))), _case(p, index)
 
 
-def _check_gauge_invariance(inst, samples):
+def _gauge_invariance(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point(mixed_every=0)
-        a = inst.observable(p.dim)
-        b = inst.observable(p.dim)
-        gauged = with_gauge(p, random_gauge(p, inst.rng), cfg)
-        before = _scalar_panel(a, b, p, cfg)
-        after = _scalar_panel(a, b, gauged, cfg)
-        residual = float(np.max(np.abs(after - before)))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("gauge_invariance", pairs, samples, cfg.tol_check)
+    p = inst.point(mixed_every=0)
+    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    gauged = with_gauge(p, random_gauge(p, inst.rng), cfg)
+    before = _scalar_panel(a, b, p, cfg)
+    after = _scalar_panel(a, b, gauged, cfg)
+    return float(np.max(np.abs(after - before))), _case(p, index)
 
 
-def _aggregate(name, sub_reports):
-    worst = max(sub_reports, key=lambda r: r.max_residual)
-    total = sum(r.samples for r in sub_reports)
-    return CheckReport.build(name, worst.max_residual, total,
+def _panel(name, inst, samples, check):
+    """Run a per-point ``check`` over max(2, 2 * len(dims)) points and report
+    the worst point, with the samples of all points counted."""
+    points = [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
+    per_point = max(1, samples // len(points))
+    reports = [check(p, per_point, inst.rng, inst.cfg) for p in points]
+    worst = max(reports, key=lambda r: r.max_residual)
+    return CheckReport.build(name, worst.max_residual, per_point * len(points),
                              worst.tolerance, worst.worst_case)
 
 
-def _check_involutivity(inst, samples):
-    points = [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
-    per_point = max(1, samples // len(points))
-    return _aggregate("involutivity",
-                      [involutivity_check(p, per_point, inst.rng, inst.cfg)
-                       for p in points])
+def _check_involutivity(name, inst, samples):
+    return _panel(name, inst, samples, involutivity_check)
 
 
-def _check_nondegeneracy(inst, samples):
-    points = [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
-    per_point = max(1, samples // len(points))
-    return _aggregate("nondegeneracy",
-                      [nondegeneracy_check(p, per_point, inst.rng, inst.cfg)
-                       for p in points])
+def _check_nondegeneracy(name, inst, samples):
+    return _panel(name, inst, samples, nondegeneracy_check)
 
 
 def _fd_tolerance(cfg: Config) -> float:
@@ -321,161 +287,104 @@ def _fd_count(samples: int) -> int:
     return max(2, min(10, samples // 25))
 
 
-def _check_nijenhuis(inst, samples):
+def _nijenhuis(inst, index):
+    p = inst.multi_cluster_point()
+    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    return nijenhuis_fd(a, b, p, inst.cfg), _case(p, index)
+
+
+def _closedness(inst, index):
+    p = inst.multi_cluster_point()
+    a, b, c = inst.observable(p.dim), inst.observable(p.dim), inst.observable(p.dim)
+    return closedness_check(a, b, c, p, inst.cfg), _case(p, index)
+
+
+def _uncertainty_bound(inst, index):
+    p = inst.point()
+    report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
+    slack = report.slack_geometric
+    return max(0.0, -slack), _case(p, index, slack=slack)
+
+
+def _rs_baseline(inst, index):
+    p = inst.point()
+    report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
+    return max(0.0, -report.slack_rs), _case(p, index, slack=report.slack_rs)
+
+
+def _pure_state_equality(inst, index):
     cfg = inst.cfg
-    count = _fd_count(samples)
-    pairs = []
-    for index in range(count):
-        p = inst.multi_cluster_point()
-        a = inst.observable(p.dim)
-        b = inst.observable(p.dim)
-        residual = nijenhuis_fd(a, b, p, cfg)
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("nijenhuis_fd", pairs, count, _fd_tolerance(cfg))
+    dim = inst.dims[index % len(inst.dims)]
+    p = random_density(pure_spectrum(dim, cfg), inst.rng, cfg)
+    a = inst.observable(dim)
+    x = tangent_map(a, p, cfg)
+    bound_term = 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real
+    return abs(uncertainty(a, p, cfg) ** 2 - bound_term), {"sample": index, "dim": dim}
 
 
-def _check_closedness(inst, samples):
+def _variance_identity(inst, index):
     cfg = inst.cfg
-    count = _fd_count(samples)
-    pairs = []
-    for index in range(count):
-        p = inst.multi_cluster_point()
-        a = inst.observable(p.dim)
-        b = inst.observable(p.dim)
-        c = inst.observable(p.dim)
-        residual = closedness_check(a, b, c, p, cfg)
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("closedness_fd", pairs, count, _fd_tolerance(cfg))
+    p = inst.point()
+    a = inst.observable(p.dim)
+    delta_perp_sq, sum_plus, sum_minus = variance_decomposition(a, p, cfg)
+    variance = uncertainty(a, p, cfg) ** 2
+    residual = abs(variance - (delta_perp_sq + sum_plus))
+    x = tangent_map(a, p, cfg)
+    residual = max(residual, abs(
+        sum_minus - 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real))
+    residual = max(residual, max(0.0, sum_minus - sum_plus))
+    return residual, _case(p, index)
 
 
-def _check_uncertainty_bound(inst, samples):
+def _spectrum_preservation(inst, index):
+    p = inst.point(mixed_every=0)
+    traj = trajectory(p, inst.observable(p.dim), t_max=1.0, steps=5, cfg=inst.cfg)
+    drift = 0.0
+    for point in traj.points:
+        eigenvalues = np.sort(np.linalg.eigvalsh(point.rho))[::-1]
+        drift = max(drift, float(np.max(np.abs(eigenvalues - p.spectrum.full_values()))))
+    return drift, _case(p, index)
+
+
+def _flow_composition(inst, index):
     cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, cfg)
-        pairs.append((max(0.0, -report.slack_geometric),
-                      {"sample": index, "dim": p.dim,
-                       "slack": report.slack_geometric,
-                       "spectrum": _spectrum_info(p)}))
-    return _report_max("uncertainty_bound", pairs, samples, cfg.tol_check)
+    p = inst.point(mixed_every=0)
+    h = inst.observable(p.dim)
+    s, t = inst.rng.uniform(-1.0, 1.0, size=2)
+    two_step = evolve(evolve(p, h, float(s), cfg), h, float(t), cfg)
+    one_step = evolve(p, h, float(s + t), cfg)
+    return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
 
 
-def _check_rs_baseline(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, cfg)
-        pairs.append((max(0.0, -report.slack_rs),
-                      {"sample": index, "dim": p.dim, "slack": report.slack_rs,
-                       "spectrum": _spectrum_info(p)}))
-    return _report_max("rs_baseline", pairs, samples, cfg.tol_check)
-
-
-def _check_pure_state_equality(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        dim = inst.dims[index % len(inst.dims)]
-        p = random_density(pure_spectrum(dim, cfg), inst.rng, cfg)
-        a = inst.observable(dim)
-        x = tangent_map(a, p, cfg)
-        bound_term = 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real
-        residual = abs(uncertainty(a, p, cfg) ** 2 - bound_term)
-        pairs.append((residual, {"sample": index, "dim": dim}))
-    return _report_max("pure_state_equality", pairs, samples, cfg.tol_check)
-
-
-def _check_variance_identity(inst, samples):
-    cfg = inst.cfg
-    pairs = []
-    for index in range(samples):
-        p = inst.point()
-        a = inst.observable(p.dim)
-        delta_perp_sq, sum_plus, sum_minus = variance_decomposition(a, p, cfg)
-        variance = uncertainty(a, p, cfg) ** 2
-        residual = abs(variance - (delta_perp_sq + sum_plus))
-        x = tangent_map(a, p, cfg)
-        residual = max(residual, abs(
-            sum_minus - 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real))
-        residual = max(residual, max(0.0, sum_minus - sum_plus))
-        pairs.append((residual, {"sample": index, "dim": p.dim,
-                                 "spectrum": _spectrum_info(p)}))
-    return _report_max("variance_identity", pairs, samples, cfg.tol_check)
-
-
-def _check_spectrum_preservation(inst, samples):
-    cfg = inst.cfg
-    count = _fd_count(samples)
-    pairs = []
-    for index in range(count):
-        p = inst.point(mixed_every=0)
-        h = inst.observable(p.dim)
-        traj = trajectory(p, h, t_max=1.0, steps=5, cfg=cfg)
-        drift = 0.0
-        for point in traj.points:
-            eigenvalues = np.sort(np.linalg.eigvalsh(point.rho))[::-1]
-            drift = max(drift, float(np.max(np.abs(
-                eigenvalues - p.spectrum.full_values()))))
-        pairs.append((drift, {"sample": index, "dim": p.dim,
-                              "spectrum": _spectrum_info(p)}))
-    return _report_max("spectrum_preservation", pairs, count, cfg.tol_check)
-
-
-def _check_flow_composition(inst, samples):
-    cfg = inst.cfg
-    count = _fd_count(samples)
-    pairs = []
-    for index in range(count):
-        p = inst.point(mixed_every=0)
-        h = inst.observable(p.dim)
-        s, t = inst.rng.uniform(-1.0, 1.0, size=2)
-        two_step = evolve(evolve(p, h, float(s), cfg), h, float(t), cfg)
-        one_step = evolve(p, h, float(s + t), cfg)
-        residual = float(np.max(np.abs(two_step.rho - one_step.rho)))
-        pairs.append((residual, {"sample": index, "dim": p.dim}))
-    return _report_max("flow_composition", pairs, count, cfg.tol_check)
-
-
-def _check_ehrenfest(inst, samples):
-    cfg = inst.cfg
-    count = _fd_count(samples)
-    pairs = []
-    for index in range(count):
-        p = inst.point(mixed_every=0)
-        a = inst.observable(p.dim)
-        h = inst.observable(p.dim)
-        residual = ehrenfest_check(a, h, p, cfg)
-        pairs.append((residual, {"sample": index, "dim": p.dim}))
-    return _report_max("ehrenfest", pairs, count, _fd_tolerance(cfg))
+def _ehrenfest(inst, index):
+    p = inst.point(mixed_every=0)
+    a, h = inst.observable(p.dim), inst.observable(p.dim)
+    return ehrenfest_check(a, h, p, inst.cfg), {"sample": index, "dim": p.dim}
 
 
 _CATALOG = [
-    ("j_squared", _check_j_squared),
-    ("omega_antisymmetry", _check_omega_antisymmetry),
-    ("metric_symmetry", _check_metric_symmetry),
+    ("j_squared", _sampled(_j_squared)),
+    ("omega_antisymmetry", _sampled(_omega_antisymmetry)),
+    ("metric_symmetry", _sampled(_metric_symmetry)),
     ("metric_positivity", _check_metric_positivity),
-    ("compatibility", _check_compatibility),
-    ("hermitian_symmetry", _check_hermitian_symmetry),
-    ("block_formula", _check_block_formula),
-    ("tangent_roundtrip", _check_tangent_roundtrip),
-    ("split_orthogonality", _check_split_orthogonality),
-    ("ad_equivariance", _check_ad_equivariance),
-    ("gauge_invariance", _check_gauge_invariance),
+    ("compatibility", _sampled(_compatibility)),
+    ("hermitian_symmetry", _sampled(_hermitian_symmetry)),
+    ("block_formula", _sampled(_block_formula)),
+    ("tangent_roundtrip", _sampled(_tangent_roundtrip)),
+    ("split_orthogonality", _sampled(_split_orthogonality)),
+    ("ad_equivariance", _sampled(_ad_equivariance)),
+    ("gauge_invariance", _sampled(_gauge_invariance)),
     ("involutivity", _check_involutivity),
     ("nondegeneracy", _check_nondegeneracy),
-    ("nijenhuis_fd", _check_nijenhuis),
-    ("closedness_fd", _check_closedness),
-    ("uncertainty_bound", _check_uncertainty_bound),
-    ("rs_baseline", _check_rs_baseline),
-    ("pure_state_equality", _check_pure_state_equality),
-    ("variance_identity", _check_variance_identity),
-    ("spectrum_preservation", _check_spectrum_preservation),
-    ("flow_composition", _check_flow_composition),
-    ("ehrenfest", _check_ehrenfest),
+    ("nijenhuis_fd", _sampled(_nijenhuis, count=_fd_count, tolerance=_fd_tolerance)),
+    ("closedness_fd", _sampled(_closedness, count=_fd_count, tolerance=_fd_tolerance)),
+    ("uncertainty_bound", _sampled(_uncertainty_bound)),
+    ("rs_baseline", _sampled(_rs_baseline)),
+    ("pure_state_equality", _sampled(_pure_state_equality)),
+    ("variance_identity", _sampled(_variance_identity)),
+    ("spectrum_preservation", _sampled(_spectrum_preservation, count=_fd_count)),
+    ("flow_composition", _sampled(_flow_composition, count=_fd_count)),
+    ("ehrenfest", _sampled(_ehrenfest, count=_fd_count, tolerance=_fd_tolerance)),
 ]
 
 CHECK_NAMES = tuple(name for name, _ in _CATALOG)
@@ -500,12 +409,10 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     children = np.random.SeedSequence(seed).spawn(len(_CATALOG))
     reports = []
-    for (name, fn), child in zip(_CATALOG, children):
+    for (name, suite), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
-        inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
-        if name == "j_squared":
-            reports.append(fn(inst, samples, perturb_j=perturb_j))
-        else:
-            reports.append(fn(inst, samples))
+        inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra,
+                          perturb_j=perturb_j)
+        reports.append(suite(name, inst, samples))
     return reports
