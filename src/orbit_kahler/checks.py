@@ -2,12 +2,10 @@
 
 Each suite draws deterministic instances from a seeded stream, evaluates one
 invariant across dimensions and spectra (degenerate ones included), and
-returns a :class:`CheckReport`. Most suites are one draw function, which
-returns the residual and worst-case record of one sample, wrapped by
-:func:`_sampled` in the ``_CATALOG`` table. ``run_checks`` executes the whole
-catalog;
-the CLI ``checks`` command is a thin wrapper around it. Passing an explicit
-``spectra`` pool restricts sampling to those orbits.
+returns a :class:`CheckReport`; most suites are a draw function for one
+sample wrapped by :func:`_sampled`. ``run_checks`` executes the ``_CATALOG``
+table; the CLI ``checks`` command is a thin wrapper around it. Passing an
+explicit ``spectra`` pool restricts sampling to those orbits.
 
 ``perturb_j`` is a fault-injection hook for the J^2 = -1 suite: it adds a
 multiple of the input vector to J(J(X)) so the suite must fail, which guards
@@ -22,6 +20,7 @@ from .config import Config, DEFAULT_CONFIG
 from .dynamics import ehrenfest_check, evolve, trajectory
 from .integrability import (
     CheckReport,
+    _case,
     closedness_check,
     involutivity_check,
     nijenhuis_fd,
@@ -42,20 +41,12 @@ from .sampling import (
     pure_spectrum,
     random_gauge,
     random_spectrum,
+    random_tangent,
 )
 from .tangent import lift, split_kernel, tangent_map
 from .uncertainty import full_report, uncertainty, variance_decomposition
 
 __all__ = ["CHECK_NAMES", "run_checks"]
-
-
-def _spectrum_info(p) -> dict:
-    return {"values": list(p.spectrum.values), "mults": list(p.spectrum.mults)}
-
-
-def _case(p, index, **extra) -> dict:
-    """Worst-case record of one sample at ``p``."""
-    return {"sample": index, "dim": p.dim, **extra, "spectrum": _spectrum_info(p)}
 
 
 class _Instances:
@@ -102,10 +93,6 @@ class _Instances:
     def observable(self, dim: int):
         return gaussian_hermitian(dim, self.rng)
 
-    def tangent(self, p):
-        """Tangent vector at ``p`` generated by a fresh observable."""
-        return tangent_map(self.observable(p.dim), p, self.cfg)
-
 
 def _report_max(name, pairs, samples, tolerance, **extra):
     """Build a report from (residual, worst_case) pairs; ``extra`` entries
@@ -120,12 +107,9 @@ def _report_max(name, pairs, samples, tolerance, **extra):
 
 
 def _sampled(draw, count=None, tolerance=None):
-    """Suite reporting the largest residual of ``draw(inst, index)``.
-
-    ``draw`` returns ``(residual, worst_case)`` for one sample. The suite
-    draws ``count(samples)`` samples (default ``samples``) and gates them at
-    ``tolerance(cfg)`` (default ``tol_check``).
-    """
+    """Suite of ``count(samples)`` draws (default ``samples``) gated at
+    ``tolerance(cfg)`` (default ``tol_check``); ``draw(inst, index)``
+    returns one sample's ``(residual, worst_case)``."""
     def suite(name, inst, samples):
         n = count(samples) if count else samples
         gate = tolerance(inst.cfg) if tolerance else inst.cfg.tol_check
@@ -136,7 +120,7 @@ def _sampled(draw, count=None, tolerance=None):
 def _j_squared(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x = inst.tangent(p)
+    x = random_tangent(p, inst.rng, inst.cfg)
     twice = apply_J(apply_J(x, cfg), cfg)
     residual_matrix = twice.ambient + x.ambient + inst.perturb_j * x.ambient
     return float(np.max(np.abs(residual_matrix))), _case(p, index)
@@ -144,19 +128,21 @@ def _j_squared(inst, index):
 
 def _omega_antisymmetry(inst, index):
     p = inst.point()
-    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    b = inst.observable(p.dim)
     return abs(symplectic(a, b, p, inst.cfg) + symplectic(b, a, p, inst.cfg)), _case(p, index)
 
 
 def _metric_symmetry(inst, index):
     p = inst.point()
-    x, y = inst.tangent(p), inst.tangent(p)
+    x = random_tangent(p, inst.rng, inst.cfg)
+    y = random_tangent(p, inst.rng, inst.cfg)
     return abs(metric(x, y, inst.cfg) - metric(y, x, inst.cfg)), _case(p, index)
 
 
 def _metric_positivity(inst, index):
     p = inst.multi_cluster_point()
-    x = inst.tangent(p)
+    x = random_tangent(p, inst.rng, inst.cfg)
     squared = x.frobenius ** 2
     if squared == 0.0:
         return None
@@ -175,7 +161,8 @@ def _check_metric_positivity(name, inst, samples):
 def _compatibility(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x, y = inst.tangent(p), inst.tangent(p)
+    x = random_tangent(p, inst.rng, inst.cfg)
+    y = random_tangent(p, inst.rng, inst.cfg)
     residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
                    - symplectic_tangent(x, y, cfg))
     return residual, _case(p, index)
@@ -184,7 +171,8 @@ def _compatibility(inst, index):
 def _hermitian_symmetry(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x, y = inst.tangent(p), inst.tangent(p)
+    x = random_tangent(p, inst.rng, inst.cfg)
+    y = random_tangent(p, inst.rng, inst.cfg)
     residual = abs(hermitian_product(x, y, cfg) - np.conj(hermitian_product(y, x, cfg)))
     return residual, _case(p, index)
 
@@ -241,7 +229,8 @@ def _scalar_panel(a, b, p, cfg) -> np.ndarray:
 def _ad_equivariance(inst, index):
     cfg = inst.cfg
     p = inst.point(mixed_every=0)
-    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    b = inst.observable(p.dim)
     u = haar_unitary(p.dim, inst.rng)
     before = _scalar_panel(a, b, p, cfg)
     after = _scalar_panel(conjugate(a, u, cfg), conjugate(b, u, cfg),
@@ -252,7 +241,8 @@ def _ad_equivariance(inst, index):
 def _gauge_invariance(inst, index):
     cfg = inst.cfg
     p = inst.point(mixed_every=0)
-    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    b = inst.observable(p.dim)
     gauged = with_gauge(p, random_gauge(p, inst.rng), cfg)
     before = _scalar_panel(a, b, p, cfg)
     after = _scalar_panel(a, b, gauged, cfg)
@@ -289,27 +279,27 @@ def _fd_count(samples: int) -> int:
 
 def _nijenhuis(inst, index):
     p = inst.multi_cluster_point()
-    a, b = inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    b = inst.observable(p.dim)
     return nijenhuis_fd(a, b, p, inst.cfg), _case(p, index)
 
 
 def _closedness(inst, index):
     p = inst.multi_cluster_point()
-    a, b, c = inst.observable(p.dim), inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    b = inst.observable(p.dim)
+    c = inst.observable(p.dim)
     return closedness_check(a, b, c, p, inst.cfg), _case(p, index)
 
 
-def _uncertainty_bound(inst, index):
-    p = inst.point()
-    report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
-    slack = report.slack_geometric
-    return max(0.0, -slack), _case(p, index, slack=slack)
-
-
-def _rs_baseline(inst, index):
-    p = inst.point()
-    report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
-    return max(0.0, -report.slack_rs), _case(p, index, slack=report.slack_rs)
+def _bound_slack(field):
+    """Draw checking one bound of :func:`full_report` by its ``field`` slack."""
+    def draw(inst, index):
+        p = inst.point()
+        report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
+        slack = getattr(report, field)
+        return max(0.0, -slack), _case(p, index, slack=slack)
+    return draw
 
 
 def _pure_state_equality(inst, index):
@@ -338,7 +328,8 @@ def _variance_identity(inst, index):
 
 def _spectrum_preservation(inst, index):
     p = inst.point(mixed_every=0)
-    traj = trajectory(p, inst.observable(p.dim), t_max=1.0, steps=5, cfg=inst.cfg)
+    h = inst.observable(p.dim)
+    traj = trajectory(p, h, t_max=1.0, steps=5, cfg=inst.cfg)
     drift = 0.0
     for point in traj.points:
         eigenvalues = np.sort(np.linalg.eigvalsh(point.rho))[::-1]
@@ -358,7 +349,8 @@ def _flow_composition(inst, index):
 
 def _ehrenfest(inst, index):
     p = inst.point(mixed_every=0)
-    a, h = inst.observable(p.dim), inst.observable(p.dim)
+    a = inst.observable(p.dim)
+    h = inst.observable(p.dim)
     return ehrenfest_check(a, h, p, inst.cfg), {"sample": index, "dim": p.dim}
 
 
@@ -378,8 +370,8 @@ _CATALOG = [
     ("nondegeneracy", _check_nondegeneracy),
     ("nijenhuis_fd", _sampled(_nijenhuis, count=_fd_count, tolerance=_fd_tolerance)),
     ("closedness_fd", _sampled(_closedness, count=_fd_count, tolerance=_fd_tolerance)),
-    ("uncertainty_bound", _sampled(_uncertainty_bound)),
-    ("rs_baseline", _sampled(_rs_baseline)),
+    ("uncertainty_bound", _sampled(_bound_slack("slack_geometric"))),
+    ("rs_baseline", _sampled(_bound_slack("slack_rs"))),
     ("pure_state_equality", _sampled(_pure_state_equality)),
     ("variance_identity", _sampled(_variance_identity)),
     ("spectrum_preservation", _sampled(_spectrum_preservation, count=_fd_count)),

@@ -30,6 +30,7 @@ from .dynamics import evolve
 from .errors import DegenerateDriftError, OrbitKahlerError
 from .kahler import apply_J, symplectic, symplectic_tangent
 from .operators import HermitianOperator, OrbitPoint
+from .sampling import random_tangent
 from .tangent import TangentVector, lift, tangent_map
 
 __all__ = [
@@ -65,6 +66,12 @@ class CheckReport:
         )
 
 
+def _case(p: OrbitPoint, index: int, **extra) -> dict:
+    """Worst-case record of one sample at ``p``."""
+    spectrum = {"values": list(p.spectrum.values), "mults": list(p.spectrum.mults)}
+    return {"sample": index, "dim": p.dim, **extra, "spectrum": spectrum}
+
+
 def _random_strictly_upper(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Frame-coordinates matrix with Gaussian entries strictly above the
     block diagonal (gaps > 0) and exact zeros elsewhere."""
@@ -84,9 +91,7 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     scale = 1.0
-    worst = {"sample": 0, "dim": p.dim,
-             "spectrum": {"values": list(p.spectrum.values),
-                          "mults": list(p.spectrum.mults)}}
+    worst = _case(p, 0)
     for index in range(samples):
         upper_a = _random_strictly_upper(p, rng)
         upper_b = _random_strictly_upper(p, rng)
@@ -227,12 +232,9 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     floor = cfg.hbar / p.spectrum.span
     max_deficit = 0.0
     smallest_witness = np.inf
-    worst = {"sample": 0, "dim": p.dim, "floor": floor,
-             "spectrum": {"values": list(p.spectrum.values),
-                          "mults": list(p.spectrum.mults)}}
+    worst = _case(p, 0, floor=floor)
     for index in range(samples):
-        z = rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
-        x = tangent_map(HermitianOperator(0.5 * (z + z.conj().T)), p, cfg)
+        x = random_tangent(p, rng, cfg)
         squared = x.frobenius ** 2
         if squared == 0.0:
             continue

@@ -4,12 +4,10 @@ On the orbit of a density operator the symplectic form is
 
     omega(X_A, X_B) = (1/(i hbar)) Tr([A, B] rho),
 
-and the metric is g(X, Y) = omega(J X, Y). In the frame of the base point,
-with ``gaps[a, b] = lambda_a - lambda_b`` (zero on the diagonal cluster
-blocks, positive on the upper off-diagonal blocks; see
-:mod:`orbit_kahler.operators`), J acts through generators as the elementwise
-factor ``i sign(gaps)``: blocks above the diagonal are multiplied by i, blocks
-below by -i.
+and the metric is g(X, Y) = omega(J X, Y). In the frame of the base point
+(gap-mask convention in :mod:`orbit_kahler.operators`) J acts through
+generators as the elementwise factor ``i sign(gaps)``: blocks above the
+diagonal are multiplied by i, blocks below by -i.
 
 Sign convention. The pair (g, omega) is packaged as h = g + i omega, which is
 linear in the first slot (h(JX, Y) = i h(X, Y)) and conjugate linear in the
@@ -136,9 +134,8 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
 
         h = (2/hbar) sum_{i<j} (p_i - p_j) Tr(A_ij B_ij^dag),
 
-    with descending eigenvalues, so every weight p_i - p_j is positive; in
-    frame entries the weight is ``max(gaps, 0)``. Agrees with
-    :func:`hermitian_product` of the generated tangent vectors.
+    with descending eigenvalues, so every weight p_i - p_j is positive. Agrees
+    with :func:`hermitian_product` of the generated tangent vectors.
     """
     _check_dims(p, a, b)
     fa = p.to_frame(a.matrix)
@@ -154,6 +151,5 @@ def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     """Evaluate omega, g, and h on the tangent directions generated by a, b."""
     xa = tangent_map(a, p, cfg)
     xb = tangent_map(b, p, cfg)
-    g = metric(xa, xb, cfg)
-    w = symplectic_tangent(xa, xb, cfg)
-    return KahlerEvaluation(omega=w, metric=g, h=complex(g, w), base=p)
+    h = hermitian_product(xa, xb, cfg)
+    return KahlerEvaluation(omega=h.imag, metric=h.real, h=h, base=p)

@@ -22,6 +22,7 @@ rather than silently committing to a block structure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,14 +55,11 @@ __all__ = [
 ]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _freeze(arr) -> np.ndarray:
-    """Read-only complex copy, so no caller keeps a writeable alias."""
-    return _readonly(np.array(arr, dtype=np.complex128))
+def _freeze(arr, dtype=np.complex128) -> np.ndarray:
+    """Read-only copy, so no caller keeps a writeable alias."""
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def _check_dims(p: "OrbitPoint", *operators):
@@ -152,11 +150,6 @@ class Spectrum:
         return np.repeat(np.asarray(self.values, dtype=float),
                          np.asarray(self.mults, dtype=int))
 
-    def matches(self, other: "Spectrum", tol: float) -> bool:
-        """Same cluster structure and values within ``tol``."""
-        return (self.mults == other.mults
-                and all(abs(a - b) <= tol for a, b in zip(self.values, other.values)))
-
 
 def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
                   density: bool = True) -> Spectrum:
@@ -189,11 +182,7 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A density operator with a cluster-ordered diagonalizing frame.
-
-    The gap masks ``gaps``, ``same_cluster`` and ``inv_gaps`` are computed on
-    first use and cached; like ``rho`` and ``frame`` they are read-only.
-    """
+    """A density operator with a cluster-ordered diagonalizing frame."""
 
     rho: np.ndarray
     spectrum: Spectrum
@@ -211,28 +200,24 @@ class OrbitPoint:
     def gaps(self) -> np.ndarray:
         """``gaps[a, b] = lambda_a - lambda_b``; exactly 0 inside a cluster."""
         values = self.spectrum.full_values()
-        return _readonly(values[:, None] - values[None, :])
+        return _freeze(values[:, None] - values[None, :], float)
 
     @cached_property
     def same_cluster(self) -> np.ndarray:
         """Mask of the diagonal cluster blocks (``gaps == 0``)."""
-        return _readonly(self.gaps == 0)
+        return _freeze(self.gaps == 0, bool)
 
     @cached_property
     def inv_gaps(self) -> np.ndarray:
         """``1 / gaps`` off the diagonal cluster blocks, 0 on them."""
         out = np.zeros_like(self.gaps)
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
-        return _readonly(out)
+        return _freeze(out, float)
 
     def block_slices(self) -> tuple:
         """Index slices of the eigenvalue clusters in the frame ordering."""
-        slices = []
-        start = 0
-        for m in self.spectrum.mults:
-            slices.append(slice(start, start + m))
-            start += m
-        return tuple(slices)
+        ends = itertools.accumulate(self.spectrum.mults)
+        return tuple(slice(end - m, end) for m, end in zip(self.spectrum.mults, ends))
 
     def diagonal_matrix(self) -> np.ndarray:
         """The block-diagonal normal form diag(p_1 I_{n_1}, ..., p_k I_{n_k})."""

@@ -1,14 +1,10 @@
 """Tangent vectors to a unitary orbit and their operator representations.
 
 The map ``H -> (1/(i hbar)) [H, rho]`` sends Hermitian operators onto the
-tangent space at rho. In the frame of rho it is the elementwise factor
-``-gaps / (i hbar)`` with ``gaps[a, b] = lambda_a - lambda_b`` (see
-:mod:`orbit_kahler.operators`): a zero gap means the same cluster, so its
-kernel consists of the operators supported on the diagonal cluster blocks, and
-on the off-cluster entries (gaps > 0 above the blocks, gaps < 0 below) it is
-inverted entrywise,
-
-    B_ab = -i hbar X_ab / gaps[a, b].
+tangent space at rho. In the frame of rho it multiplies entry (a, b) by
+``i gaps[a, b] / hbar`` (gap-mask convention in :mod:`orbit_kahler.operators`),
+so its kernel is the operators on the diagonal cluster blocks, and on the
+off-cluster entries it is inverted by ``B = -i hbar X * inv_gaps``.
 
 Tangent vectors remember their base point. Operations mixing vectors at
 different points raise :class:`BaseMismatchError` rather than re-basing.
@@ -91,8 +87,7 @@ class TangentVector:
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         if not isinstance(other, TangentVector):
             return NotImplemented
-        _require_same_base(self.base, other.base)
-        return TangentVector(self.base, self.ambient - other.ambient)
+        return self.__add__(-other)
 
     def __neg__(self) -> "TangentVector":
         return TangentVector(self.base, -self.ambient)

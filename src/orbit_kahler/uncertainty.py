@@ -52,7 +52,6 @@ def uncertainty(a: HermitianOperator, p: OrbitPoint,
     A tiny negative radicand (within ``tol_check``) is clamped to zero;
     anything worse raises :class:`NegativeVarianceError`.
     """
-    _check_dims(p, a)
     mean = expectation(a, p, cfg)
     second = _real(complex(np.trace(p.rho @ a.matrix @ a.matrix)), cfg, "second moment")
     radicand = second - mean * mean
@@ -73,10 +72,8 @@ def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
     * ``sum_minus = sum_{i<j} (p_i - p_j) Tr(A_ij^dag A_ij)``,
 
     so ``delta_perp_sq + sum_plus`` is the full variance and ``sum_minus``
-    equals ``(hbar/2) Re h(X_A, X_A)``. In frame entries, with ``lambda``
-    the eigenvalues by multiplicity, the block sums run over ``same_cluster``
-    (weight lambda_a) and over the upper triangle gaps > 0 (weights
-    lambda_a + lambda_b and gaps).
+    equals ``(hbar/2) Re h(X_A, X_A)``. In frame entries the block sums run
+    over ``same_cluster`` and over the upper triangle gaps > 0.
     """
     _check_dims(p, a)
     framed = p.to_frame(a.matrix)
@@ -93,7 +90,6 @@ def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
 def geometric_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                     cfg: Config = DEFAULT_CONFIG) -> float:
     """(hbar/2) |h(X_A, X_B)|, the geometric lower bound on dA * dB."""
-    _check_dims(p, a, b)
     product = hermitian_product(tangent_map(a, p, cfg), tangent_map(b, p, cfg), cfg)
     return 0.5 * cfg.hbar * abs(product)
 
@@ -105,7 +101,6 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
 
         sqrt( (<{A,B}>/2 - <A><B>)^2 + (<[A,B]>/(2i))^2 ).
     """
-    _check_dims(p, a, b)
     mean_a = expectation(a, p, cfg)
     mean_b = expectation(b, p, cfg)
     ab = a.matrix @ b.matrix

@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from orbit_kahler import (
 )
 from orbit_kahler.sampling import gaussian_hermitian, random_gauge
 
-MODULES = ["checks", "cli", "config", "dynamics", "errors", "integrability", "kahler",
-           "operators", "sampling", "serialize", "tangent", "uncertainty"]
+MODULES = [info.name for info in pkgutil.iter_modules(orbit_kahler.__path__)]
 
 
 @pytest.mark.parametrize("name", [None] + MODULES)
