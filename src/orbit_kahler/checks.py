@@ -120,7 +120,7 @@ def _sampled(draw, count=None, tolerance=None):
 def _j_squared(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x = random_tangent(p, inst.rng, inst.cfg)
+    x = random_tangent(p, inst.rng, cfg)
     twice = apply_J(apply_J(x, cfg), cfg)
     residual_matrix = twice.ambient + x.ambient + inst.perturb_j * x.ambient
     return float(np.max(np.abs(residual_matrix))), _case(p, index)
@@ -161,8 +161,8 @@ def _check_metric_positivity(name, inst, samples):
 def _compatibility(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x = random_tangent(p, inst.rng, inst.cfg)
-    y = random_tangent(p, inst.rng, inst.cfg)
+    x = random_tangent(p, inst.rng, cfg)
+    y = random_tangent(p, inst.rng, cfg)
     residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
                    - symplectic_tangent(x, y, cfg))
     return residual, _case(p, index)
@@ -171,8 +171,8 @@ def _compatibility(inst, index):
 def _hermitian_symmetry(inst, index):
     cfg = inst.cfg
     p = inst.point()
-    x = random_tangent(p, inst.rng, inst.cfg)
-    y = random_tangent(p, inst.rng, inst.cfg)
+    x = random_tangent(p, inst.rng, cfg)
+    y = random_tangent(p, inst.rng, cfg)
     residual = abs(hermitian_product(x, y, cfg) - np.conj(hermitian_product(y, x, cfg)))
     return residual, _case(p, index)
 
