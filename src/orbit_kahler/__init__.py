@@ -24,6 +24,7 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
+    OrbitBatch,
     OrbitPoint,
     Spectrum,
     conjugate,
@@ -31,6 +32,7 @@ from .operators import (
     haar_unitary,
     make_hermitian,
     make_spectrum,
+    orbit_batch,
     orbit_point,
     random_density,
     with_gauge,
@@ -64,6 +66,7 @@ from .uncertainty import (
     UncertaintyReport,
     expectation,
     full_report,
+    full_report_batch,
     geometric_bound,
     rs_bound,
     uncertainty,
@@ -80,8 +83,8 @@ __all__ = [
     "NotUnitaryError", "NotDensityError", "DegenerateGapError",
     "BaseMismatchError", "NotOffDiagonalError", "NonRealResultError",
     "NegativeVarianceError", "DegenerateDriftError", "TheoremViolationError",
-    "HermitianOperator", "Spectrum", "OrbitPoint",
-    "make_hermitian", "make_spectrum", "orbit_point", "conjugate",
+    "HermitianOperator", "Spectrum", "OrbitPoint", "OrbitBatch",
+    "make_hermitian", "make_spectrum", "orbit_point", "orbit_batch", "conjugate",
     "conjugate_point", "with_gauge", "random_density", "haar_unitary",
     "TangentVector", "tangent_map", "make_tangent", "split_kernel", "lift",
     "KahlerEvaluation", "j_generator", "apply_J", "symplectic",
@@ -91,6 +94,7 @@ __all__ = [
     "nondegeneracy_check",
     "UncertaintyReport", "expectation", "uncertainty",
     "variance_decomposition", "geometric_bound", "rs_bound", "full_report",
+    "full_report_batch",
     "Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory",
     "CHECK_NAMES", "run_checks",
 ]

@@ -216,7 +216,6 @@ def _scalar_panel(a, b, p, cfg) -> np.ndarray:
     report = full_report(a, b, p, cfg)
     return np.array([
         symplectic(a, b, p, cfg),
-        metric(x, y, cfg),
         product.real,
         product.imag,
         report.deltaA,

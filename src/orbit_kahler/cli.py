@@ -38,10 +38,11 @@ from .errors import (
     NotHermitianError,
     NotOffDiagonalError,
     NotUnitaryError,
+    OrbitKahlerError,
     TheoremViolationError,
 )
 from .kahler import kahler_evaluation
-from .operators import make_hermitian, orbit_point
+from .operators import make_hermitian, orbit_batch, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -55,12 +56,16 @@ from .serialize import (
     uncertainty_report_to_json,
 )
 from .tangent import tangent_map
-from .uncertainty import full_report
+from .uncertainty import full_report, full_report_batch
 
 _EXIT_INPUT = 2
 _EXIT_DOMAIN = 3
 _EXIT_THEOREM = 4
 _EXIT_CHECKS = 5
+
+# sweep stacks at most this many matrix entries per pass, which bounds its
+# memory at large dims
+_SWEEP_CHUNK_ENTRIES = 2 ** 16
 
 _DOMAIN_ERRORS = (
     NotHermitianError,
@@ -218,16 +223,33 @@ def _cmd_sweep(args) -> int:
     header = ",".join([f"p{i + 1}" for i in range(dim)]
                       + ["deltaA", "deltaB", "product", "geom_bound", "rs_bound"])
     lines = [header]
-    for row in eigenvalue_rows:
-        values = np.sort(row)[::-1]
-        point = orbit_point(make_hermitian(np.diag(values).astype(complex), cfg), cfg)
-        report = full_report(a, b, point, cfg)
-        cells = [repr(float(v)) for v in values]
-        cells += [repr(report.deltaA), repr(report.deltaB), repr(report.product),
-                  repr(report.geometric_bound), repr(report.rs_bound)]
-        lines.append(",".join(cells))
+    values = np.sort(np.array(eigenvalue_rows), axis=1)[:, ::-1]
+    chunk = max(1, _SWEEP_CHUNK_ENTRIES // dim ** 2)
+    for start in range(0, len(values), chunk):
+        rows = values[start:start + chunk]
+        rhos = np.zeros(rows.shape + (dim,), dtype=complex)
+        rhos[:, np.arange(dim), np.arange(dim)] = rows
+        try:
+            report = full_report_batch(a, b, orbit_batch(rhos, cfg), cfg)
+        except OrbitKahlerError:
+            _raise_failing_row(a, b, rhos, start, cfg)
+            raise
+        columns = (report.deltaA, report.deltaB, report.product,
+                   report.geometric_bound, report.rs_bound)
+        for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
+            lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)
     return 0
+
+
+def _raise_failing_row(a, b, rhos, start: int, cfg: Config):
+    """Replay a failed sweep chunk one row at a time, so the error is the one
+    the first failing row raises, named by its row in the whole sweep."""
+    for row, rho in enumerate(rhos, start):
+        try:
+            full_report(a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg)
+        except OrbitKahlerError as exc:
+            raise type(exc)(f"row {row}: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -30,8 +30,16 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import NonRealResultError, NotOffDiagonalError
-from .operators import HermitianOperator, OrbitPoint, _check_dims
-from .tangent import TangentVector, _require_same_base, lift, tangent_map
+from .operators import (
+    HermitianOperator,
+    OrbitPoint,
+    _check_dims,
+    _checked,
+    _from_frame,
+    _raise_first,
+    _to_frame,
+)
+from .tangent import TangentVector, _lift, _require_same_base, _tangent, tangent_map
 
 __all__ = [
     "KahlerEvaluation",
@@ -56,18 +64,47 @@ class KahlerEvaluation:
     base: OrbitPoint
 
 
-def _real(z: complex, cfg: Config, what: str) -> float:
-    if abs(z.imag) > cfg.tol_check:
-        raise NonRealResultError(
-            f"{what} has imaginary part {z.imag:.3e}; inputs are likely not Hermitian")
-    return float(z.real)
+def _real_check(z: np.ndarray, cfg: Config, what: str):
+    imag = z.imag
+    return (np.abs(imag) > cfg.tol_check, NonRealResultError,
+            lambda i: f"{what} has imaginary part {imag[i]:.3e}; "
+                      "inputs are likely not Hermitian")
 
 
-def _require_offdiag(framed: np.ndarray, p: OrbitPoint, cfg: Config):
-    worst = float(np.max(np.abs(framed), where=p.same_cluster, initial=0.0))
-    if worst > cfg.tol_hermitian:
-        raise NotOffDiagonalError(
-            f"diagonal blocks reach {worst:.3e}; split off the commuting part first")
+def _offdiag_check(framed: np.ndarray, p, cfg: Config):
+    worst = np.abs(framed).max(axis=(-2, -1), where=p.same_cluster, initial=0.0)
+    return (worst > cfg.tol_hermitian, NotOffDiagonalError,
+            lambda i: f"diagonal blocks reach {worst[i]:.3e}; "
+                      "split off the commuting part first")
+
+
+def _j_twist(b: np.ndarray, p, cfg: Config, checks: list) -> np.ndarray:
+    """Generators twisted by ``i sign(gaps)`` in the frame of a point or batch
+    ``p``; the check that ``b`` is off-block-diagonal goes to ``checks``."""
+    framed = _to_frame(p.frame, b)
+    checks.append(_offdiag_check(framed, p, cfg))
+    return _from_frame(p.frame, 1j * np.sign(p.gaps) * framed)
+
+
+def _apply_j(lifted: np.ndarray, p, cfg: Config, checks: list) -> np.ndarray:
+    """J of the tangent matrices whose lifts are ``lifted``."""
+    return _tangent(_j_twist(lifted, p, cfg, checks), p.rho, cfg.hbar)
+
+
+def _pairing(lifted: np.ndarray, y: np.ndarray, cfg: Config, checks: list) -> np.ndarray:
+    """omega(X, Y) = Tr(B_X Y) from the lift ``B_X`` of X; the check that it
+    is real goes to ``checks``."""
+    z = (lifted @ y).trace(axis1=-2, axis2=-1)
+    checks.append(_real_check(z, cfg, "symplectic form"))
+    return z.real
+
+
+def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config, checks: list):
+    """``(g, omega)`` of tangent matrices x, y at a point or batch ``p``."""
+    lifted = _lift(x, p, cfg.hbar)
+    jx = _apply_j(lifted, p, cfg, checks)
+    return (_pairing(_lift(jx, p, cfg.hbar), y, cfg, checks),
+            _pairing(lifted, y, cfg, checks))
 
 
 def j_generator(b: HermitianOperator, p: OrbitPoint,
@@ -78,14 +115,13 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
     and the blocks below by -i. Requires ``b`` purely off-block-diagonal.
     """
     _check_dims(p, b)
-    framed = p.to_frame(b.matrix)
-    _require_offdiag(framed, p, cfg)
-    return HermitianOperator(p.from_frame(1j * np.sign(p.gaps) * framed))
+    return HermitianOperator(_checked(_j_twist, b.matrix, p, cfg))
 
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """The complex structure on tangent vectors: lift, twist blocks, push down."""
-    return tangent_map(j_generator(lift(x, cfg), x.base, cfg), x.base, cfg)
+    lifted = _lift(x.ambient, x.base, cfg.hbar)
+    return TangentVector(x.base, _checked(_apply_j, lifted, x.base, cfg))
 
 
 def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -99,7 +135,8 @@ def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     _check_dims(p, a, b)
     commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
     z = np.trace(commutator @ p.rho) / (1j * cfg.hbar)
-    return _real(z, cfg, "symplectic form")
+    _raise_first([_real_check(z, cfg, "symplectic form")])
+    return float(z.real)
 
 
 def symplectic_tangent(x: TangentVector, y: TangentVector,
@@ -110,8 +147,8 @@ def symplectic_tangent(x: TangentVector, y: TangentVector,
     which equals the commutator form on the lifted generators.
     """
     _require_same_base(x.base, y.base)
-    z = np.trace(lift(x, cfg).matrix @ y.ambient)
-    return _real(complex(z), cfg, "symplectic form")
+    lifted = _lift(x.ambient, x.base, cfg.hbar)
+    return float(_checked(_pairing, lifted, y.ambient, cfg))
 
 
 def metric(x: TangentVector, y: TangentVector,
@@ -123,7 +160,8 @@ def metric(x: TangentVector, y: TangentVector,
 def hermitian_product(x: TangentVector, y: TangentVector,
                       cfg: Config = DEFAULT_CONFIG) -> complex:
     """Hermitian product h(X, Y) = g(X, Y) + i omega(X, Y)."""
-    return complex(metric(x, y, cfg), symplectic_tangent(x, y, cfg))
+    _require_same_base(x.base, y.base)
+    return complex(*_checked(_h_parts, x.ambient, y.ambient, x.base, cfg))
 
 
 def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
@@ -140,8 +178,7 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
     _check_dims(p, a, b)
     fa = p.to_frame(a.matrix)
     fb = p.to_frame(b.matrix)
-    _require_offdiag(fa, p, cfg)
-    _require_offdiag(fb, p, cfg)
+    _raise_first([_offdiag_check(fa, p, cfg), _offdiag_check(fb, p, cfg)])
     total = np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj())
     return complex(2.0 / cfg.hbar * total)
 

@@ -18,6 +18,13 @@ Eigenvalues whose gaps are at most ``tol_cluster`` are merged into one
 cluster. Gaps between clusters that are larger than ``tol_cluster`` but
 smaller than twice it are ambiguous and raise :class:`DegenerateGapError`
 rather than silently committing to a block structure.
+
+Batches. :class:`OrbitBatch` stacks N points of one dimension along a leading
+axis. The kernels here and in the modules above take either a point or a
+batch and work over the trailing two axes, so a single point runs the same
+code as one row of a batch and gives bitwise the same numbers. A batch
+raises the error that evaluating its rows one at a time would raise first,
+with the message prefixed ``row i:``.
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ __all__ = [
     "HermitianOperator",
     "Spectrum",
     "OrbitPoint",
+    "OrbitBatch",
     "make_hermitian",
     "make_spectrum",
     "orbit_point",
+    "orbit_batch",
     "conjugate",
     "conjugate_point",
     "with_gauge",
@@ -68,15 +77,85 @@ def _check_dims(p: "OrbitPoint", *operators):
             raise DimMismatchError(f"operator dim {op.dim} vs point dim {p.dim}")
 
 
+def _raise_first(checks):
+    """Raise the error that a one-at-a-time loop would raise first.
+
+    ``checks`` lists ``(bad, error class, message)`` in the order one point
+    runs them; ``bad`` is 0-d for a single point and has one entry per row
+    for a batch, and ``message(i)`` formats the failure at index ``i`` (``()``
+    for a single point). The first failing row wins, within it the first
+    failing check; a batch message names its row.
+    """
+    if not np.logical_or.reduce([bad for bad, _, _ in checks], axis=None):
+        return
+    row, k = min((np.flatnonzero(bad)[0], k)
+                 for k, (bad, _, _) in enumerate(checks) if bad.any())
+    bad, error, message = checks[k]
+    if bad.ndim == 0:
+        raise error(message(()))
+    raise error(f"row {row}: {message(row)}")
+
+
+def _checked(kernel, *args):
+    """``kernel(*args, checks)``, raising the first failure it appends to ``checks``."""
+    checks = []
+    out = kernel(*args, checks)
+    _raise_first(checks)
+    return out
+
+
+def _require_finite(arr: np.ndarray, error):
+    if not np.isfinite(arr).all():
+        raise error("non-finite entries")
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _to_frame(frame: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return _dagger(frame) @ m @ frame
+
+
+def _from_frame(frame: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return frame @ m @ _dagger(frame)
+
+
+def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    return np.abs(m - _dagger(m)).max(axis=(-2, -1))
+
+
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    return np.abs(m @ _dagger(m) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max-norm distance from a matrix to its conjugate transpose."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+    return float(_hermiticity_defects(matrix))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-norm distance of ``U U^dag`` from the identity."""
-    n = matrix.shape[0]
-    return float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(n))))
+    return float(_unitarity_defects(matrix))
+
+
+def _hermitian_checks(m: np.ndarray, cfg: Config) -> list:
+    defect = _hermiticity_defects(m)
+    return [(defect > cfg.tol_hermitian, NotHermitianError,
+             lambda i: f"max |M - M^dag| = {defect[i]:.3e} "
+                       f"exceeds {cfg.tol_hermitian:.1e}")]
+
+
+def _unitary_checks(u: np.ndarray, cfg: Config, what: str) -> list:
+    udef = _unitarity_defects(u)
+    return [(udef > cfg.tol_unitary, NotUnitaryError,
+             lambda i: f"{what} {udef[i]:.3e}")]
+
+
+def _require_unitary(u: np.ndarray, cfg: Config):
+    _require_finite(u, NotUnitaryError)
+    _raise_first(_unitary_checks(u, cfg, "unitarity defect"))
 
 
 @dataclass(frozen=True)
@@ -180,27 +259,18 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
     return Spectrum(values=values, mults=mults)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A density operator with a cluster-ordered diagonalizing frame."""
-
-    rho: np.ndarray
-    spectrum: Spectrum
-    frame: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _freeze(self.rho))
-        object.__setattr__(self, "frame", _freeze(self.frame))
+class _GapMasks:
+    """Gap masks over the last axis of ``eigenvalues`` (a point or a batch)."""
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
     @cached_property
     def gaps(self) -> np.ndarray:
         """``gaps[a, b] = lambda_a - lambda_b``; exactly 0 inside a cluster."""
-        values = self.spectrum.full_values()
-        return _freeze(values[:, None] - values[None, :], float)
+        values = self.eigenvalues
+        return _freeze(values[..., :, None] - values[..., None, :], float)
 
     @cached_property
     def same_cluster(self) -> np.ndarray:
@@ -214,6 +284,24 @@ class OrbitPoint:
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
         return _freeze(out, float)
 
+
+@dataclass(frozen=True)
+class OrbitPoint(_GapMasks):
+    """A density operator with a cluster-ordered diagonalizing frame."""
+
+    rho: np.ndarray
+    spectrum: Spectrum
+    frame: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _freeze(self.rho))
+        object.__setattr__(self, "frame", _freeze(self.frame))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues repeated by multiplicity, descending."""
+        return _freeze(self.spectrum.full_values(), float)
+
     def block_slices(self) -> tuple:
         """Index slices of the eigenvalue clusters in the frame ordering."""
         ends = itertools.accumulate(self.spectrum.mults)
@@ -225,11 +313,48 @@ class OrbitPoint:
 
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
-        return self.frame.conj().T @ matrix @ self.frame
+        return _to_frame(self.frame, matrix)
 
     def from_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Map a frame-coordinates matrix back to the ambient basis."""
-        return self.frame @ matrix @ self.frame.conj().T
+        return _from_frame(self.frame, matrix)
+
+
+def _spectrum(values: np.ndarray, cluster_start: np.ndarray) -> Spectrum:
+    bounds = cluster_start.nonzero()[0].tolist() + [values.size]
+    return Spectrum(values=tuple(values[bounds[:-1]].tolist()),
+                    mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
+
+
+@dataclass(frozen=True)
+class OrbitBatch(_GapMasks):
+    """N density operators of one dimension d with their frames, stacked.
+
+    ``rho`` and ``frame`` are (N, d, d); ``eigenvalues`` (N, d) are the
+    cluster values repeated by multiplicity, descending, and
+    ``cluster_start`` (N, d) marks the first index of each cluster. ``gaps``,
+    ``same_cluster`` and ``inv_gaps`` are (N, d, d). ``batch[i]`` is the
+    :class:`OrbitPoint` that :func:`orbit_point` returns for row i.
+    """
+
+    rho: np.ndarray
+    frame: np.ndarray
+    eigenvalues: np.ndarray
+    cluster_start: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _freeze(self.rho))
+        object.__setattr__(self, "frame", _freeze(self.frame))
+        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
+        object.__setattr__(self, "cluster_start", _freeze(self.cluster_start, bool))
+
+    def __len__(self) -> int:
+        return self.rho.shape[0]
+
+    def __getitem__(self, i: int) -> OrbitPoint:
+        return OrbitPoint(rho=self.rho[i],
+                          spectrum=_spectrum(self.eigenvalues[i], self.cluster_start[i]),
+                          frame=self.frame[i])
 
 
 def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
@@ -241,53 +366,86 @@ def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NotHermitianError("non-finite entries")
-    defect = hermiticity_defect(arr)
-    if defect > cfg.tol_hermitian:
-        raise NotHermitianError(
-            f"max |M - M^dag| = {defect:.3e} exceeds {cfg.tol_hermitian:.1e}")
+    _require_finite(arr, NotHermitianError)
+    _raise_first(_hermitian_checks(arr, cfg))
     return HermitianOperator(arr)
 
 
-def _cluster_descending(eigenvalues: np.ndarray, cfg: Config):
-    """Merge descending eigenvalues into clusters by single linkage.
+def _cluster_means(w: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Every entry of the flat ``w`` replaced by the mean of its cluster.
 
-    Returns (cluster values as means, multiplicities). Raises
-    :class:`DegenerateGapError` when two clusters sit closer than twice the
-    merge tolerance (but farther than the tolerance itself), where the block
-    structure would be numerically ambiguous.
+    Clusters of one size are summed together along the rows of one array,
+    which adds them in the order ``np.mean`` adds one cluster alone; a
+    cluster of one is its entry plus 0.0, as in ``np.mean``.
     """
-    groups = [[eigenvalues[0]]]
-    for w in eigenvalues[1:]:
-        if groups[-1][-1] - w <= cfg.tol_cluster:
-            groups[-1].append(w)
-        else:
-            groups.append([w])
-    for upper, lower in zip(groups, groups[1:]):
-        edge_gap = upper[-1] - lower[0]
-        if edge_gap < 2 * cfg.tol_cluster:
-            raise DegenerateGapError(
-                f"cluster gap {edge_gap:.3e} falls in the ambiguous band "
-                f"({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})")
-    values = [float(np.mean(g)) for g in groups]
-    mults = [len(g) for g in groups]
-    return values, mults
+    out = w + 0.0
+    for m in set(sizes.tolist()) - {1}:
+        index = first[sizes == m][:, None] + np.arange(m)
+        out[index] = (np.add.reduce(w[index], axis=-1) / m)[:, None]
+    return out
+
+
+def _frame_checks(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
+                  cfg: Config) -> list:
+    """Checks that ``frame`` is unitary and reduces ``rho`` to diag(values)."""
+    diagonal = values[..., None, :] * np.eye(rho.shape[-1])
+    residual = np.abs(_to_frame(frame, rho) - diagonal).max(axis=(-2, -1))
+    # cluster representatives are means, so merged eigenvalues may sit up to
+    # about dim * tol_cluster away from them
+    bound = 10 * cfg.tol_hermitian + rho.shape[-1] * cfg.tol_cluster
+    return _unitary_checks(frame, cfg, "frame unitarity defect") + [(
+        residual > bound, NotHermitianError,
+        lambda i: "frame does not reduce rho to block-diagonal form: "
+                  f"residual {residual[i]:.3e}")]
 
 
 def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
                     cfg: Config) -> OrbitPoint:
-    udef = unitarity_defect(frame)
-    if udef > cfg.tol_unitary:
-        raise NotUnitaryError(f"frame unitarity defect {udef:.3e}")
-    diag = np.diag(spectrum.full_values())
-    residual = float(np.max(np.abs(frame.conj().T @ rho @ frame - diag)))
-    # cluster representatives are means, so merged eigenvalues may sit up to
-    # about dim * tol_cluster away from them
-    if residual > 10 * cfg.tol_hermitian + rho.shape[0] * cfg.tol_cluster:
-        raise NotHermitianError(
-            f"frame does not reduce rho to block-diagonal form: residual {residual:.3e}")
+    # a frame built from outside input may be non-finite, which the products
+    # in the checks would only warn about
+    _require_finite(frame, NotUnitaryError)
+    _raise_first(_frame_checks(rho, frame, spectrum.full_values(), cfg))
     return OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
+
+
+def _diagonalize(rho: np.ndarray, cfg: Config, checks: list):
+    """Eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack, grouped by cluster.
+
+    Returns ``(frame, eigenvalues, cluster_start)`` and appends its checks
+    to ``checks``. Eigenvalues are sorted descending and merged by single
+    linkage within ``cfg.tol_cluster`` (a gap between clusters under twice
+    that is ambiguous, a :class:`DegenerateGapError`), each cluster is
+    represented by its mean, and the density conditions of
+    :func:`make_spectrum` apply.
+    """
+    w, v = np.linalg.eigh(rho)  # eigenvalues ascending
+    w = w[..., ::-1]
+    v = np.ascontiguousarray(v[..., ::-1])
+    step = w[..., :-1] - w[..., 1:]
+    split = step > cfg.tol_cluster
+    ambiguous = split & (step < 2 * cfg.tol_cluster)
+    cluster_start = np.ones(w.shape, bool)
+    cluster_start[..., 1:] = split
+    bounds = np.concatenate((cluster_start.ravel(), [True])).nonzero()[0]
+    first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    means = _cluster_means(w.reshape(-1), first, sizes)
+    values = np.where(means < 0.0, 0.0, means)
+    terms = np.zeros_like(values)
+    terms[first] = sizes * values[first]
+    # summed left to right over clusters, as make_spectrum sums them
+    trace = terms.reshape(w.shape).cumsum(axis=-1)[..., -1]
+    lowest = means.reshape(w.shape)[..., -1]
+    values = values.reshape(w.shape)
+    checks += [
+        (ambiguous.any(axis=-1), DegenerateGapError,
+         lambda i: f"cluster gap {step[i][ambiguous[i]][0]:.3e} falls in the "
+                   f"ambiguous band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})"),
+        (lowest < -cfg.tol_trace, NotDensityError,
+         lambda i: f"negative eigenvalue {float(lowest[i])}"),
+        (np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
+         lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}"),
+    ] + _frame_checks(rho, v, values, cfg)
+    return v, values, cluster_start
 
 
 def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -298,12 +456,30 @@ def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPo
     :class:`NotDensityError` for negative eigenvalues (beyond ``tol_trace``)
     or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering.
     """
-    w, v = np.linalg.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    values, mults = _cluster_descending(w, cfg)
-    spectrum = make_spectrum(values, mults, cfg, density=True)
-    return _validate_point(rho.matrix, spectrum, v, cfg)
+    frame, values, cluster_start = _checked(_diagonalize, rho.matrix, cfg)
+    return OrbitPoint(rho=rho.matrix, spectrum=_spectrum(values, cluster_start),
+                      frame=frame)
+
+
+def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
+    """:func:`make_hermitian` and :func:`orbit_point` on an (N, d, d) stack at once.
+
+    One ``eigh`` covers the stack and every check runs on all rows together;
+    the error raised is the one the first failing row raises alone, its
+    message prefixed ``row i:``.
+    """
+    arr = np.asarray(rhos, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        row = int(np.argmin(finite))
+        orbit_batch(arr[:row], cfg)  # a failure in an earlier row comes first
+        raise NotHermitianError(f"row {row}: non-finite entries")
+    checks = _hermitian_checks(arr, cfg)
+    frame, values, cluster_start = _diagonalize(arr, cfg, checks)
+    _raise_first(checks)
+    return OrbitBatch(rho=arr, frame=frame, eigenvalues=values, cluster_start=cluster_start)
 
 
 def conjugate(a: HermitianOperator, unitary: np.ndarray,
@@ -312,9 +488,7 @@ def conjugate(a: HermitianOperator, unitary: np.ndarray,
     u = np.asarray(unitary, dtype=np.complex128)
     if u.shape != a.matrix.shape:
         raise DimMismatchError(f"operator dim {a.dim} vs unitary shape {u.shape}")
-    udef = unitarity_defect(u)
-    if udef > cfg.tol_unitary:
-        raise NotUnitaryError(f"unitarity defect {udef:.3e}")
+    _require_unitary(u, cfg)
     return HermitianOperator(u @ a.matrix @ u.conj().T)
 
 
@@ -325,9 +499,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     The spectrum is carried over unchanged (conjugation preserves it exactly).
     """
     u = np.asarray(unitary, dtype=np.complex128)
-    udef = unitarity_defect(u)
-    if udef > cfg.tol_unitary:
-        raise NotUnitaryError(f"unitarity defect {udef:.3e}")
+    _require_unitary(u, cfg)
     rho_new = u @ p.rho @ u.conj().T
     rho_new = 0.5 * (rho_new + rho_new.conj().T)
     return _validate_point(rho_new, p.spectrum, u @ p.frame, cfg)

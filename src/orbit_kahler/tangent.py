@@ -23,7 +23,11 @@ from .operators import (
     OrbitPoint,
     _check_dims,
     _freeze,
-    hermiticity_defect,
+    _from_frame,
+    _hermitian_checks,
+    _raise_first,
+    _require_finite,
+    _to_frame,
 )
 
 __all__ = [
@@ -100,12 +104,22 @@ class TangentVector:
     __rmul__ = __mul__
 
 
+def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float) -> np.ndarray:
+    """(1/(i hbar))[H, rho] for a point's or a batch's ``rho``."""
+    return (h @ rho - rho @ h) / (1j * hbar)
+
+
+def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:
+    """Off-block-diagonal generator of the tangent matrices ``x`` at a point or
+    batch ``p``: ``-i hbar X * inv_gaps`` in its frame."""
+    return _from_frame(p.frame, -1j * hbar * _to_frame(p.frame, x) * p.inv_gaps)
+
+
 def tangent_map(h: HermitianOperator, p: OrbitPoint,
                 cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """Tangent vector generated by a Hermitian operator: (1/(i hbar))[H, rho]."""
     _check_dims(p, h)
-    commutator = h.matrix @ p.rho - p.rho @ h.matrix
-    return TangentVector(p, commutator / (1j * cfg.hbar))
+    return TangentVector(p, _tangent(h.matrix, p.rho, cfg.hbar))
 
 
 def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
@@ -116,9 +130,8 @@ def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> Tangen
     arr = np.asarray(ambient, dtype=np.complex128)
     if arr.shape != (p.dim, p.dim):
         raise DimMismatchError(f"shape {arr.shape} vs point dim {p.dim}")
-    defect = hermiticity_defect(arr)
-    if defect > cfg.tol_hermitian:
-        raise NotHermitianError(f"tangent candidate hermiticity defect {defect:.3e}")
+    _require_finite(arr, NotHermitianError)
+    _raise_first(_hermitian_checks(arr, cfg))
     worst = float(np.max(np.abs(p.to_frame(arr)), where=p.same_cluster, initial=0.0))
     if worst > cfg.tol_hermitian:
         raise NotHermitianError(
@@ -146,5 +159,4 @@ def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     Inverts the tangent map on its complement: in the frame of the base,
     ``B = -i hbar X * inv_gaps``, which vanishes on the diagonal blocks.
     """
-    p = x.base
-    return HermitianOperator(p.from_frame(-1j * cfg.hbar * x.in_frame() * p.inv_gaps))
+    return HermitianOperator(_lift(x.ambient, x.base, cfg.hbar))

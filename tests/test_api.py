@@ -10,10 +10,12 @@ from orbit_kahler import (
     conjugate,
     conjugate_point,
     evolve,
+    full_report_batch,
     j_generator,
     lift,
     make_hermitian,
     make_spectrum,
+    orbit_batch,
     random_density,
     split_kernel,
     tangent_map,
@@ -42,6 +44,8 @@ def test_public_arrays_are_read_only():
     x = tangent_map(a, p)
     kernel, complement = split_kernel(a, p)
     u = np.linalg.qr(a.matrix + 1j * np.eye(5))[0]
+    batch = orbit_batch([p.rho, conjugate_point(p, u).rho])
+    report = full_report_batch(a, b, batch)
     arrays = {
         "gaussian_hermitian": a.matrix,
         "make_hermitian": b.matrix,
@@ -54,6 +58,16 @@ def test_public_arrays_are_read_only():
         "gaps": p.gaps,
         "same_cluster": p.same_cluster,
         "inv_gaps": p.inv_gaps,
+        "eigenvalues": p.eigenvalues,
+        "batch rho": batch.rho,
+        "batch frame": batch.frame,
+        "batch eigenvalues": batch.eigenvalues,
+        "batch cluster_start": batch.cluster_start,
+        "batch gaps": batch.gaps,
+        "batch same_cluster": batch.same_cluster,
+        "batch inv_gaps": batch.inv_gaps,
+        "batch row frame": batch[1].frame,
+        **{f"batch report {name}": value for name, value in vars(report).items()},
         "tangent_map": x.ambient,
         "tangent sum": (x + x).ambient,
         "tangent difference": (x - x).ambient,
@@ -74,5 +88,7 @@ def test_public_arrays_are_read_only():
 def test_values_copy_their_input():
     source = np.diag([0.7, 0.3]).astype(complex)
     op = HermitianOperator(source)
+    batch = orbit_batch(source[None])
     source[0, 0] = 5.0
     assert op.matrix[0, 0] == 0.7
+    assert batch.rho[0, 0, 0] == 0.7

@@ -267,6 +267,43 @@ class TestSweepCommand:
         assert main(["sweep"] + args) == 0
         assert capsys.readouterr().out == (DATA / golden).read_text()
 
+    def test_ambiguous_row_named(self, capsys):
+        # row 1 has p - (1 - p) = 1.5e-9, inside the ambiguous clustering band
+        assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 1:" in captured.err and "ambiguous" in captured.err
+
+    def test_row_named_across_chunks(self, monkeypatch, capsys):
+        import orbit_kahler.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_SWEEP_CHUNK_ENTRIES", 4)  # one qubit row
+        assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
+        assert "row 1:" in capsys.readouterr().err
+
+    def test_chunked_output_unchanged(self, monkeypatch, capsys):
+        import orbit_kahler.cli as cli_module
+
+        args = ["sweep", "--spectra", str(DATA / "spectra_d5.json"), "--seed", "5"]
+        monkeypatch.setattr(cli_module, "_SWEEP_CHUNK_ENTRIES", 25)  # one d=5 row
+        assert main(args) == 0
+        assert capsys.readouterr().out == (DATA / "sweep_spectra_d5_seed5.csv").read_text()
+
+    def test_grid_longer_than_one_chunk(self, qubit_files, tmp_path):
+        import orbit_kahler.cli as cli_module
+
+        rows = 2 * cli_module._SWEEP_CHUNK_ENTRIES // 4 + 3
+        out = tmp_path / "long.csv"
+        assert main(["sweep", "--grid", f"0.5:1.0:{rows}", "--a", qubit_files["a"],
+                     "--b", qubit_files["b"], "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        p = np.linspace(0.5, 1.0, rows)
+        assert table.shape == (rows, 7)
+        np.testing.assert_array_equal(table[:, 0], p)
+        np.testing.assert_allclose(table[:, 2:5], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table[:, 5], 2 * p - 1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table[:, 6], 2 * p - 1, rtol=0, atol=1e-12)
+
     def test_bad_grid_exits_2(self, qubit_files, tmp_path):
         for grid in ("0.5:1.0", "a:b:c", "0.5:2.0:5", "0.7:0.9:0"):
             assert main(["sweep", "--grid", grid, "--a", qubit_files["a"],

@@ -11,6 +11,8 @@ from orbit_kahler import (
     NotHermitianError,
     NotUnitaryError,
     conjugate,
+    conjugate_point,
+    evolve,
     haar_unitary,
     make_hermitian,
     make_spectrum,
@@ -156,6 +158,15 @@ class TestConjugate:
         with pytest.raises(NotUnitaryError):
             conjugate(sigma_x, np.diag([2.0, 1.0]))
 
+    def test_non_finite_unitary_rejected(self):
+        # a NaN unitarity defect compares False against any tolerance
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            conjugate(make_hermitian(np.eye(2)), [[np.nan, 0], [0, 1]])
+
+    def test_non_finite_unitary_moves_no_point(self, qubit_point):
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            conjugate_point(qubit_point, [[np.inf, 0], [0, 1]])
+
     def test_spectrum_invariant_under_conjugation(self):
         # invariant: 100 random (rho, U) pairs per dim
         for dim in range(2, 9):
@@ -206,6 +217,17 @@ class TestGauge:
         assert gauged.spectrum == p.spectrum
         residual = gauged.to_frame(gauged.rho) - gauged.diagonal_matrix()
         assert np.max(np.abs(residual)) < 1e-12
+
+    def test_non_finite_frame_rejected(self):
+        # the point validator behind with_gauge, random_density and evolve
+        rng = np.random.default_rng(19)
+        p = random_density(make_spectrum([0.4, 0.1], [2, 2]), rng)
+        gauge = random_gauge(p, rng)
+        gauge[0, 0] = np.nan
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            with_gauge(p, gauge)
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            evolve(p, gaussian_hermitian(4, rng), float("nan"))
 
     def test_non_block_gauge_rejected(self):
         rng = np.random.default_rng(18)

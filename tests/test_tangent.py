@@ -188,6 +188,10 @@ class TestTangentVector:
         with pytest.raises(NotHermitianError):
             make_tangent([[0.0, 1.0], [0.0, 0.0]], qubit_point)
 
+    def test_make_tangent_rejects_non_finite(self, qubit_point):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            make_tangent([[np.nan, 0.0], [0.0, 0.0]], qubit_point)
+
     def test_make_tangent_rejects_diagonal_blocks(self, qubit_point):
         with pytest.raises(NotHermitianError):
             make_tangent(np.diag([1.0, -1.0]), qubit_point)
