@@ -42,7 +42,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .kahler import kahler_evaluation
-from .operators import make_hermitian, orbit_batch, orbit_point
+from .operators import _replay, make_hermitian, orbit_batch, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -232,24 +232,15 @@ def _cmd_sweep(args) -> int:
         try:
             report = full_report_batch(a, b, orbit_batch(rhos, cfg), cfg)
         except OrbitKahlerError:
-            _raise_failing_row(a, b, rhos, start, cfg)
-            raise
+            # the first failing row, named by its row in the whole sweep
+            _replay(rhos, lambda rho: full_report(
+                a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg), start)
         columns = (report.deltaA, report.deltaB, report.product,
                    report.geometric_bound, report.rs_bound)
         for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
             lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)
     return 0
-
-
-def _raise_failing_row(a, b, rhos, start: int, cfg: Config):
-    """Replay a failed sweep chunk one row at a time, so the error is the one
-    the first failing row raises, named by its row in the whole sweep."""
-    for row, rho in enumerate(rhos, start):
-        try:
-            full_report(a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg)
-        except OrbitKahlerError as exc:
-            raise type(exc)(f"row {row}: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser):

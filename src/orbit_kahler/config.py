@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -45,8 +47,12 @@ class Config:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not value > 0:
-                raise ValueError(f"{field.name} must be strictly positive, got {value}")
+            # bool is an int subclass, so True would pass as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{field.name} must be finite and strictly positive, got {value}")
 
     def replace(self, **overrides) -> "Config":
         return dataclasses.replace(self, **overrides)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _validate_point
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
@@ -30,10 +30,7 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
-    u = unitary_propagator(h, t, cfg.hbar)
-    rho_t = u @ p.rho @ u.conj().T
-    rho_t = 0.5 * (rho_t + rho_t.conj().T)
-    return _validate_point(rho_t, p.spectrum, u @ p.frame, cfg)
+    return _conjugated(p, unitary_propagator(h, t, cfg.hbar), cfg)
 
 
 def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,

@@ -31,7 +31,7 @@ from .errors import DegenerateDriftError, OrbitKahlerError
 from .kahler import apply_J, symplectic, symplectic_tangent
 from .operators import HermitianOperator, OrbitPoint
 from .sampling import random_tangent
-from .tangent import TangentVector, lift, tangent_map
+from .tangent import TangentVector, _tangent, lift, tangent_map
 
 __all__ = [
     "CheckReport",
@@ -108,8 +108,9 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
 def _fundamental_field(a: HermitianOperator, cfg: Config):
     """The field q -> (1/(i hbar)) [A, rho_q], defined on the whole orbit."""
     def value(q: OrbitPoint) -> np.ndarray:
-        return (a.matrix @ q.rho - q.rho @ a.matrix) / (1j * cfg.hbar)
+        return _tangent(a.matrix, q.rho, cfg.hbar)
     return value
+
 
 def _j_field(a: HermitianOperator, cfg: Config):
     """The pointwise-J extension q -> J_q (fundamental field of A at q)."""

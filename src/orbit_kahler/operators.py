@@ -22,9 +22,10 @@ rather than silently committing to a block structure.
 Batches. :class:`OrbitBatch` stacks N points of one dimension along a leading
 axis. The kernels here and in the modules above take either a point or a
 batch and work over the trailing two axes, so a single point runs the same
-code as one row of a batch and gives bitwise the same numbers. A batch
-raises the error that evaluating its rows one at a time would raise first,
-with the message prefixed ``row i:``.
+code as one row of a batch and gives bitwise the same numbers. Each check
+raises where it fails: on a point with its own error, on a batch with a
+placeholder, upon which the batch function replays its rows one at a time
+and raises the first failing row's error, its message prefixed ``row i:``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     NotDensityError,
     NotHermitianError,
     NotUnitaryError,
+    OrbitKahlerError,
 )
 
 __all__ = [
@@ -59,8 +61,6 @@ __all__ = [
     "with_gauge",
     "random_density",
     "haar_unitary",
-    "hermiticity_defect",
-    "unitarity_defect",
 ]
 
 
@@ -77,36 +77,36 @@ def _check_dims(p: "OrbitPoint", *operators):
             raise DimMismatchError(f"operator dim {op.dim} vs point dim {p.dim}")
 
 
-def _raise_first(checks):
-    """Raise the error that a one-at-a-time loop would raise first.
+class _BatchFailure(Exception):
+    """A check failed on some row of a batch; :func:`_replay` names the row."""
 
-    ``checks`` lists ``(bad, error class, message)`` in the order one point
-    runs them; ``bad`` is 0-d for a single point and has one entry per row
-    for a batch, and ``message(i)`` formats the failure at index ``i`` (``()``
-    for a single point). The first failing row wins, within it the first
-    failing check; a batch message names its row.
+
+def _require(bad, error, message):
+    """Raise ``error(message())`` where a point fails a check.
+
+    ``bad`` is 0-d for a point and has one entry per row for a batch; a
+    failing batch raises :class:`_BatchFailure`.
     """
-    if not np.logical_or.reduce([bad for bad, _, _ in checks], axis=None):
-        return
-    row, k = min((np.flatnonzero(bad)[0], k)
-                 for k, (bad, _, _) in enumerate(checks) if bad.any())
-    bad, error, message = checks[k]
     if bad.ndim == 0:
-        raise error(message(()))
-    raise error(f"row {row}: {message(row)}")
+        if bad:
+            raise error(message())
+    elif bad.any():
+        raise _BatchFailure
 
 
-def _checked(kernel, *args):
-    """``kernel(*args, checks)``, raising the first failure it appends to ``checks``."""
-    checks = []
-    out = kernel(*args, checks)
-    _raise_first(checks)
-    return out
+def _replay(rows, evaluate, start=0):
+    """Evaluate ``rows`` one at a time and raise the first error, prefixed
+    ``row i:`` with i counted from ``start``."""
+    for i, row in enumerate(rows, start):
+        try:
+            evaluate(row)
+        except OrbitKahlerError as exc:
+            raise type(exc)(f"row {i}: {exc}") from exc
+    raise AssertionError("a batch check failed that no row fails alone")
 
 
 def _require_finite(arr: np.ndarray, error):
-    if not np.isfinite(arr).all():
-        raise error("non-finite entries")
+    _require(~np.isfinite(arr).all(axis=(-2, -1)), error, lambda: "non-finite entries")
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -130,32 +130,17 @@ def _unitarity_defects(m: np.ndarray) -> np.ndarray:
     return np.abs(m @ _dagger(m) - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance from a matrix to its conjugate transpose."""
-    return float(_hermiticity_defects(matrix))
-
-
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance of ``U U^dag`` from the identity."""
-    return float(_unitarity_defects(matrix))
-
-
-def _hermitian_checks(m: np.ndarray, cfg: Config) -> list:
+def _require_hermitian(m: np.ndarray, cfg: Config):
+    """The checks of :func:`make_hermitian` on a matrix or a stack."""
+    _require_finite(m, NotHermitianError)
     defect = _hermiticity_defects(m)
-    return [(defect > cfg.tol_hermitian, NotHermitianError,
-             lambda i: f"max |M - M^dag| = {defect[i]:.3e} "
-                       f"exceeds {cfg.tol_hermitian:.1e}")]
+    _require(defect > cfg.tol_hermitian, NotHermitianError,
+             lambda: f"max |M - M^dag| = {defect:.3e} exceeds {cfg.tol_hermitian:.1e}")
 
 
-def _unitary_checks(u: np.ndarray, cfg: Config, what: str) -> list:
-    udef = _unitarity_defects(u)
-    return [(udef > cfg.tol_unitary, NotUnitaryError,
-             lambda i: f"{what} {udef[i]:.3e}")]
-
-
-def _require_unitary(u: np.ndarray, cfg: Config):
-    _require_finite(u, NotUnitaryError)
-    _raise_first(_unitary_checks(u, cfg, "unitarity defect"))
+def _require_unitary(u: np.ndarray, cfg: Config, what: str = "unitarity defect"):
+    defect = _unitarity_defects(u)
+    _require(defect > cfg.tol_unitary, NotUnitaryError, lambda: f"{what} {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +223,9 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
     with unit weighted trace within ``cfg.tol_trace``.
     """
     values = tuple(float(v) for v in values)
+    mults = tuple(mults)
+    if not all(float(m).is_integer() for m in mults):
+        raise ValueError(f"multiplicities must be integers, got {mults}")
     mults = tuple(int(m) for m in mults)
     if len(values) != len(mults) or not values:
         raise ValueError("values and mults must be nonempty and of equal length")
@@ -366,8 +354,7 @@ def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    _require_finite(arr, NotHermitianError)
-    _raise_first(_hermitian_checks(arr, cfg))
+    _require_hermitian(arr, cfg)
     return HermitianOperator(arr)
 
 
@@ -385,18 +372,18 @@ def _cluster_means(w: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.nd
     return out
 
 
-def _frame_checks(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
-                  cfg: Config) -> list:
-    """Checks that ``frame`` is unitary and reduces ``rho`` to diag(values)."""
+def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
+                   cfg: Config):
+    """Check that ``frame`` is unitary and reduces ``rho`` to diag(values)."""
+    _require_unitary(frame, cfg, "frame unitarity defect")
     diagonal = values[..., None, :] * np.eye(rho.shape[-1])
     residual = np.abs(_to_frame(frame, rho) - diagonal).max(axis=(-2, -1))
     # cluster representatives are means, so merged eigenvalues may sit up to
     # about dim * tol_cluster away from them
     bound = 10 * cfg.tol_hermitian + rho.shape[-1] * cfg.tol_cluster
-    return _unitary_checks(frame, cfg, "frame unitarity defect") + [(
-        residual > bound, NotHermitianError,
-        lambda i: "frame does not reduce rho to block-diagonal form: "
-                  f"residual {residual[i]:.3e}")]
+    _require(residual > bound, NotHermitianError,
+             lambda: "frame does not reduce rho to block-diagonal form: "
+                     f"residual {residual:.3e}")
 
 
 def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
@@ -404,19 +391,25 @@ def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
     # a frame built from outside input may be non-finite, which the products
     # in the checks would only warn about
     _require_finite(frame, NotUnitaryError)
-    _raise_first(_frame_checks(rho, frame, spectrum.full_values(), cfg))
+    _require_frame(rho, frame, spectrum.full_values(), cfg)
     return OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
 
 
-def _diagonalize(rho: np.ndarray, cfg: Config, checks: list):
+def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
+    """The point ``U rho U^dag`` with frame ``U U_p`` and the spectrum of ``p``."""
+    rho = u @ p.rho @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return _validate_point(rho, p.spectrum, u @ p.frame, cfg)
+
+
+def _diagonalize(rho: np.ndarray, cfg: Config):
     """Eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack, grouped by cluster.
 
-    Returns ``(frame, eigenvalues, cluster_start)`` and appends its checks
-    to ``checks``. Eigenvalues are sorted descending and merged by single
-    linkage within ``cfg.tol_cluster`` (a gap between clusters under twice
-    that is ambiguous, a :class:`DegenerateGapError`), each cluster is
-    represented by its mean, and the density conditions of
-    :func:`make_spectrum` apply.
+    Returns ``(frame, eigenvalues, cluster_start)``. Eigenvalues are sorted
+    descending and merged by single linkage within ``cfg.tol_cluster`` (a gap
+    between clusters under twice that is ambiguous, a
+    :class:`DegenerateGapError`), each cluster is represented by its mean,
+    and the density conditions of :func:`make_spectrum` apply.
     """
     w, v = np.linalg.eigh(rho)  # eigenvalues ascending
     w = w[..., ::-1]
@@ -436,15 +429,14 @@ def _diagonalize(rho: np.ndarray, cfg: Config, checks: list):
     trace = terms.reshape(w.shape).cumsum(axis=-1)[..., -1]
     lowest = means.reshape(w.shape)[..., -1]
     values = values.reshape(w.shape)
-    checks += [
-        (ambiguous.any(axis=-1), DegenerateGapError,
-         lambda i: f"cluster gap {step[i][ambiguous[i]][0]:.3e} falls in the "
-                   f"ambiguous band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})"),
-        (lowest < -cfg.tol_trace, NotDensityError,
-         lambda i: f"negative eigenvalue {float(lowest[i])}"),
-        (np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
-         lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}"),
-    ] + _frame_checks(rho, v, values, cfg)
+    _require(ambiguous.any(axis=-1), DegenerateGapError,
+             lambda: f"cluster gap {step[ambiguous][0]:.3e} falls in the ambiguous "
+                     f"band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})")
+    _require(lowest < -cfg.tol_trace, NotDensityError,
+             lambda: f"negative eigenvalue {float(lowest)}")
+    _require(np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
+             lambda: f"trace {float(trace)} differs from 1 beyond {cfg.tol_trace}")
+    _require_frame(rho, v, values, cfg)
     return v, values, cluster_start
 
 
@@ -456,7 +448,7 @@ def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPo
     :class:`NotDensityError` for negative eigenvalues (beyond ``tol_trace``)
     or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering.
     """
-    frame, values, cluster_start = _checked(_diagonalize, rho.matrix, cfg)
+    frame, values, cluster_start = _diagonalize(rho.matrix, cfg)
     return OrbitPoint(rho=rho.matrix, spectrum=_spectrum(values, cluster_start),
                       frame=frame)
 
@@ -471,14 +463,11 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     arr = np.asarray(rhos, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
-    finite = np.isfinite(arr).all(axis=(1, 2))
-    if not finite.all():
-        row = int(np.argmin(finite))
-        orbit_batch(arr[:row], cfg)  # a failure in an earlier row comes first
-        raise NotHermitianError(f"row {row}: non-finite entries")
-    checks = _hermitian_checks(arr, cfg)
-    frame, values, cluster_start = _diagonalize(arr, cfg, checks)
-    _raise_first(checks)
+    try:
+        _require_hermitian(arr, cfg)
+        frame, values, cluster_start = _diagonalize(arr, cfg)
+    except _BatchFailure:
+        _replay(arr, lambda rho: orbit_point(make_hermitian(rho, cfg), cfg))
     return OrbitBatch(rho=arr, frame=frame, eigenvalues=values, cluster_start=cluster_start)
 
 
@@ -488,6 +477,7 @@ def conjugate(a: HermitianOperator, unitary: np.ndarray,
     u = np.asarray(unitary, dtype=np.complex128)
     if u.shape != a.matrix.shape:
         raise DimMismatchError(f"operator dim {a.dim} vs unitary shape {u.shape}")
+    _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
     return HermitianOperator(u @ a.matrix @ u.conj().T)
 
@@ -499,10 +489,9 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     The spectrum is carried over unchanged (conjugation preserves it exactly).
     """
     u = np.asarray(unitary, dtype=np.complex128)
+    _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
-    rho_new = u @ p.rho @ u.conj().T
-    rho_new = 0.5 * (rho_new + rho_new.conj().T)
-    return _validate_point(rho_new, p.spectrum, u @ p.frame, cfg)
+    return _conjugated(p, u, cfg)
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,

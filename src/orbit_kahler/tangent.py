@@ -24,9 +24,7 @@ from .operators import (
     _check_dims,
     _freeze,
     _from_frame,
-    _hermitian_checks,
-    _raise_first,
-    _require_finite,
+    _require_hermitian,
     _to_frame,
 )
 
@@ -130,8 +128,7 @@ def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> Tangen
     arr = np.asarray(ambient, dtype=np.complex128)
     if arr.shape != (p.dim, p.dim):
         raise DimMismatchError(f"shape {arr.shape} vs point dim {p.dim}")
-    _require_finite(arr, NotHermitianError)
-    _raise_first(_hermitian_checks(arr, cfg))
+    _require_hermitian(arr, cfg)
     worst = float(np.max(np.abs(p.to_frame(arr)), where=p.same_cluster, initial=0.0))
     if worst > cfg.tol_hermitian:
         raise NotHermitianError(

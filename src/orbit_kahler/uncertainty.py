@@ -23,14 +23,16 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import NegativeVarianceError, NonRealResultError, TheoremViolationError
-from .kahler import _h_parts, _real_check
+from .kahler import _h_parts, _real
 from .operators import (
     HermitianOperator,
     OrbitBatch,
     OrbitPoint,
+    _BatchFailure,
     _check_dims,
-    _checked,
     _freeze,
+    _replay,
+    _require,
 )
 from .tangent import _tangent
 
@@ -46,61 +48,53 @@ __all__ = [
 ]
 
 # The kernels below take a point or a batch (gap-mask and batch conventions in
-# :mod:`orbit_kahler.operators`) and append their checks, in the order one
-# point runs them, to ``checks``; the public functions raise the first.
+# :mod:`orbit_kahler.operators`) and raise each check where it fails.
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
     return m.trace(axis1=-2, axis2=-1)
 
 
-def _mean(a: HermitianOperator, p, cfg: Config, checks: list) -> np.ndarray:
-    z = _trace(p.rho @ a.matrix)
-    checks.append(_real_check(z, cfg, "expectation"))
-    return z.real
+def _mean(a: HermitianOperator, p, cfg: Config) -> np.ndarray:
+    return _real(_trace(p.rho @ a.matrix), cfg, "expectation")
 
 
-def _std(a: HermitianOperator, p, cfg: Config, checks: list) -> np.ndarray:
+def _std(a: HermitianOperator, p, cfg: Config) -> np.ndarray:
     """Standard deviation; a tiny negative radicand (within ``tol_check``) is
     clamped to zero, a worse one fails."""
-    mean = _mean(a, p, cfg, checks)
-    second = _trace(p.rho @ a.matrix @ a.matrix)
-    checks.append(_real_check(second, cfg, "second moment"))
-    radicand = second.real - mean * mean
-    checks.append((radicand < -cfg.tol_check, NegativeVarianceError,
-                   lambda i: f"variance radicand {radicand[i]:.3e}"))
+    mean = _mean(a, p, cfg)
+    second = _real(_trace(p.rho @ a.matrix @ a.matrix), cfg, "second moment")
+    radicand = second - mean * mean
+    _require(radicand < -cfg.tol_check, NegativeVarianceError,
+             lambda: f"variance radicand {radicand:.3e}")
     return np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
-def _geometric(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
-               checks: list) -> np.ndarray:
+def _geometric(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> np.ndarray:
     g, omega = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar),
-                        _tangent(b.matrix, p.rho, cfg.hbar), p, cfg, checks)
+                        _tangent(b.matrix, p.rho, cfg.hbar), p, cfg)
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(g, omega)
 
 
-def _rs(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
-        checks: list) -> np.ndarray:
-    mean_a = _mean(a, p, cfg, checks)
-    mean_b = _mean(b, p, cfg, checks)
+def _rs(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> np.ndarray:
+    mean_a = _mean(a, p, cfg)
+    mean_b = _mean(b, p, cfg)
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
-    symmetrized = _trace(p.rho @ (ab + ba)) / 2.0
-    checks.append(_real_check(symmetrized, cfg, "symmetrized covariance"))
+    symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
     commutator_mean = _trace(p.rho @ (ab - ba))
-    checks.append((np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
-                   lambda i: "commutator expectation has real part "
-                             f"{commutator_mean.real[i]:.3e}"))
-    return np.hypot(symmetrized.real - mean_a * mean_b, commutator_mean.imag / 2.0)
+    _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
+             lambda: f"commutator expectation has real part {commutator_mean.real:.3e}")
+    return np.hypot(symmetrized - mean_a * mean_b, commutator_mean.imag / 2.0)
 
 
 def expectation(a: HermitianOperator, p: OrbitPoint,
                 cfg: Config = DEFAULT_CONFIG) -> float:
     """Expectation value Tr(rho A)."""
     _check_dims(p, a)
-    return float(_checked(_mean, a, p, cfg))
+    return float(_mean(a, p, cfg))
 
 
 def uncertainty(a: HermitianOperator, p: OrbitPoint,
@@ -111,7 +105,7 @@ def uncertainty(a: HermitianOperator, p: OrbitPoint,
     anything worse raises :class:`NegativeVarianceError`.
     """
     _check_dims(p, a)
-    return float(_checked(_std, a, p, cfg))
+    return float(_std(a, p, cfg))
 
 
 def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
@@ -145,7 +139,7 @@ def geometric_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                     cfg: Config = DEFAULT_CONFIG) -> float:
     """(hbar/2) |h(X_A, X_B)|, the geometric lower bound on dA * dB."""
     _check_dims(p, a, b)
-    return float(_checked(_geometric, a, b, p, cfg))
+    return float(_geometric(a, b, p, cfg))
 
 
 def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -156,7 +150,7 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
         sqrt( (<{A,B}>/2 - <A><B>)^2 + (<[A,B]>/(2i))^2 ).
     """
     _check_dims(p, a, b)
-    return float(_checked(_rs, a, b, p, cfg))
+    return float(_rs(a, b, p, cfg))
 
 
 @dataclass(frozen=True)
@@ -175,20 +169,19 @@ class UncertaintyReport:
     slack_rs: float
 
 
-def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
-            checks: list) -> tuple:
+def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> tuple:
     """The :class:`UncertaintyReport` fields at a point (0-d) or batch (N,)."""
-    delta_a = _std(a, p, cfg, checks)
-    delta_b = _std(b, p, cfg, checks)
-    geometric = _geometric(a, b, p, cfg, checks)
-    robertson = _rs(a, b, p, cfg, checks)
+    delta_a = _std(a, p, cfg)
+    delta_b = _std(b, p, cfg)
+    geometric = _geometric(a, b, p, cfg)
+    robertson = _rs(a, b, p, cfg)
     product = delta_a * delta_b
     slack_geometric = product - geometric
     slack_rs = product - robertson
-    checks.append(((slack_geometric < -cfg.tol_check) | (slack_rs < -cfg.tol_check),
-                   TheoremViolationError,
-                   lambda i: "bound exceeds uncertainty product: geometric slack "
-                             f"{slack_geometric[i]:.3e}, RS slack {slack_rs[i]:.3e}"))
+    _require((slack_geometric < -cfg.tol_check) | (slack_rs < -cfg.tol_check),
+             TheoremViolationError,
+             lambda: "bound exceeds uncertainty product: geometric slack "
+                     f"{slack_geometric:.3e}, RS slack {slack_rs:.3e}")
     return delta_a, delta_b, product, geometric, robertson, slack_geometric, slack_rs
 
 
@@ -200,7 +193,7 @@ def full_report(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     beyond ``tol_check``; that can only happen through a library defect.
     """
     _check_dims(p, a, b)
-    return UncertaintyReport(*(float(v) for v in _checked(_report, a, b, p, cfg)))
+    return UncertaintyReport(*(float(v) for v in _report(a, b, p, cfg)))
 
 
 def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBatch,
@@ -212,5 +205,8 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBa
     the one the first failing row raises alone, prefixed ``row i:``.
     """
     _check_dims(batch, a, b)
-    fields = _checked(_report, a, b, batch, cfg)
+    try:
+        fields = _report(a, b, batch, cfg)
+    except _BatchFailure:
+        _replay(range(len(batch)), lambda i: full_report(a, b, batch[i], cfg))
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

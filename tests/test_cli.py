@@ -94,6 +94,28 @@ class TestTangentAndKahlerCommands:
         assert json.loads(capsys.readouterr().out)["omega"] == pytest.approx(0.8)
 
 
+class TestConfigValidation:
+    def test_infinite_tol_cannot_hide_fault_hook(self, tmp_path, capsys):
+        args = ["checks", "--dims", "2", "--samples", "10", "--seed", "5",
+                "--perturb-J", "1e-3", "--tol", "inf", "--out", str(tmp_path / "r.jsonl")]
+        assert main(args) == 2
+        assert "tol_check must be finite" in capsys.readouterr().err
+
+    def test_infinite_hbar_exits_2(self, capsys):
+        assert main(["sweep", "--grid", "0.5:1:2", "--hbar", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "hbar must be finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["1", True])
+    def test_non_numeric_config_value_exits_2(self, qubit_files, tmp_path, capsys, value):
+        # a string used to crash with a TypeError, and true was taken as hbar = 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hbar": value}))
+        assert main(["kahler", qubit_files["rho"], qubit_files["a"], qubit_files["b"],
+                     "--config", str(config)]) == 2
+        assert "hbar must be a number" in capsys.readouterr().err
+
+
 class TestUncertaintyCommand:
     def test_qubit_report(self, qubit_files, capsys):
         args = ["uncertainty", qubit_files["rho"], qubit_files["a"], qubit_files["b"]]
@@ -256,6 +278,13 @@ class TestSweepCommand:
         assert main(["sweep", "--spectra", str(spectra),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_fractional_multiplicity_exits_2(self, tmp_path, capsys):
+        spectra = tmp_path / "frac.json"
+        spectra.write_text(json.dumps([{"values": [0.5, 0.25], "mults": [1, 2.9]}]))
+        assert main(["sweep", "--spectra", str(spectra),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, golden", [
         (["--grid", "0.5:1.0:11", "--seed", "3"], "sweep_grid_seed3.csv"),

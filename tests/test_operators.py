@@ -84,6 +84,12 @@ class TestSpectrum:
             with pytest.raises(ValueError, match="finite"):
                 make_spectrum(values, [1] * len(values), cfg, density=False)
 
+    def test_fractional_multiplicity_rejected(self, cfg):
+        # int() would truncate 2.7 to 2 and build a different spectrum
+        with pytest.raises(ValueError, match="integers"):
+            make_spectrum([0.5, 0.25], [1, 2.7], cfg)
+        assert make_spectrum([0.5, 0.25], [1, 2.0], cfg).mults == (1, 2)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_random_spectrum_is_valid(self, seed):
