@@ -34,7 +34,14 @@ from .kahler import (
     symplectic,
     symplectic_tangent,
 )
-from .operators import conjugate, conjugate_point, haar_unitary, random_density, with_gauge
+from .operators import (
+    _haar_point,
+    conjugate,
+    conjugate_point,
+    haar_unitary,
+    make_spectrum,
+    with_gauge,
+)
 from .sampling import (
     gaussian_hermitian,
     maximally_mixed_spectrum,
@@ -54,7 +61,7 @@ class _Instances:
 
     Points cycle through the requested dimensions with a fresh random spectrum
     each time (every tenth one maximally mixed so the zero-tangent edge case
-    stays covered), or through an explicit spectra pool when one is given.
+    stays covered), or through an explicit spectra pool (validated once, here).
     """
 
     def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None,
@@ -62,7 +69,7 @@ class _Instances:
         self.rng = rng
         self.cfg = cfg
         self.perturb_j = perturb_j
-        self.pool = list(pool) if pool else None
+        self.pool = [make_spectrum(s.values, s.mults, cfg) for s in pool] if pool else None
         self.dims = (tuple(sorted({s.total_dim for s in self.pool}))
                      if self.pool else tuple(dims))
         self._count = 0
@@ -78,7 +85,7 @@ class _Instances:
                 spectrum = maximally_mixed_spectrum(dim, self.cfg)
             else:
                 spectrum = random_spectrum(dim, self.rng, cfg=self.cfg)
-        return random_density(spectrum, self.rng, self.cfg)
+        return _haar_point(spectrum, self.rng, self.cfg)
 
     def multi_cluster_point(self):
         """A point whose orbit has a nonzero tangent space (k >= 2)."""
@@ -304,7 +311,7 @@ def _bound_slack(field):
 def _pure_state_equality(inst, index):
     cfg = inst.cfg
     dim = inst.dims[index % len(inst.dims)]
-    p = random_density(pure_spectrum(dim, cfg), inst.rng, cfg)
+    p = _haar_point(pure_spectrum(dim, cfg), inst.rng, cfg)
     a = inst.observable(dim)
     x = tangent_map(a, p, cfg)
     bound_term = 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real

@@ -38,11 +38,10 @@ from .errors import (
     NotHermitianError,
     NotOffDiagonalError,
     NotUnitaryError,
-    OrbitKahlerError,
     TheoremViolationError,
 )
 from .kahler import kahler_evaluation
-from .operators import _replay, make_hermitian, orbit_batch, orbit_point
+from .operators import _BatchFailure, _orbit_stack, _replay, make_hermitian, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -56,7 +55,7 @@ from .serialize import (
     uncertainty_report_to_json,
 )
 from .tangent import tangent_map
-from .uncertainty import full_report, full_report_batch
+from .uncertainty import _report, full_report
 
 _EXIT_INPUT = 2
 _EXIT_DOMAIN = 3
@@ -116,8 +115,7 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _build_config(args)
+def _cmd_spectrum(args, cfg: Config) -> int:
     point = orbit_point(_load_hermitian(args.rho, cfg), cfg)
     payload = spectrum_to_json(point.spectrum)
     payload["frame"] = matrix_to_json(point.frame)
@@ -125,16 +123,14 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_tangent(args) -> int:
-    cfg = _build_config(args)
+def _cmd_tangent(args, cfg: Config) -> int:
     point = orbit_point(_load_hermitian(args.rho, cfg), cfg)
     x = tangent_map(_load_hermitian(args.generator, cfg), point, cfg)
     _emit([dumps(matrix_to_json(x.ambient))], args.out)
     return 0
 
 
-def _cmd_kahler(args) -> int:
-    cfg = _build_config(args)
+def _cmd_kahler(args, cfg: Config) -> int:
     point = orbit_point(_load_hermitian(args.rho, cfg), cfg)
     a = _load_hermitian(args.a, cfg)
     b = _load_hermitian(args.b, cfg)
@@ -143,8 +139,7 @@ def _cmd_kahler(args) -> int:
     return 0
 
 
-def _cmd_uncertainty(args) -> int:
-    cfg = _build_config(args)
+def _cmd_uncertainty(args, cfg: Config) -> int:
     point = orbit_point(_load_hermitian(args.rho, cfg), cfg)
     a = _load_hermitian(args.a, cfg)
     b = _load_hermitian(args.b, cfg)
@@ -160,8 +155,7 @@ def _cmd_uncertainty(args) -> int:
     return 0
 
 
-def _cmd_checks(args) -> int:
-    cfg = _build_config(args)
+def _cmd_checks(args, cfg: Config) -> int:
     dims = tuple(int(part) for part in args.dims.split(","))
     samples = min(args.samples, 100) if args.quick else args.samples
     spectra = None
@@ -173,8 +167,7 @@ def _cmd_checks(args) -> int:
     return 0 if all(r.passed for r in reports) else _EXIT_CHECKS
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _build_config(args)
+def _cmd_evolve(args, cfg: Config) -> int:
     point = orbit_point(_load_hermitian(args.rho, cfg), cfg)
     generator = _load_hermitian(args.generator, cfg)
     traj = trajectory(point, generator, args.t_max, args.steps, cfg)
@@ -193,8 +186,7 @@ def _parse_grid(text: str):
     return np.linspace(start, stop, num)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+def _cmd_sweep(args, cfg: Config) -> int:
     if (args.grid is None) == (args.spectra is None):
         raise ValueError("provide exactly one of --grid or --spectra")
     if args.grid is not None:
@@ -229,14 +221,12 @@ def _cmd_sweep(args) -> int:
         rows = values[start:start + chunk]
         rhos = np.zeros(rows.shape + (dim,), dtype=complex)
         rhos[:, np.arange(dim), np.arange(dim)] = rows
-        try:
-            report = full_report_batch(a, b, orbit_batch(rhos, cfg), cfg)
-        except OrbitKahlerError:
-            # the first failing row, named by its row in the whole sweep
+        try:  # deltaA to rs_bound; a failing row raises before any replay
+            columns = _report(a, b, _orbit_stack(rhos, cfg), cfg)[:5]
+        except _BatchFailure:
+            # replayed once: the first failing row, named by its row in the sweep
             _replay(rhos, lambda rho: full_report(
                 a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg), start)
-        columns = (report.deltaA, report.deltaB, report.product,
-                   report.geometric_bound, report.rs_bound)
         for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
             lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)
@@ -254,40 +244,27 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbit-kahler",
-        description="Geometry of density-operator orbits: symplectic form, "
-                    "complex structure, metric, and uncertainty bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalue clusters and frame of a density")
+def _args_spectrum(p: argparse.ArgumentParser):
     p.add_argument("rho", help="density matrix JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("tangent", help="tangent vector generated by H at rho")
+
+def _args_tangent(p: argparse.ArgumentParser):
     p.add_argument("rho")
     p.add_argument("generator", help="Hermitian generator JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tangent)
 
-    p = sub.add_parser("kahler", help="omega, metric, and Hermitian product")
+
+def _args_kahler(p: argparse.ArgumentParser):
     p.add_argument("rho")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kahler)
 
-    p = sub.add_parser("uncertainty", help="uncertainty bounds for two observables")
-    p.add_argument("rho")
-    p.add_argument("a")
-    p.add_argument("b")
+
+def _args_uncertainty(p: argparse.ArgumentParser):
+    _args_kahler(p)
     p.add_argument("--csv", help="append a deltaA,deltaB,product,geom,rs row here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_uncertainty)
 
-    p = sub.add_parser("checks", help="run every invariant suite")
+
+def _args_checks(p: argparse.ArgumentParser):
     p.add_argument("--dims", default="2,3,4,5,6",
                    help="comma-separated dimensions to sample (default 2,3,4,5,6)")
     p.add_argument("--samples", type=int, default=200,
@@ -296,32 +273,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectra", help="JSON list of spectra to sample orbits from")
     p.add_argument("--perturb-J", type=float, default=0.0, dest="perturb_j",
                    help="fault-injection hook: offset J^2 by this factor")
-    _add_common(p)
-    p.set_defaults(func=_cmd_checks)
 
-    p = sub.add_parser("evolve", help="sample the unitary flow of a generator")
+
+def _args_evolve(p: argparse.ArgumentParser):
     p.add_argument("rho")
     p.add_argument("generator")
     p.add_argument("--t-max", type=float, required=True, dest="t_max")
     p.add_argument("--steps", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("sweep", help="CSV of uncertainty bounds across spectra")
+
+def _args_sweep(p: argparse.ArgumentParser):
     p.add_argument("--grid", help="qubit grid START:STOP:NUM over p (rho=diag(p,1-p))")
     p.add_argument("--spectra", help="JSON list of spectra")
     p.add_argument("--a", help="observable A JSON file (default: seeded random)")
     p.add_argument("--b", help="observable B JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
+
+# name -> (help, adds the subcommand's own arguments, handler), in help order
+_COMMANDS = {
+    "spectrum": ("eigenvalue clusters and frame of a density", _args_spectrum,
+                 _cmd_spectrum),
+    "tangent": ("tangent vector generated by H at rho", _args_tangent, _cmd_tangent),
+    "kahler": ("omega, metric, and Hermitian product", _args_kahler, _cmd_kahler),
+    "uncertainty": ("uncertainty bounds for two observables", _args_uncertainty,
+                    _cmd_uncertainty),
+    "checks": ("run every invariant suite", _args_checks, _cmd_checks),
+    "evolve": ("sample the unitary flow of a generator", _args_evolve, _cmd_evolve),
+    "sweep": ("CSV of uncertainty bounds across spectra", _args_sweep, _cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only the subcommand ``command`` if it names one
+    and with all seven otherwise."""
+    parser = argparse.ArgumentParser(
+        prog="orbit-kahler",
+        description="Geometry of density-operator orbits: symplectic form, "
+                    "complex structure, metric, and uncertainty bounds.")
+    # the metavar keeps all seven in the usage line; on the full parser it would
+    # rename the command in the invalid-choice and required errors
+    if command in _COMMANDS:
+        names = (command,)
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = tuple(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        _add_common(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _build_config(args))
     except TheoremViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_THEOREM

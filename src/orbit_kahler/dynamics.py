@@ -20,10 +20,13 @@ from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
 
+def _propagator(w: np.ndarray, v: np.ndarray, t: float, hbar: float) -> np.ndarray:
+    return (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
+
+
 def unitary_propagator(h: HermitianOperator, t: float, hbar: float) -> np.ndarray:
     """``exp(-i H t / hbar)`` via eigendecomposition of the Hermitian generator."""
-    w, v = np.linalg.eigh(h.matrix)
-    return (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
+    return _propagator(*np.linalg.eigh(h.matrix), t, hbar)
 
 
 def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
@@ -31,6 +34,15 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
     return _conjugated(p, unitary_propagator(h, t, cfg.hbar), cfg)
+
+
+def _flows(p: OrbitPoint, h: HermitianOperator, times, cfg: Config):
+    """Yield :func:`evolve` of ``p`` to each of ``times``, from one
+    eigendecomposition of ``h`` (taken when the first point is asked for)."""
+    _check_dims(p, h)
+    w, v = np.linalg.eigh(h.matrix)
+    for t in times:
+        yield _conjugated(p, _propagator(w, v, t, cfg.hbar), cfg)
 
 
 def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
@@ -42,8 +54,7 @@ def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
     """
     _check_dims(p, a, h)
     step = cfg.fd_step
-    forward = evolve(p, h, step, cfg)
-    backward = evolve(p, h, -step, cfg)
+    forward, backward = _flows(p, h, (step, -step), cfg)
     derivative = (np.trace(forward.rho @ a.matrix).real
                   - np.trace(backward.rho @ a.matrix).real) / (2.0 * step)
     return abs(derivative - symplectic(a, h, p, cfg))
@@ -64,5 +75,6 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     times = np.linspace(0.0, t_max, steps)
-    points = tuple(p if t == 0.0 else evolve(p, h, float(t), cfg) for t in times)
+    flowed = _flows(p, h, [float(t) for t in times if t != 0.0], cfg)
+    points = tuple(p if t == 0.0 else next(flowed) for t in times)
     return Trajectory(times=tuple(float(t) for t in times), points=points, generator=h)

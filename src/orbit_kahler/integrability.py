@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .dynamics import evolve
+from .dynamics import _flows
 from .errors import DegenerateDriftError, OrbitKahlerError
 from .kahler import apply_J, symplectic, symplectic_tangent
 from .operators import HermitianOperator, OrbitPoint
@@ -107,16 +107,12 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
 
 def _fundamental_field(a: HermitianOperator, cfg: Config):
     """The field q -> (1/(i hbar)) [A, rho_q], defined on the whole orbit."""
-    def value(q: OrbitPoint) -> np.ndarray:
-        return _tangent(a.matrix, q.rho, cfg.hbar)
-    return value
+    return lambda q: _tangent(a.matrix, q.rho, cfg.hbar)
 
 
 def _j_field(a: HermitianOperator, cfg: Config):
     """The pointwise-J extension q -> J_q (fundamental field of A at q)."""
-    def value(q: OrbitPoint) -> np.ndarray:
-        return apply_J(tangent_map(a, q, cfg), cfg).ambient
-    return value
+    return lambda q: apply_J(tangent_map(a, q, cfg), cfg).ambient
 
 
 def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
@@ -130,31 +126,32 @@ def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
     return TangentVector(p, p.from_frame(framed))
 
 
-def _flow(p: OrbitPoint, generator: HermitianOperator, t: float, cfg: Config) -> OrbitPoint:
-    try:
-        return evolve(p, generator, t, cfg)
-    except OrbitKahlerError as exc:
-        raise DegenerateDriftError(
-            f"flow for time {t} left the validated orbit neighborhood: {exc}") from exc
+def _flow_pair(p: OrbitPoint, generator: HermitianOperator, cfg: Config) -> list:
+    """``p`` flowed under ``generator`` for times fd_step and -fd_step."""
+    times = (cfg.fd_step, -cfg.fd_step)
+    flows, pair = _flows(p, generator, times, cfg), []
+    for t in times:
+        try:
+            pair.append(next(flows))
+        except OrbitKahlerError as exc:
+            raise DegenerateDriftError(
+                f"flow for time {t} left the validated orbit neighborhood: {exc}") from exc
+    return pair
 
 
-def _directional_derivative(field, p: OrbitPoint, velocity: np.ndarray,
-                            cfg: Config) -> np.ndarray:
-    """Central difference of an ambient-valued field along a curve on the
-    orbit with the given initial velocity (the unitary flow of its lift)."""
-    generator = lift(TangentVector(p, velocity), cfg)
-    step = cfg.fd_step
-    forward = field(_flow(p, generator, step, cfg))
-    backward = field(_flow(p, generator, -step, cfg))
-    return (forward - backward) / (2.0 * step)
+def _along(field, p: OrbitPoint, cfg: Config) -> tuple:
+    """``(field, forward, backward)``: an ambient-valued field with ``p``
+    flowed by +-fd_step along it (under the lift of its value at ``p``)."""
+    return (field, *_flow_pair(p, lift(TangentVector(p, field(p)), cfg), cfg))
 
 
-def _bracket(field_v, field_w, p: OrbitPoint, cfg: Config) -> np.ndarray:
-    """Lie bracket [V, W] at p: D_V W - D_W V by central differences."""
-    v0 = field_v(p)
-    w0 = field_w(p)
-    return (_directional_derivative(field_w, p, v0, cfg)
-            - _directional_derivative(field_v, p, w0, cfg))
+def _bracket(v: tuple, w: tuple, cfg: Config) -> np.ndarray:
+    """Lie bracket [V, W] at the base point, D_V W - D_W V by central
+    differences, of fields from :func:`_along`."""
+    (field_v, v_forward, v_backward), (field_w, w_forward, w_backward) = v, w
+    width = 2.0 * cfg.fd_step
+    return ((field_w(v_forward) - field_w(v_backward)) / width
+            - (field_v(w_forward) - field_v(w_backward)) / width)
 
 
 def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -165,14 +162,12 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     ``cfg.fd_step``; the exact value is zero, so the return is pure
     discretization residual, O(fd_step^2).
     """
-    field_a = _fundamental_field(a, cfg)
-    field_b = _fundamental_field(b, cfg)
-    field_ja = _j_field(a, cfg)
-    field_jb = _j_field(b, cfg)
-    plain = _bracket(field_a, field_b, p, cfg)
-    mixed_a = _bracket(field_ja, field_b, p, cfg)
-    mixed_b = _bracket(field_a, field_jb, p, cfg)
-    twisted = _bracket(field_ja, field_jb, p, cfg)
+    field_a, field_b = (_along(_fundamental_field(x, cfg), p, cfg) for x in (a, b))
+    field_ja, field_jb = (_along(_j_field(x, cfg), p, cfg) for x in (a, b))
+    plain = _bracket(field_a, field_b, cfg)
+    mixed_a = _bracket(field_ja, field_b, cfg)
+    mixed_b = _bracket(field_a, field_jb, cfg)
+    twisted = _bracket(field_ja, field_jb, cfg)
     total = (plain
              + apply_J(_project_tangent(mixed_a, p), cfg).ambient
              + apply_J(_project_tangent(mixed_b, p), cfg).ambient
@@ -192,22 +187,19 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     step = cfg.fd_step
 
     def derivative_along(generator, first, second):
-        forward = _flow(p, generator, step, cfg)
-        backward = _flow(p, generator, -step, cfg)
+        forward, backward = _flow_pair(p, generator, cfg)
         return (symplectic(first, second, forward, cfg)
                 - symplectic(first, second, backward, cfg)) / (2.0 * step)
-
-    field_a = _fundamental_field(a, cfg)
-    field_b = _fundamental_field(b, cfg)
-    field_c = _fundamental_field(c, cfg)
 
     derivative_terms = (derivative_along(a, b, c)
                         - derivative_along(b, a, c)
                         + derivative_along(c, a, b))
 
-    bracket_ab = _project_tangent(_bracket(field_a, field_b, p, cfg), p)
-    bracket_bc = _project_tangent(_bracket(field_b, field_c, p, cfg), p)
-    bracket_ca = _project_tangent(_bracket(field_c, field_a, p, cfg), p)
+    field_a, field_b, field_c = (_along(_fundamental_field(x, cfg), p, cfg)
+                                 for x in (a, b, c))
+    bracket_ab = _project_tangent(_bracket(field_a, field_b, cfg), p)
+    bracket_bc = _project_tangent(_bracket(field_b, field_c, cfg), p)
+    bracket_ca = _project_tangent(_bracket(field_c, field_a, cfg), p)
     bracket_terms = (symplectic_tangent(bracket_ab, tangent_map(c, p, cfg), cfg)
                      + symplectic_tangent(bracket_bc, tangent_map(a, p, cfg), cfg)
                      + symplectic_tangent(bracket_ca, tangent_map(b, p, cfg), cfg))

@@ -464,11 +464,15 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
     try:
-        _require_hermitian(arr, cfg)
-        frame, values, cluster_start = _diagonalize(arr, cfg)
+        return _orbit_stack(arr, cfg)
     except _BatchFailure:
         _replay(arr, lambda rho: orbit_point(make_hermitian(rho, cfg), cfg))
-    return OrbitBatch(rho=arr, frame=frame, eigenvalues=values, cluster_start=cluster_start)
+
+
+def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitBatch:
+    """:func:`orbit_batch` without the replay: a failing row raises :class:`_BatchFailure`."""
+    _require_hermitian(arr, cfg)
+    return OrbitBatch(arr, *_diagonalize(arr, cfg))  # frame, eigenvalues, cluster_start
 
 
 def conjugate(a: HermitianOperator, unitary: np.ndarray,
@@ -527,7 +531,11 @@ def random_density(spectrum: Spectrum, seed,
     Draws U Haar-uniformly from the seeded stream and returns the point
     ``U diag(p_1 I_{n_1}, ...) U^dag`` with frame U.
     """
-    spectrum = make_spectrum(spectrum.values, spectrum.mults, cfg, density=True)
+    return _haar_point(make_spectrum(spectrum.values, spectrum.mults, cfg), seed, cfg)
+
+
+def _haar_point(spectrum: Spectrum, seed, cfg: Config) -> OrbitPoint:
+    """:func:`random_density` on a spectrum :func:`make_spectrum` has built."""
     u = haar_unitary(spectrum.total_dim, seed)
     rho = u @ np.diag(spectrum.full_values()) @ u.conj().T
     rho = 0.5 * (rho + rho.conj().T)

@@ -13,9 +13,9 @@ from .operators import (
     HermitianOperator,
     OrbitPoint,
     Spectrum,
+    _haar_point,
     haar_unitary,
     make_spectrum,
-    random_density,
 )
 from .tangent import TangentVector, tangent_map
 
@@ -78,8 +78,7 @@ def random_spectrum(dim: int, rng: np.random.Generator,
 def random_point(dim: int, rng: np.random.Generator,
                  cfg: Config = DEFAULT_CONFIG, **spectrum_kwargs) -> OrbitPoint:
     """Haar-random orbit point with a random spectrum in dimension ``dim``."""
-    spectrum = random_spectrum(dim, rng, cfg=cfg, **spectrum_kwargs)
-    return random_density(spectrum, rng, cfg)
+    return _haar_point(random_spectrum(dim, rng, cfg=cfg, **spectrum_kwargs), rng, cfg)
 
 
 def random_tangent(p: OrbitPoint, rng: np.random.Generator,

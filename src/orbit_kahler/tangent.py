@@ -102,9 +102,10 @@ class TangentVector:
     __rmul__ = __mul__
 
 
-def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float) -> np.ndarray:
-    """(1/(i hbar))[H, rho] for a point's or a batch's ``rho``."""
-    return (h @ rho - rho @ h) / (1j * hbar)
+def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndarray:
+    """(1/(i hbar))[H, rho] for a point's or a batch's ``rho``; ``rho_h`` is
+    ``rho @ h`` when the caller has formed it already."""
+    return (h @ rho - (rho @ h if rho_h is None else rho_h)) / (1j * hbar)
 
 
 def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:

@@ -55,32 +55,35 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return m.trace(axis1=-2, axis2=-1)
 
 
-def _mean(a: HermitianOperator, p, cfg: Config) -> np.ndarray:
-    return _real(_trace(p.rho @ a.matrix), cfg, "expectation")
+def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
+    """Tr(rho A) from ``ra = rho @ A``."""
+    return _real(_trace(ra), cfg, "expectation")
 
 
-def _std(a: HermitianOperator, p, cfg: Config) -> np.ndarray:
-    """Standard deviation; a tiny negative radicand (within ``tol_check``) is
-    clamped to zero, a worse one fails."""
-    mean = _mean(a, p, cfg)
-    second = _real(_trace(p.rho @ a.matrix @ a.matrix), cfg, "second moment")
+def _std(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> np.ndarray:
+    """Standard deviation from ``ra = rho @ A``; a tiny negative radicand
+    (within ``tol_check``) is clamped to zero, a worse one fails."""
+    mean = _mean(ra, cfg)
+    second = _real(_trace(ra @ a.matrix), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
              lambda: f"variance radicand {radicand:.3e}")
     return np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
-def _geometric(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> np.ndarray:
-    g, omega = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar),
-                        _tangent(b.matrix, p.rho, cfg.hbar), p, cfg)
+def _geometric(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray,
+               rb: np.ndarray, p, cfg: Config) -> np.ndarray:
+    g, omega = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar, ra),
+                        _tangent(b.matrix, p.rho, cfg.hbar, rb), p, cfg)
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(g, omega)
 
 
-def _rs(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> np.ndarray:
-    mean_a = _mean(a, p, cfg)
-    mean_b = _mean(b, p, cfg)
+def _rs(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray, rb: np.ndarray,
+        p, cfg: Config) -> np.ndarray:
+    mean_a = _mean(ra, cfg)
+    mean_b = _mean(rb, cfg)
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
     symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
@@ -94,7 +97,7 @@ def expectation(a: HermitianOperator, p: OrbitPoint,
                 cfg: Config = DEFAULT_CONFIG) -> float:
     """Expectation value Tr(rho A)."""
     _check_dims(p, a)
-    return float(_mean(a, p, cfg))
+    return float(_mean(p.rho @ a.matrix, cfg))
 
 
 def uncertainty(a: HermitianOperator, p: OrbitPoint,
@@ -105,7 +108,7 @@ def uncertainty(a: HermitianOperator, p: OrbitPoint,
     anything worse raises :class:`NegativeVarianceError`.
     """
     _check_dims(p, a)
-    return float(_std(a, p, cfg))
+    return float(_std(a, p.rho @ a.matrix, cfg))
 
 
 def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
@@ -139,7 +142,7 @@ def geometric_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                     cfg: Config = DEFAULT_CONFIG) -> float:
     """(hbar/2) |h(X_A, X_B)|, the geometric lower bound on dA * dB."""
     _check_dims(p, a, b)
-    return float(_geometric(a, b, p, cfg))
+    return float(_geometric(a, b, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
 
 
 def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -150,7 +153,7 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
         sqrt( (<{A,B}>/2 - <A><B>)^2 + (<[A,B]>/(2i))^2 ).
     """
     _check_dims(p, a, b)
-    return float(_rs(a, b, p, cfg))
+    return float(_rs(a, b, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,14 @@ class UncertaintyReport:
 
 
 def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> tuple:
-    """The :class:`UncertaintyReport` fields at a point (0-d) or batch (N,)."""
-    delta_a = _std(a, p, cfg)
-    delta_b = _std(b, p, cfg)
-    geometric = _geometric(a, b, p, cfg)
-    robertson = _rs(a, b, p, cfg)
+    """The :class:`UncertaintyReport` fields at a point (0-d) or batch (N,);
+    rho A and rho B are formed once and shared by the four kernels."""
+    ra = p.rho @ a.matrix
+    rb = p.rho @ b.matrix
+    delta_a = _std(a, ra, cfg)
+    delta_b = _std(b, rb, cfg)
+    geometric = _geometric(a, b, ra, rb, p, cfg)
+    robertson = _rs(a, b, ra, rb, p, cfg)
     product = delta_a * delta_b
     slack_geometric = product - geometric
     slack_rs = product - robertson

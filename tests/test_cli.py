@@ -1,15 +1,17 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orbit_kahler.cli import main
+from orbit_kahler.cli import build_parser, main
 from orbit_kahler.serialize import matrix_to_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 DATA = Path(__file__).parent / "data"
+COMMANDS = ("spectrum", "tangent", "kahler", "uncertainty", "checks", "evolve", "sweep")
 
 
 def _write_matrix(path, matrix):
@@ -24,6 +26,37 @@ def qubit_files(tmp_path):
         "a": _write_matrix(tmp_path / "a.json", SX),
         "b": _write_matrix(tmp_path / "b.json", SY),
     }
+
+
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a call that exits through argparse."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    # main may build less than the full parser, but must print what it prints;
+    # compared in-process because argparse wording varies across Python versions
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in COMMANDS])
+    def test_help_matches_full_parser(self, argv, capsys):
+        full = _exit_of(build_parser().parse_args, argv, capsys)
+        assert full[0] == 0 and full[1] and not full[2]
+        assert _exit_of(main, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--bogus"],
+                                      ["evolve", "a", "b"]])
+    def test_usage_errors_match_full_parser(self, argv, capsys):
+        full = _exit_of(build_parser().parse_args, argv, capsys)
+        assert full[0] == 2 and not full[1] and full[2].startswith("usage: orbit-kahler")
+        assert _exit_of(main, argv, capsys) == full
+
+    @pytest.mark.parametrize("command", [None, "bogus"] + list(COMMANDS))
+    def test_known_command_builds_only_its_parser(self, command):
+        sub = next(action for action in build_parser(command)._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert tuple(sub.choices) == (COMMANDS if command in (None, "bogus") else (command,))
 
 
 class TestSpectrumCommand:
@@ -302,6 +335,24 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "row 1:" in captured.err and "ambiguous" in captured.err
+
+    def test_failing_chunk_replayed_once(self, monkeypatch, capsys):
+        import orbit_kahler.cli as cli_module
+        import orbit_kahler.operators as operators_module
+
+        evaluated = []
+        original = operators_module.orbit_point
+
+        def counting(rho, cfg):
+            evaluated.append(float(rho.matrix[0, 0].real))
+            return original(rho, cfg)
+
+        monkeypatch.setattr(operators_module, "orbit_point", counting)
+        monkeypatch.setattr(cli_module, "orbit_point", counting)
+        assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
+        assert "row 1:" in capsys.readouterr().err
+        # rows 0 and 1 (the failing one) each evaluated once, row 2 never
+        assert evaluated == np.linspace(0.5, 0.5000000015, 3)[:2].tolist()
 
     def test_row_named_across_chunks(self, monkeypatch, capsys):
         import orbit_kahler.cli as cli_module

@@ -87,6 +87,29 @@ class TestNijenhuis:
         with pytest.raises(DegenerateDriftError):
             nijenhuis_fd(sigma_x, sigma_y, qubit_point, Config(tol_unitary=1e-18))
 
+    @pytest.mark.parametrize("failing_call, sign", [(1, ""), (2, "-")])
+    def test_drift_names_time_of_failing_flow(self, sigma_x, sigma_y, qubit_point,
+                                              monkeypatch, failing_call, sign):
+        # the +fd_step and -fd_step flows share one eigendecomposition; the
+        # error still names the one that failed
+        import orbit_kahler.dynamics as dynamics
+        from orbit_kahler.errors import NotUnitaryError
+
+        calls = []
+        original = dynamics._conjugated
+
+        def conjugated(p, u, cfg):
+            calls.append(u)
+            if len(calls) == failing_call:
+                raise NotUnitaryError("injected")
+            return original(p, u, cfg)
+
+        monkeypatch.setattr(dynamics, "_conjugated", conjugated)
+        step = Config().fd_step
+        with pytest.raises(DegenerateDriftError,
+                           match=f"^flow for time {sign}{step} left .*: injected$"):
+            nijenhuis_fd(sigma_x, sigma_y, qubit_point)
+
 
 class TestClosedness:
     def test_repeated_argument_exact_zero(self):
