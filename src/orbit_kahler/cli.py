@@ -28,20 +28,9 @@ import numpy as np
 from .checks import run_checks
 from .config import Config
 from .dynamics import trajectory
-from .errors import (
-    DegenerateDriftError,
-    DegenerateGapError,
-    DimMismatchError,
-    NegativeVarianceError,
-    NonRealResultError,
-    NotDensityError,
-    NotHermitianError,
-    NotOffDiagonalError,
-    NotUnitaryError,
-    TheoremViolationError,
-)
+from .errors import DimMismatchError, OrbitKahlerError, TheoremViolationError
 from .kahler import kahler_evaluation
-from .operators import _BatchFailure, _orbit_stack, _replay, make_hermitian, orbit_point
+from .operators import _orbit_stack, _stacked, make_hermitian, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -65,17 +54,6 @@ _EXIT_CHECKS = 5
 # sweep stacks at most this many matrix entries per pass, which bounds its
 # memory at large dims
 _SWEEP_CHUNK_ENTRIES = 2 ** 16
-
-_DOMAIN_ERRORS = (
-    NotHermitianError,
-    NotUnitaryError,
-    NotDensityError,
-    DegenerateGapError,
-    NotOffDiagonalError,
-    NegativeVarianceError,
-    NonRealResultError,
-    DegenerateDriftError,
-)
 
 
 def _load_json(path: str):
@@ -221,12 +199,11 @@ def _cmd_sweep(args, cfg: Config) -> int:
         rows = values[start:start + chunk]
         rhos = np.zeros(rows.shape + (dim,), dtype=complex)
         rhos[:, np.arange(dim), np.arange(dim)] = rows
-        try:  # deltaA to rs_bound; a failing row raises before any replay
-            columns = _report(a, b, _orbit_stack(rhos, cfg), cfg)[:5]
-        except _BatchFailure:
-            # replayed once: the first failing row, named by its row in the sweep
-            _replay(rhos, lambda rho: full_report(
-                a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg), start)
+        # deltaA to rs_bound; a failing row is named by its row in the sweep
+        columns = _stacked(
+            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos,
+            lambda rho: full_report(a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg),
+            start)
         for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
             lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)
@@ -333,16 +310,16 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args, _build_config(args))
+    except (DimMismatchError, OSError, ValueError, KeyError) as exc:
+        # json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
     except TheoremViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_THEOREM
-    except _DOMAIN_ERRORS as exc:
+    except OrbitKahlerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    except (DimMismatchError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -24,8 +24,9 @@ axis. The kernels here and in the modules above take either a point or a
 batch and work over the trailing two axes, so a single point runs the same
 code as one row of a batch and gives bitwise the same numbers. Each check
 raises where it fails: on a point with its own error, on a batch with a
-placeholder, upon which the batch function replays its rows one at a time
-and raises the first failing row's error, its message prefixed ``row i:``.
+placeholder that names the first failing row. The batch function then
+re-runs the stacked pass on the rows before it until a prefix passes, and
+evaluates that row alone to raise its own error, prefixed ``row i:``.
 """
 
 from __future__ import annotations
@@ -78,31 +79,44 @@ def _check_dims(p: "OrbitPoint", *operators):
 
 
 class _BatchFailure(Exception):
-    """A check failed on some row of a batch; :func:`_replay` names the row."""
+    """A check failed on a batch; ``args[0]`` is the first row that fails it.
+    Only :func:`_stacked` catches it, and raises that row's own error instead."""
 
 
 def _require(bad, error, message):
     """Raise ``error(message())`` where a point fails a check.
 
     ``bad`` is 0-d for a point and has one entry per row for a batch; a
-    failing batch raises :class:`_BatchFailure`.
+    failing batch raises :class:`_BatchFailure` with its first failing row.
     """
     if bad.ndim == 0:
         if bad:
             raise error(message())
     elif bad.any():
-        raise _BatchFailure
+        raise _BatchFailure(int(bad.argmax()))
 
 
-def _replay(rows, evaluate, start=0):
-    """Evaluate ``rows`` one at a time and raise the first error, prefixed
-    ``row i:`` with i counted from ``start``."""
-    for i, row in enumerate(rows, start):
-        try:
-            evaluate(row)
-        except OrbitKahlerError as exc:
-            raise type(exc)(f"row {i}: {exc}") from exc
-    raise AssertionError("a batch check failed that no row fails alone")
+def _stacked(run, rows, single, start=0):
+    """``run(rows)``, a stacked pass; if a check fails on some row, raise the
+    error that the first failing row raises alone.
+
+    When the pass fails at row m, the rows before m passed that check but
+    may fail a later one, so the pass re-runs on ``rows[:m]``: it either
+    passes or names an earlier row, at a later check. Once a prefix passes,
+    ``single(rows[m])`` raises row m's error, prefixed ``row i:`` with i
+    counted from ``start``.
+    """
+    try:
+        return run(rows)
+    except _BatchFailure as failure:
+        m = failure.args[0]
+    if m:
+        _stacked(run, rows[:m], single, start)
+    try:
+        single(rows[m])
+    except OrbitKahlerError as exc:
+        raise type(exc)(f"row {start + m}: {exc}") from exc
+    raise AssertionError("a batch check failed that its first failing row passes alone")
 
 
 def _require_finite(arr: np.ndarray, error):
@@ -295,10 +309,6 @@ class OrbitPoint(_GapMasks):
         ends = itertools.accumulate(self.spectrum.mults)
         return tuple(slice(end - m, end) for m, end in zip(self.spectrum.mults, ends))
 
-    def diagonal_matrix(self) -> np.ndarray:
-        """The block-diagonal normal form diag(p_1 I_{n_1}, ..., p_k I_{n_k})."""
-        return np.diag(self.spectrum.full_values()).astype(np.complex128)
-
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
         return _to_frame(self.frame, matrix)
@@ -322,7 +332,8 @@ class OrbitBatch(_GapMasks):
     cluster values repeated by multiplicity, descending, and
     ``cluster_start`` (N, d) marks the first index of each cluster. ``gaps``,
     ``same_cluster`` and ``inv_gaps`` are (N, d, d). ``batch[i]`` is the
-    :class:`OrbitPoint` that :func:`orbit_point` returns for row i.
+    :class:`OrbitPoint` that :func:`orbit_point` returns for row i, and a
+    slice ``batch[a:b]`` is the :class:`OrbitBatch` of those rows.
     """
 
     rho: np.ndarray
@@ -339,7 +350,10 @@ class OrbitBatch(_GapMasks):
     def __len__(self) -> int:
         return self.rho.shape[0]
 
-    def __getitem__(self, i: int) -> OrbitPoint:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OrbitBatch(self.rho[i], self.frame[i], self.eigenvalues[i],
+                              self.cluster_start[i])
         return OrbitPoint(rho=self.rho[i],
                           spectrum=_spectrum(self.eigenvalues[i], self.cluster_start[i]),
                           frame=self.frame[i])
@@ -463,14 +477,12 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     arr = np.asarray(rhos, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
-    try:
-        return _orbit_stack(arr, cfg)
-    except _BatchFailure:
-        _replay(arr, lambda rho: orbit_point(make_hermitian(rho, cfg), cfg))
+    return _stacked(lambda rows: _orbit_stack(rows, cfg), arr,
+                    lambda rho: orbit_point(make_hermitian(rho, cfg), cfg))
 
 
 def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitBatch:
-    """:func:`orbit_batch` without the replay: a failing row raises :class:`_BatchFailure`."""
+    """The stacked pass of :func:`orbit_batch`: a failing row raises :class:`_BatchFailure`."""
     _require_hermitian(arr, cfg)
     return OrbitBatch(arr, *_diagonalize(arr, cfg))  # frame, eigenvalues, cluster_start
 

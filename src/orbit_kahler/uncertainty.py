@@ -28,11 +28,10 @@ from .operators import (
     HermitianOperator,
     OrbitBatch,
     OrbitPoint,
-    _BatchFailure,
     _check_dims,
     _freeze,
-    _replay,
     _require,
+    _stacked,
 )
 from .tangent import _tangent
 
@@ -211,8 +210,6 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBa
     the one the first failing row raises alone, prefixed ``row i:``.
     """
     _check_dims(batch, a, b)
-    try:
-        fields = _report(a, b, batch, cfg)
-    except _BatchFailure:
-        _replay(range(len(batch)), lambda i: full_report(a, b, batch[i], cfg))
+    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch,
+                      lambda p: full_report(a, b, p, cfg))
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

@@ -67,6 +67,9 @@ def test_public_arrays_are_read_only():
         "batch same_cluster": batch.same_cluster,
         "batch inv_gaps": batch.inv_gaps,
         "batch row frame": batch[1].frame,
+        **{f"sliced batch {name}": getattr(batch[1:], name)
+           for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
+                        "same_cluster", "inv_gaps")},
         **{f"batch report {name}": value for name, value in vars(report).items()},
         "tangent_map": x.ambient,
         "tangent sum": (x + x).ambient,

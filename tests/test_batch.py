@@ -87,6 +87,19 @@ def test_batch_rows_equal_single_points(dim):
             assert getattr(reports, name)[i] == getattr(expected, name), name
 
 
+@pytest.mark.parametrize("rows", [slice(1, 4), slice(0, 0), slice(2, None), slice(None),
+                                  slice(None, None, 3), slice(-2, None)])
+@pytest.mark.parametrize("dim", [2, 5])
+def test_sliced_batch_equals_batch_of_slice(dim, rows):
+    rhos = _stack(dim, np.random.default_rng(dim))
+    sliced = orbit_batch(rhos)[rows]
+    assert isinstance(sliced, OrbitBatch)
+    expected = orbit_batch(rhos[rows])
+    for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps", "same_cluster",
+                 "inv_gaps"):
+        assert np.array_equal(getattr(sliced, name), getattr(expected, name)), name
+
+
 def _reference_spectrum(rho, cfg=Config()):
     """Single linkage over the descending eigenvalues, one np.mean per cluster."""
     groups = [[]]
@@ -169,3 +182,19 @@ def test_full_report_batch_raises_first_failing_row():
         full_report_batch(projector, projector, batch)
     assert (type(caught.value), str(caught.value)) == expected
     assert str(caught.value).startswith("row 2: ")
+
+
+def test_full_report_batch_prefix_fails_a_later_check():
+    # white box: row 1 fails the variance of A first, but row 0 fails the
+    # later variance of B, and row 0 is the first failing row
+    values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
+    batch = OrbitBatch(rho=np.array([np.diag(v) for v in values], dtype=complex),
+                       frame=np.array([np.eye(3)] * 2, dtype=complex),
+                       eigenvalues=values, cluster_start=np.ones_like(values, dtype=bool))
+    a = make_hermitian(np.diag([0.0, 1.0, 0.0]))
+    b = make_hermitian(np.diag([0.0, 0.0, 1.0]))
+    expected = _first_row_error(lambda i: full_report(a, b, batch[i]), range(len(batch)))
+    with pytest.raises(NegativeVarianceError) as caught:
+        full_report_batch(a, b, batch)
+    assert (type(caught.value), str(caught.value)) == expected
+    assert str(caught.value) == "row 0: variance radicand -1.100e-01"

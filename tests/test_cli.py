@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orbit_kahler import errors
 from orbit_kahler.cli import build_parser, main
 from orbit_kahler.serialize import matrix_to_json
 
@@ -191,6 +192,25 @@ class TestUncertaintyCommand:
         assert main(args) == 4
 
 
+ERRORS = sorted((cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.OrbitKahlerError)),
+                key=lambda cls: cls.__name__)
+# input errors exit 2, library defects 4, and every other domain error 3
+EXIT_CODES = {errors.DimMismatchError: 2, errors.TheoremViolationError: 4}
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_library_error_has_its_exit_code(error, monkeypatch, capsys):
+    import orbit_kahler.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli_module, "run_checks", explode)
+    assert main(["checks"]) == EXIT_CODES.get(error, 3)
+    assert capsys.readouterr().err == "error: forced\n"
+
+
 class TestChecksCommand:
     def test_quick_run_green(self, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -341,18 +361,27 @@ class TestSweepCommand:
         import orbit_kahler.operators as operators_module
 
         evaluated = []
+        stacked = []
         original = operators_module.orbit_point
+        original_stack = cli_module._orbit_stack
 
         def counting(rho, cfg):
             evaluated.append(float(rho.matrix[0, 0].real))
             return original(rho, cfg)
 
+        def counting_stack(rhos, cfg):
+            stacked.append(len(rhos))
+            return original_stack(rhos, cfg)
+
         monkeypatch.setattr(operators_module, "orbit_point", counting)
         monkeypatch.setattr(cli_module, "orbit_point", counting)
+        monkeypatch.setattr(cli_module, "_orbit_stack", counting_stack)
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
         assert "row 1:" in capsys.readouterr().err
-        # rows 0 and 1 (the failing one) each evaluated once, row 2 never
-        assert evaluated == np.linspace(0.5, 0.5000000015, 3)[:2].tolist()
+        # only the failing row 1 is evaluated alone, after one stacked pass over
+        # the chunk and one over the rows before it
+        assert evaluated == np.linspace(0.5, 0.5000000015, 3)[1:2].tolist()
+        assert stacked == [3, 1]
 
     def test_row_named_across_chunks(self, monkeypatch, capsys):
         import orbit_kahler.cli as cli_module

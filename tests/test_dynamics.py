@@ -141,5 +141,5 @@ class TestTrajectorySpectra:
         traj = trajectory(p, h, t_max=3.0, steps=7)
         for point in traj.points:
             assert point.spectrum == p.spectrum
-            residual = point.to_frame(point.rho) - point.diagonal_matrix()
+            residual = point.to_frame(point.rho) - np.diag(point.eigenvalues)
             assert np.max(np.abs(residual)) < 1e-12

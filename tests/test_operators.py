@@ -123,7 +123,7 @@ class TestOrbitPoint:
     def test_frame_reduces_rho(self):
         rng = np.random.default_rng(3)
         p = random_density(random_spectrum(5, rng), rng)
-        residual = p.to_frame(p.rho) - p.diagonal_matrix()
+        residual = p.to_frame(p.rho) - np.diag(p.eigenvalues)
         assert np.max(np.abs(residual)) <= 10 * Config().tol_hermitian
 
     def test_not_density_rejected(self):
@@ -221,7 +221,7 @@ class TestGauge:
         gauged = with_gauge(p, random_gauge(p, rng))
         assert np.array_equal(gauged.rho, p.rho)
         assert gauged.spectrum == p.spectrum
-        residual = gauged.to_frame(gauged.rho) - gauged.diagonal_matrix()
+        residual = gauged.to_frame(gauged.rho) - np.diag(gauged.eigenvalues)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_non_finite_frame_rejected(self):
