@@ -14,6 +14,8 @@ the plumbing that turns residuals into exit codes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
@@ -89,9 +91,10 @@ class _Instances:
 
     def multi_cluster_point(self):
         """A point whose orbit has a nonzero tangent space (k >= 2)."""
-        if self.pool and all(s.k == 1 for s in self.pool):
-            raise ValueError("spectra pool contains only single-cluster orbits; "
-                             "this check needs a nonzero tangent space")
+        # every spectrum of dim 1 is a single cluster
+        if all(s.k == 1 for s in self.pool) if self.pool else max(self.dims) < 2:
+            raise ValueError("the spectra pool or dims give only single-cluster "
+                             "orbits; this check needs a nonzero tangent space")
         while True:
             p = self.point(mixed_every=0)
             if p.spectrum.k >= 2:
@@ -107,7 +110,8 @@ def _report_max(name, pairs, samples, tolerance, **extra):
     max_residual = 0.0
     worst = {}
     for residual, case in pairs:
-        if residual >= max_residual:
+        # a NaN residual is kept, so that it fails the report
+        if residual >= max_residual or math.isnan(residual):
             max_residual = residual
             worst = case
     return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
@@ -399,8 +403,12 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     drawn from it instead of from random spectra over ``dims``.
     """
     dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be nonempty and >= 1, got {dims}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not math.isfinite(perturb_j):
+        raise ValueError(f"perturb_j must be finite, got {perturb_j}")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(CHECK_NAMES)
     if unknown:

@@ -30,7 +30,7 @@ from .config import Config
 from .dynamics import trajectory
 from .errors import DimMismatchError, OrbitKahlerError, TheoremViolationError
 from .kahler import kahler_evaluation
-from .operators import _orbit_stack, _stacked, make_hermitian, orbit_point
+from .operators import _orbit_stack, _stacked, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -201,9 +201,7 @@ def _cmd_sweep(args, cfg: Config) -> int:
         rhos[:, np.arange(dim), np.arange(dim)] = rows
         # deltaA to rs_bound; a failing row is named by its row in the sweep
         columns = _stacked(
-            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos,
-            lambda rho: full_report(a, b, orbit_point(make_hermitian(rho, cfg), cfg), cfg),
-            start)
+            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos, start)
         for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
             lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)

@@ -66,16 +66,16 @@ class KahlerEvaluation:
 def _real(z: np.ndarray, cfg: Config, what: str) -> np.ndarray:
     """The real part of ``z``, which must be real within ``tol_check``."""
     _require(np.abs(z.imag) > cfg.tol_check, NonRealResultError,
-             lambda: f"{what} has imaginary part {z.imag:.3e}; "
-                     "inputs are likely not Hermitian")
+             lambda i: f"{what} has imaginary part {z.imag[i]:.3e}; "
+                       "inputs are likely not Hermitian")
     return z.real
 
 
 def _require_offdiag(framed: np.ndarray, p, cfg: Config):
     worst = np.abs(framed).max(axis=(-2, -1), where=p.same_cluster, initial=0.0)
     _require(worst > cfg.tol_hermitian, NotOffDiagonalError,
-             lambda: f"diagonal blocks reach {worst:.3e}; "
-                     "split off the commuting part first")
+             lambda i: f"diagonal blocks reach {worst[i]:.3e}; "
+                       "split off the commuting part first")
 
 
 def _j_twist(b: np.ndarray, p, cfg: Config) -> np.ndarray:

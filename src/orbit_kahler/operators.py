@@ -23,15 +23,14 @@ Batches. :class:`OrbitBatch` stacks N points of one dimension along a leading
 axis. The kernels here and in the modules above take either a point or a
 batch and work over the trailing two axes, so a single point runs the same
 code as one row of a batch and gives bitwise the same numbers. Each check
-raises where it fails: on a point with its own error, on a batch with a
-placeholder that names the first failing row. The batch function then
-re-runs the stacked pass on the rows before it until a prefix passes, and
-evaluates that row alone to raise its own error, prefixed ``row i:``.
+raises where it fails, with the error it builds for its first failing row.
+On a batch, the rows before that row may still fail a later check, so the
+batch function re-runs the stacked pass on them until a prefix passes, and
+raises the error of the last row named, prefixed ``row i:``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +44,6 @@ from .errors import (
     NotDensityError,
     NotHermitianError,
     NotUnitaryError,
-    OrbitKahlerError,
 )
 
 __all__ = [
@@ -79,48 +77,45 @@ def _check_dims(p: "OrbitPoint", *operators):
 
 
 class _BatchFailure(Exception):
-    """A check failed on a batch; ``args[0]`` is the first row that fails it.
-    Only :func:`_stacked` catches it, and raises that row's own error instead."""
+    """A check failed on a batch: ``args`` are its first failing row and the
+    error that row raises alone. Only :func:`_stacked` catches it."""
 
 
 def _require(bad, error, message):
-    """Raise ``error(message())`` where a point fails a check.
+    """Raise ``error(message(i))`` where a check fails, i the failing row.
 
-    ``bad`` is 0-d for a point and has one entry per row for a batch; a
-    failing batch raises :class:`_BatchFailure` with its first failing row.
+    ``bad`` is 0-d for a point (i is ``()``) and has one entry per row for a
+    batch; a failing batch raises :class:`_BatchFailure` with its first
+    failing row m and the error ``error(message(m))``.
     """
     if bad.ndim == 0:
         if bad:
-            raise error(message())
+            raise error(message(()))
     elif bad.any():
-        raise _BatchFailure(int(bad.argmax()))
+        m = int(bad.argmax())
+        raise _BatchFailure(m, error(message(m)))
 
 
-def _stacked(run, rows, single, start=0):
+def _stacked(run, rows, start=0):
     """``run(rows)``, a stacked pass; if a check fails on some row, raise the
     error that the first failing row raises alone.
 
     When the pass fails at row m, the rows before m passed that check but
     may fail a later one, so the pass re-runs on ``rows[:m]``: it either
     passes or names an earlier row, at a later check. Once a prefix passes,
-    ``single(rows[m])`` raises row m's error, prefixed ``row i:`` with i
-    counted from ``start``.
+    row m's error is raised, prefixed ``row i:`` with i counted from ``start``.
     """
     try:
         return run(rows)
     except _BatchFailure as failure:
-        m = failure.args[0]
+        m, error = failure.args
     if m:
-        _stacked(run, rows[:m], single, start)
-    try:
-        single(rows[m])
-    except OrbitKahlerError as exc:
-        raise type(exc)(f"row {start + m}: {exc}") from exc
-    raise AssertionError("a batch check failed that its first failing row passes alone")
+        _stacked(run, rows[:m], start)
+    raise type(error)(f"row {start + m}: {error}")
 
 
 def _require_finite(arr: np.ndarray, error):
-    _require(~np.isfinite(arr).all(axis=(-2, -1)), error, lambda: "non-finite entries")
+    _require(~np.isfinite(arr).all(axis=(-2, -1)), error, lambda i: "non-finite entries")
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -149,12 +144,12 @@ def _require_hermitian(m: np.ndarray, cfg: Config):
     _require_finite(m, NotHermitianError)
     defect = _hermiticity_defects(m)
     _require(defect > cfg.tol_hermitian, NotHermitianError,
-             lambda: f"max |M - M^dag| = {defect:.3e} exceeds {cfg.tol_hermitian:.1e}")
+             lambda i: f"max |M - M^dag| = {defect[i]:.3e} exceeds {cfg.tol_hermitian:.1e}")
 
 
 def _require_unitary(u: np.ndarray, cfg: Config, what: str = "unitarity defect"):
     defect = _unitarity_defects(u)
-    _require(defect > cfg.tol_unitary, NotUnitaryError, lambda: f"{what} {defect:.3e}")
+    _require(defect > cfg.tol_unitary, NotUnitaryError, lambda i: f"{what} {defect[i]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -304,11 +299,6 @@ class OrbitPoint(_GapMasks):
         """The eigenvalues repeated by multiplicity, descending."""
         return _freeze(self.spectrum.full_values(), float)
 
-    def block_slices(self) -> tuple:
-        """Index slices of the eigenvalue clusters in the frame ordering."""
-        ends = itertools.accumulate(self.spectrum.mults)
-        return tuple(slice(end - m, end) for m, end in zip(self.spectrum.mults, ends))
-
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
         return _to_frame(self.frame, matrix)
@@ -396,8 +386,8 @@ def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
     # about dim * tol_cluster away from them
     bound = 10 * cfg.tol_hermitian + rho.shape[-1] * cfg.tol_cluster
     _require(residual > bound, NotHermitianError,
-             lambda: "frame does not reduce rho to block-diagonal form: "
-                     f"residual {residual:.3e}")
+             lambda i: "frame does not reduce rho to block-diagonal form: "
+                       f"residual {residual[i]:.3e}")
 
 
 def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
@@ -444,12 +434,12 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     lowest = means.reshape(w.shape)[..., -1]
     values = values.reshape(w.shape)
     _require(ambiguous.any(axis=-1), DegenerateGapError,
-             lambda: f"cluster gap {step[ambiguous][0]:.3e} falls in the ambiguous "
-                     f"band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})")
+             lambda i: f"cluster gap {step[i][ambiguous[i]][0]:.3e} falls in the "
+                       f"ambiguous band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})")
     _require(lowest < -cfg.tol_trace, NotDensityError,
-             lambda: f"negative eigenvalue {float(lowest)}")
+             lambda i: f"negative eigenvalue {float(lowest[i])}")
     _require(np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
-             lambda: f"trace {float(trace)} differs from 1 beyond {cfg.tol_trace}")
+             lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}")
     _require_frame(rho, v, values, cfg)
     return v, values, cluster_start
 
@@ -477,8 +467,7 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     arr = np.asarray(rhos, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
-    return _stacked(lambda rows: _orbit_stack(rows, cfg), arr,
-                    lambda rho: orbit_point(make_hermitian(rho, cfg), cfg))
+    return _stacked(lambda rows: _orbit_stack(rows, cfg), arr)
 
 
 def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitBatch:

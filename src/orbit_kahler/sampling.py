@@ -57,6 +57,8 @@ def random_spectrum(dim: int, rng: np.random.Generator,
     Distinct values are kept at least ``min_gap`` apart before trace
     normalization, which keeps every gap far above the clustering tolerance.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     lo = -(-dim // max_mult)  # ceil
     hi = min(max_clusters, dim)
     if lo > hi:
@@ -90,6 +92,7 @@ def random_tangent(p: OrbitPoint, rng: np.random.Generator,
 def random_gauge(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Haar-random intra-cluster gauge: block-diagonal unitary for ``p``."""
     out = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for s in p.block_slices():
-        out[s, s] = haar_unitary(s.stop - s.start, rng)
+    # in row-major order the mask runs through the cluster blocks one by one
+    out[p.same_cluster] = np.concatenate([haar_unitary(m, rng).ravel()
+                                          for m in p.spectrum.mults])
     return out

@@ -66,7 +66,7 @@ def _std(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> np.ndarray:
     second = _real(_trace(ra @ a.matrix), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
-             lambda: f"variance radicand {radicand:.3e}")
+             lambda i: f"variance radicand {radicand[i]:.3e}")
     return np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
@@ -88,7 +88,8 @@ def _rs(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray, rb: np.ndarr
     symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
     commutator_mean = _trace(p.rho @ (ab - ba))
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
-             lambda: f"commutator expectation has real part {commutator_mean.real:.3e}")
+             lambda i: "commutator expectation has real part "
+                       f"{commutator_mean.real[i]:.3e}")
     return np.hypot(symmetrized - mean_a * mean_b, commutator_mean.imag / 2.0)
 
 
@@ -185,8 +186,8 @@ def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> tuple
     slack_rs = product - robertson
     _require((slack_geometric < -cfg.tol_check) | (slack_rs < -cfg.tol_check),
              TheoremViolationError,
-             lambda: "bound exceeds uncertainty product: geometric slack "
-                     f"{slack_geometric:.3e}, RS slack {slack_rs:.3e}")
+             lambda i: "bound exceeds uncertainty product: geometric slack "
+                       f"{slack_geometric[i]:.3e}, RS slack {slack_rs[i]:.3e}")
     return delta_a, delta_b, product, geometric, robertson, slack_geometric, slack_rs
 
 
@@ -210,6 +211,5 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBa
     the one the first failing row raises alone, prefixed ``row i:``.
     """
     _check_dims(batch, a, b)
-    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch,
-                      lambda p: full_report(a, b, p, cfg))
+    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch)
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

@@ -198,3 +198,29 @@ def test_full_report_batch_prefix_fails_a_later_check():
         full_report_batch(a, b, batch)
     assert (type(caught.value), str(caught.value)) == expected
     assert str(caught.value) == "row 0: variance radicand -1.100e-01"
+
+
+def test_failing_batches_never_evaluate_a_row_alone(monkeypatch):
+    import importlib
+
+    operators_module = importlib.import_module("orbit_kahler.operators")
+    # the package attribute ``uncertainty`` is the function, not the module
+    uncertainty_module = importlib.import_module("orbit_kahler.uncertainty")
+
+    a = make_hermitian(np.diag([0.0, 1.0, 0.0]))
+    b = make_hermitian(np.diag([0.0, 0.0, 1.0]))
+    values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
+    report_rows = OrbitBatch(rho=np.array([np.diag(v) for v in values], dtype=complex),
+                             frame=np.array([np.eye(3)] * 2, dtype=complex),
+                             eigenvalues=values,
+                             cluster_start=np.ones_like(values, dtype=bool))
+
+    def alone(*args, **kwargs):
+        raise AssertionError("a failing batch evaluated a row alone")
+
+    monkeypatch.setattr(operators_module, "orbit_point", alone)
+    monkeypatch.setattr(uncertainty_module, "full_report", alone)
+    with pytest.raises(DegenerateGapError, match="^row 1: "):
+        orbit_batch(np.array([GOOD, AMBIGUOUS, NEGATIVE], dtype=complex))
+    with pytest.raises(NegativeVarianceError, match="^row 0: "):
+        full_report_batch(a, b, report_rows)

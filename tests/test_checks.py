@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from orbit_kahler import CHECK_NAMES, make_spectrum, run_checks
+from orbit_kahler.checks import _report_max
+from orbit_kahler.sampling import random_spectrum
 from orbit_kahler.serialize import check_report_to_json, dumps
 
 
@@ -55,3 +59,44 @@ class TestRunChecks:
     def test_reports_serialize(self):
         for report in _suite(samples=5):
             json.loads(dumps(check_report_to_json(report)))
+
+    @pytest.mark.parametrize("dims", [(), (0,), (2, -1)])
+    def test_dims_below_1_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims must be nonempty and >= 1"):
+            _suite(dims=dims)
+
+    def test_single_cluster_dims_rejected(self):
+        # every dim-1 spectrum is a single cluster, so drawing a point with a
+        # nonzero tangent space once looped forever
+        with pytest.raises(ValueError, match="single-cluster"):
+            _suite(dims=(1,), samples=2)
+
+    @pytest.mark.parametrize("perturb_j", [math.nan, math.inf])
+    def test_non_finite_perturb_j_rejected(self, perturb_j):
+        with pytest.raises(ValueError, match="perturb_j must be finite"):
+            _suite(perturb_j=perturb_j)
+
+
+def test_random_spectrum_rejects_dim_below_1():
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        random_spectrum(0, np.random.default_rng(0))
+
+
+class TestReportMax:
+    @pytest.mark.parametrize("residuals, worst", [
+        ([1e-12, math.nan, 1e-3], 1),  # later finite residuals do not replace it
+        ([math.nan, 0.0], 0),
+    ])
+    def test_nan_residual_fails_the_report(self, residuals, worst):
+        pairs = [(r, {"sample": i}) for i, r in enumerate(residuals)]
+        report = _report_max("suite", pairs, len(pairs), 1e-9)
+        assert math.isnan(report.max_residual)
+        assert not report.passed
+        assert report.worst_case == {"sample": worst}
+
+    def test_finite_ties_keep_the_last_sample(self):
+        pairs = [(0.0, {"sample": 0}), (2e-10, {"sample": 1}), (1e-10, {"sample": 2}),
+                 (2e-10, {"sample": 3})]
+        report = _report_max("suite", pairs, 4, 1e-9, extra=1)
+        assert report.max_residual == 2e-10 and report.passed
+        assert report.worst_case == {"sample": 3, "extra": 1}

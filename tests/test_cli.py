@@ -252,6 +252,18 @@ class TestChecksCommand:
         by_name = {r["check"]: r for r in reports}
         assert by_name["j_squared"]["worst_case"]["spectrum"]["values"] == [0.6, 0.4]
 
+    @pytest.mark.parametrize("args, message", [
+        # every dim-1 spectrum is a single cluster, which once looped forever
+        (["--dims", "1"], "single-cluster"),
+        (["--dims", "0"], "dims must be nonempty and >= 1"),
+        (["--dims", "2", "--perturb-J", "nan"], "perturb_j must be finite"),
+    ])
+    def test_out_of_domain_input_exits_2(self, args, message, capsys):
+        assert main(["checks", "--samples", "2"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         base = ["checks", "--dims", "2", "--samples", "8"]
         explicit, via_env = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -378,9 +390,9 @@ class TestSweepCommand:
         monkeypatch.setattr(cli_module, "_orbit_stack", counting_stack)
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
         assert "row 1:" in capsys.readouterr().err
-        # only the failing row 1 is evaluated alone, after one stacked pass over
-        # the chunk and one over the rows before it
-        assert evaluated == np.linspace(0.5, 0.5000000015, 3)[1:2].tolist()
+        # one stacked pass over the chunk and one over the rows before row 1
+        # name it; no row is evaluated alone
+        assert evaluated == []
         assert stacked == [3, 1]
 
     def test_row_named_across_chunks(self, monkeypatch, capsys):
