@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orbit_kahler import CHECK_NAMES, make_spectrum, run_checks
+from orbit_kahler.cli import main
 from orbit_kahler.checks import _report_max
 from orbit_kahler.sampling import random_spectrum
 from orbit_kahler.serialize import check_report_to_json, dumps
@@ -75,6 +77,37 @@ class TestRunChecks:
     def test_non_finite_perturb_j_rejected(self, perturb_j):
         with pytest.raises(ValueError, match="perturb_j must be finite"):
             _suite(perturb_j=perturb_j)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("args, golden", [
+    # the benchmark's shape: two samples per suite over dims 2..6
+    (["--seed", "0", "--samples", "2"], "checks_seed0_samples2.jsonl"),
+    # three finite-difference samples per suite, dims up to 12
+    (["--seed", "1", "--samples", "75", "--dims", "2,4,8,12"],
+     "checks_seed1_samples75_dims2_4_8_12.jsonl"),
+])
+def test_golden_output(args, golden, capsys):
+    # the printed residuals and worst cases are pinned, byte for byte
+    assert main(["checks"] + args) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+@pytest.fixture(scope="module", params=[2, 30])
+def full_catalog(request):
+    samples = request.param
+    reports = run_checks(samples=samples, seed=4)
+    return samples, {r.check_name: dumps(check_report_to_json(r)) for r in reports}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_single_suite_matches_full_run(full_catalog, name):
+    # every suite draws from its own child stream, whatever else runs
+    samples, lines = full_catalog
+    alone = run_checks(samples=samples, seed=4, names=[name])
+    assert [dumps(check_report_to_json(r)) for r in alone] == [lines[name]]
 
 
 def test_random_spectrum_rejects_dim_below_1():
