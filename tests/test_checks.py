@@ -95,6 +95,22 @@ def test_golden_output(args, golden, capsys):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+@pytest.mark.parametrize("config, message", [
+    # every point of the catalog fails the frame check; the first one drawn
+    # (j_squared, sample 0) is named, with no row prefix
+    ({"tol_unitary": 1e-18}, "error: frame unitarity defect 2.221e-16\n"),
+    # the points pass, and J fails at j_squared's first sample
+    ({"tol_hermitian": 1e-30}, "error: diagonal blocks reach 2.826e-16; "
+                               "split off the commuting part first\n"),
+])
+def test_first_failing_sample_named(config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["checks", "--samples", "2", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 @pytest.fixture(scope="module", params=[2, 30])
 def full_catalog(request):
     samples = request.param
