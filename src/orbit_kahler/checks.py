@@ -2,10 +2,19 @@
 
 Each suite draws deterministic instances from a seeded stream, evaluates one
 invariant across dimensions and spectra (degenerate ones included), and
-returns a :class:`CheckReport`; most suites are a draw function for one
-sample wrapped by :func:`_sampled`. ``run_checks`` executes the ``_CATALOG``
+returns a :class:`CheckReport`. ``run_checks`` executes the ``_CATALOG``
 table; the CLI ``checks`` command is a thin wrapper around it. Passing an
 explicit ``spectra`` pool restricts sampling to those orbits.
+
+A sample runs in three steps: draw, build, evaluate. Its draw function takes
+everything it needs from the stream (spectra and Haar normals of its points,
+observables, unitaries) and yields that list, with each point still pending.
+``run_checks`` runs the draws of every selected suite first, then builds all
+pending points of one dim in one stacked pass (one QR, one check, the gap
+masks once per stack), then sends each sample its list back, points built,
+to evaluate in draw order. No step after a yield touches the stream (each
+panel suite is one draw, so its checks may), so every suite draws exactly
+what it drew one sample at a time.
 
 ``perturb_j`` is a fault-injection hook for the J^2 = -1 suite: it adds a
 multiple of the input vector to J(J(X)) so the suite must fail, which guards
@@ -15,11 +24,13 @@ the plumbing that turns residuals into exit codes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .dynamics import ehrenfest_check, evolve, trajectory
+from .dynamics import _propagators, ehrenfest_check, trajectory
 from .integrability import (
     CheckReport,
     _case,
@@ -29,6 +40,7 @@ from .integrability import (
     nondegeneracy_check,
 )
 from .kahler import (
+    _h_parts,
     apply_J,
     hermitian_product,
     hermitian_product_blocks,
@@ -37,7 +49,13 @@ from .kahler import (
     symplectic_tangent,
 )
 from .operators import (
-    _haar_point,
+    _CHUNK_ENTRIES,
+    _BatchFailure,
+    _conjugated,
+    _haar_frames,
+    _haar_points,
+    _normals,
+    _stacked,
     conjugate,
     conjugate_point,
     haar_unitary,
@@ -45,17 +63,20 @@ from .operators import (
     with_gauge,
 )
 from .sampling import (
+    _block_diagonal,
     gaussian_hermitian,
     maximally_mixed_spectrum,
     pure_spectrum,
-    random_gauge,
     random_spectrum,
-    random_tangent,
 )
 from .tangent import lift, split_kernel, tangent_map
-from .uncertainty import full_report, uncertainty, variance_decomposition
+from .uncertainty import _report, full_report, uncertainty, variance_decomposition
 
 __all__ = ["CHECK_NAMES", "run_checks"]
+
+
+# a pending Haar point: the normals of its frame and its spectrum
+_Draw = namedtuple("_Draw", "normals spectrum")
 
 
 class _Instances:
@@ -64,6 +85,8 @@ class _Instances:
     Points cycle through the requested dimensions with a fresh random spectrum
     each time (every tenth one maximally mixed so the zero-tangent edge case
     stays covered), or through an explicit spectra pool (validated once, here).
+    Points are pending :class:`_Draw` entries; observables are drawn at once,
+    by default in the dim of the last point.
     """
 
     def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None,
@@ -76,7 +99,7 @@ class _Instances:
                      if self.pool else tuple(dims))
         self._count = 0
 
-    def point(self, mixed_every: int = 10):
+    def point(self, mixed_every: int = 10) -> _Draw:
         index = self._count
         self._count += 1
         if self.pool:
@@ -87,21 +110,23 @@ class _Instances:
                 spectrum = maximally_mixed_spectrum(dim, self.cfg)
             else:
                 spectrum = random_spectrum(dim, self.rng, cfg=self.cfg)
-        return _haar_point(spectrum, self.rng, self.cfg)
+        self.dim = spectrum.total_dim
+        return _Draw(_normals(self.dim, self.rng), spectrum)
 
-    def multi_cluster_point(self):
-        """A point whose orbit has a nonzero tangent space (k >= 2)."""
+    def multi_cluster_point(self) -> _Draw:
+        """A point whose orbit has a nonzero tangent space (k >= 2); the
+        rejected draws still take their normals from the stream."""
         # every spectrum of dim 1 is a single cluster
         if all(s.k == 1 for s in self.pool) if self.pool else max(self.dims) < 2:
             raise ValueError("the spectra pool or dims give only single-cluster "
                              "orbits; this check needs a nonzero tangent space")
         while True:
-            p = self.point(mixed_every=0)
-            if p.spectrum.k >= 2:
-                return p
+            draw = self.point(mixed_every=0)
+            if draw.spectrum.k >= 2:
+                return draw
 
-    def observable(self, dim: int):
-        return gaussian_hermitian(dim, self.rng)
+    def observable(self, dim: int | None = None):
+        return gaussian_hermitian(dim or self.dim, self.rng)
 
 
 def _report_max(name, pairs, samples, tolerance, **extra):
@@ -118,42 +143,42 @@ def _report_max(name, pairs, samples, tolerance, **extra):
 
 
 def _sampled(draw, count=None, tolerance=None):
-    """Suite of ``count(samples)`` draws (default ``samples``) gated at
-    ``tolerance(cfg)`` (default ``tol_check``); ``draw(inst, index)``
-    returns one sample's ``(residual, worst_case)``."""
-    def suite(name, inst, samples):
-        n = count(samples) if count else samples
+    """``(draws, report)`` of a suite of ``count(samples)`` draws (default
+    ``samples``) gated at ``tolerance(cfg)`` (default ``tol_check``).
+    ``draw(inst, index)`` yields what it draws, gets it back with each
+    :class:`_Draw` built, and returns one sample's ``(residual, worst_case)``."""
+    def draws(inst, samples):
+        return (draw(inst, index) for index in range(count(samples) if count else samples))
+
+    def report(name, inst, samples, results):
         gate = tolerance(inst.cfg) if tolerance else inst.cfg.tol_check
-        return _report_max(name, [draw(inst, index) for index in range(n)], n, gate)
-    return suite
+        return _report_max(name, results, len(results), gate)
+    return draws, report
 
 
 def _j_squared(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    x = random_tangent(p, inst.rng, cfg)
+    p, h = yield [inst.point(), inst.observable()]
+    x = tangent_map(h, p, cfg)
     twice = apply_J(apply_J(x, cfg), cfg)
     residual_matrix = twice.ambient + x.ambient + inst.perturb_j * x.ambient
     return float(np.max(np.abs(residual_matrix))), _case(p, index)
 
 
 def _omega_antisymmetry(inst, index):
-    p = inst.point()
-    a = inst.observable(p.dim)
-    b = inst.observable(p.dim)
+    p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
     return abs(symplectic(a, b, p, inst.cfg) + symplectic(b, a, p, inst.cfg)), _case(p, index)
 
 
 def _metric_symmetry(inst, index):
-    p = inst.point()
-    x = random_tangent(p, inst.rng, inst.cfg)
-    y = random_tangent(p, inst.rng, inst.cfg)
+    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
+    x, y = tangent_map(h, p, inst.cfg), tangent_map(k, p, inst.cfg)
     return abs(metric(x, y, inst.cfg) - metric(y, x, inst.cfg)), _case(p, index)
 
 
 def _metric_positivity(inst, index):
-    p = inst.multi_cluster_point()
-    x = random_tangent(p, inst.rng, inst.cfg)
+    p, h = yield [inst.multi_cluster_point(), inst.observable()]
+    x = tangent_map(h, p, inst.cfg)
     squared = x.frobenius ** 2
     if squared == 0.0:
         return None
@@ -161,9 +186,8 @@ def _metric_positivity(inst, index):
     return max(0.0, -ratio), _case(p, index, witness_ratio=float(ratio))
 
 
-def _check_metric_positivity(name, inst, samples):
-    drawn = (_metric_positivity(inst, index) for index in range(samples))
-    pairs = [pair for pair in drawn if pair is not None]
+def _metric_positivity_report(name, inst, samples, results):
+    pairs = [pair for pair in results if pair is not None]
     smallest = min((case["witness_ratio"] for _, case in pairs), default=np.inf)
     return _report_max(name, pairs, samples, inst.cfg.tol_check,
                        smallest_witness=float(smallest))
@@ -171,9 +195,8 @@ def _check_metric_positivity(name, inst, samples):
 
 def _compatibility(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    x = random_tangent(p, inst.rng, cfg)
-    y = random_tangent(p, inst.rng, cfg)
+    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
+    x, y = tangent_map(h, p, cfg), tangent_map(k, p, cfg)
     residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
                    - symplectic_tangent(x, y, cfg))
     return residual, _case(p, index)
@@ -181,18 +204,17 @@ def _compatibility(inst, index):
 
 def _hermitian_symmetry(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    x = random_tangent(p, inst.rng, cfg)
-    y = random_tangent(p, inst.rng, cfg)
+    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
+    x, y = tangent_map(h, p, cfg), tangent_map(k, p, cfg)
     residual = abs(hermitian_product(x, y, cfg) - np.conj(hermitian_product(y, x, cfg)))
     return residual, _case(p, index)
 
 
 def _block_formula(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    a_off = split_kernel(inst.observable(p.dim), p)[1]
-    b_off = split_kernel(inst.observable(p.dim), p)[1]
+    p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
+    a_off = split_kernel(a, p)[1]
+    b_off = split_kernel(b, p)[1]
     definitional = hermitian_product(tangent_map(a_off, p, cfg),
                                      tangent_map(b_off, p, cfg), cfg)
     closed_form = hermitian_product_blocks(a_off, b_off, p, cfg)
@@ -201,8 +223,7 @@ def _block_formula(inst, index):
 
 def _tangent_roundtrip(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    h = inst.observable(p.dim)
+    p, h = yield [inst.point(), inst.observable()]
     x = tangent_map(h, p, cfg)
     roundtrip = tangent_map(lift(x, cfg), p, cfg)
     residual = float(np.max(np.abs(roundtrip.ambient - x.ambient)))
@@ -213,35 +234,25 @@ def _tangent_roundtrip(inst, index):
 
 
 def _split_orthogonality(inst, index):
-    p = inst.point()
-    kernel_part, complement_part = split_kernel(inst.observable(p.dim), p)
+    p, h = yield [inst.point(), inst.observable()]
+    kernel_part, complement_part = split_kernel(h, p)
     residual = abs(complex(np.trace(kernel_part.matrix @ complement_part.matrix)))
     return residual, _case(p, index)
 
 
 def _scalar_panel(a, b, p, cfg) -> np.ndarray:
-    """All public scalars for one (A, B, rho) triple, as a vector."""
-    x = tangent_map(a, p, cfg)
-    y = tangent_map(b, p, cfg)
-    product = hermitian_product(x, y, cfg)
-    report = full_report(a, b, p, cfg)
-    return np.array([
-        symplectic(a, b, p, cfg),
-        product.real,
-        product.imag,
-        report.deltaA,
-        report.deltaB,
-        report.geometric_bound,
-        report.rs_bound,
-    ])
+    """All public scalars for one (A, B, rho) triple, as a vector; h(X_A, X_B)
+    is evaluated once, for the product and for the geometric bound."""
+    parts = _h_parts(tangent_map(a, p, cfg).ambient, tangent_map(b, p, cfg).ambient, p, cfg)
+    delta_a, delta_b, _, geometric, robertson, _, _ = _report(a, b, p, cfg, parts)
+    return np.array([symplectic(a, b, p, cfg), *parts, delta_a, delta_b, geometric,
+                     robertson])
 
 
 def _ad_equivariance(inst, index):
     cfg = inst.cfg
-    p = inst.point(mixed_every=0)
-    a = inst.observable(p.dim)
-    b = inst.observable(p.dim)
-    u = haar_unitary(p.dim, inst.rng)
+    p, a, b, u = yield [inst.point(mixed_every=0), inst.observable(), inst.observable(),
+                        haar_unitary(inst.dim, inst.rng)]
     before = _scalar_panel(a, b, p, cfg)
     after = _scalar_panel(conjugate(a, u, cfg), conjugate(b, u, cfg),
                           conjugate_point(p, u, cfg), cfg)
@@ -250,32 +261,32 @@ def _ad_equivariance(inst, index):
 
 def _gauge_invariance(inst, index):
     cfg = inst.cfg
-    p = inst.point(mixed_every=0)
-    a = inst.observable(p.dim)
-    b = inst.observable(p.dim)
-    gauged = with_gauge(p, random_gauge(p, inst.rng), cfg)
+    draw = inst.point(mixed_every=0)
+    a, b = inst.observable(), inst.observable()
+    # the gauge of random_gauge: one Haar block per cluster
+    blocks = [haar_unitary(m, inst.rng) for m in draw.spectrum.mults]
+    p, = yield [draw]
+    gauged = with_gauge(p, _block_diagonal(p, blocks), cfg)
     before = _scalar_panel(a, b, p, cfg)
     after = _scalar_panel(a, b, gauged, cfg)
     return float(np.max(np.abs(after - before))), _case(p, index)
 
 
-def _panel(name, inst, samples, check):
-    """Run a per-point ``check`` over max(2, 2 * len(dims)) points and report
-    the worst point, with the samples of all points counted."""
-    points = [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
+def _panel(inst, samples, check):
+    """Draw running a per-point ``check`` over max(2, 2 * len(dims)) points;
+    it returns the worst point's report and the samples of all points. The
+    checks draw from the stream after the points are built, which keeps its
+    order because the whole suite is this one draw."""
+    points = yield [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
     per_point = max(1, samples // len(points))
     reports = [check(p, per_point, inst.rng, inst.cfg) for p in points]
-    worst = max(reports, key=lambda r: r.max_residual)
-    return CheckReport.build(name, worst.max_residual, per_point * len(points),
-                             worst.tolerance, worst.worst_case)
+    return max(reports, key=lambda r: r.max_residual), per_point * len(points)
 
 
-def _check_involutivity(name, inst, samples):
-    return _panel(name, inst, samples, involutivity_check)
-
-
-def _check_nondegeneracy(name, inst, samples):
-    return _panel(name, inst, samples, nondegeneracy_check)
+def _panel_report(name, inst, samples, results):
+    (worst, count), = results
+    return CheckReport.build(name, worst.max_residual, count, worst.tolerance,
+                             worst.worst_case)
 
 
 def _fd_tolerance(cfg: Config) -> float:
@@ -288,26 +299,21 @@ def _fd_count(samples: int) -> int:
 
 
 def _nijenhuis(inst, index):
-    p = inst.multi_cluster_point()
-    a = inst.observable(p.dim)
-    b = inst.observable(p.dim)
+    p, a, b = yield [inst.multi_cluster_point(), inst.observable(), inst.observable()]
     return nijenhuis_fd(a, b, p, inst.cfg), _case(p, index)
 
 
 def _closedness(inst, index):
-    p = inst.multi_cluster_point()
-    a = inst.observable(p.dim)
-    b = inst.observable(p.dim)
-    c = inst.observable(p.dim)
+    p, a, b, c = yield [inst.multi_cluster_point(), inst.observable(), inst.observable(),
+                        inst.observable()]
     return closedness_check(a, b, c, p, inst.cfg), _case(p, index)
 
 
 def _bound_slack(field):
     """Draw checking one bound of :func:`full_report` by its ``field`` slack."""
     def draw(inst, index):
-        p = inst.point()
-        report = full_report(inst.observable(p.dim), inst.observable(p.dim), p, inst.cfg)
-        slack = getattr(report, field)
+        p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
+        slack = getattr(full_report(a, b, p, inst.cfg), field)
         return max(0.0, -slack), _case(p, index, slack=slack)
     return draw
 
@@ -315,8 +321,7 @@ def _bound_slack(field):
 def _pure_state_equality(inst, index):
     cfg = inst.cfg
     dim = inst.dims[index % len(inst.dims)]
-    p = _haar_point(pure_spectrum(dim, cfg), inst.rng, cfg)
-    a = inst.observable(dim)
+    p, a = yield [_Draw(_normals(dim, inst.rng), pure_spectrum(dim, cfg)), inst.observable(dim)]
     x = tangent_map(a, p, cfg)
     bound_term = 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real
     return abs(uncertainty(a, p, cfg) ** 2 - bound_term), {"sample": index, "dim": dim}
@@ -324,8 +329,7 @@ def _pure_state_equality(inst, index):
 
 def _variance_identity(inst, index):
     cfg = inst.cfg
-    p = inst.point()
-    a = inst.observable(p.dim)
+    p, a = yield [inst.point(), inst.observable()]
     delta_perp_sq, sum_plus, sum_minus = variance_decomposition(a, p, cfg)
     variance = uncertainty(a, p, cfg) ** 2
     residual = abs(variance - (delta_perp_sq + sum_plus))
@@ -337,8 +341,7 @@ def _variance_identity(inst, index):
 
 
 def _spectrum_preservation(inst, index):
-    p = inst.point(mixed_every=0)
-    h = inst.observable(p.dim)
+    p, h = yield [inst.point(mixed_every=0), inst.observable()]
     traj = trajectory(p, h, t_max=1.0, steps=5, cfg=inst.cfg)
     drift = 0.0
     for point in traj.points:
@@ -349,47 +352,82 @@ def _spectrum_preservation(inst, index):
 
 def _flow_composition(inst, index):
     cfg = inst.cfg
-    p = inst.point(mixed_every=0)
-    h = inst.observable(p.dim)
-    s, t = inst.rng.uniform(-1.0, 1.0, size=2)
-    two_step = evolve(evolve(p, h, float(s), cfg), h, float(t), cfg)
-    one_step = evolve(p, h, float(s + t), cfg)
+    p, h, (s, t) = yield [inst.point(mixed_every=0), inst.observable(),
+                          inst.rng.uniform(-1.0, 1.0, size=2)]
+    # the three propagators from one eigendecomposition of h
+    u_s, u_t, u_st = _propagators(h.matrix[None], (float(s), float(t), float(s + t)), cfg.hbar)
+    two_step = _conjugated(_conjugated(p, u_s[None], cfg)[0], u_t[None], cfg)[0]
+    one_step = _conjugated(p, u_st[None], cfg)[0]
     return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
 
 
 def _ehrenfest(inst, index):
-    p = inst.point(mixed_every=0)
-    a = inst.observable(p.dim)
-    h = inst.observable(p.dim)
+    p, a, h = yield [inst.point(mixed_every=0), inst.observable(), inst.observable()]
     return ehrenfest_check(a, h, p, inst.cfg), {"sample": index, "dim": p.dim}
 
 
 _CATALOG = [
-    ("j_squared", _sampled(_j_squared)),
-    ("omega_antisymmetry", _sampled(_omega_antisymmetry)),
-    ("metric_symmetry", _sampled(_metric_symmetry)),
-    ("metric_positivity", _check_metric_positivity),
-    ("compatibility", _sampled(_compatibility)),
-    ("hermitian_symmetry", _sampled(_hermitian_symmetry)),
-    ("block_formula", _sampled(_block_formula)),
-    ("tangent_roundtrip", _sampled(_tangent_roundtrip)),
-    ("split_orthogonality", _sampled(_split_orthogonality)),
-    ("ad_equivariance", _sampled(_ad_equivariance)),
-    ("gauge_invariance", _sampled(_gauge_invariance)),
-    ("involutivity", _check_involutivity),
-    ("nondegeneracy", _check_nondegeneracy),
-    ("nijenhuis_fd", _sampled(_nijenhuis, count=_fd_count, tolerance=_fd_tolerance)),
-    ("closedness_fd", _sampled(_closedness, count=_fd_count, tolerance=_fd_tolerance)),
-    ("uncertainty_bound", _sampled(_bound_slack("slack_geometric"))),
-    ("rs_baseline", _sampled(_bound_slack("slack_rs"))),
-    ("pure_state_equality", _sampled(_pure_state_equality)),
-    ("variance_identity", _sampled(_variance_identity)),
-    ("spectrum_preservation", _sampled(_spectrum_preservation, count=_fd_count)),
-    ("flow_composition", _sampled(_flow_composition, count=_fd_count)),
-    ("ehrenfest", _sampled(_ehrenfest, count=_fd_count, tolerance=_fd_tolerance)),
+    ("j_squared", *_sampled(_j_squared)),
+    ("omega_antisymmetry", *_sampled(_omega_antisymmetry)),
+    ("metric_symmetry", *_sampled(_metric_symmetry)),
+    ("metric_positivity", _sampled(_metric_positivity)[0], _metric_positivity_report),
+    ("compatibility", *_sampled(_compatibility)),
+    ("hermitian_symmetry", *_sampled(_hermitian_symmetry)),
+    ("block_formula", *_sampled(_block_formula)),
+    ("tangent_roundtrip", *_sampled(_tangent_roundtrip)),
+    ("split_orthogonality", *_sampled(_split_orthogonality)),
+    ("ad_equivariance", *_sampled(_ad_equivariance)),
+    ("gauge_invariance", *_sampled(_gauge_invariance)),
+    ("involutivity", lambda inst, samples: [_panel(inst, samples, involutivity_check)],
+     _panel_report),
+    ("nondegeneracy", lambda inst, samples: [_panel(inst, samples, nondegeneracy_check)],
+     _panel_report),
+    ("nijenhuis_fd", *_sampled(_nijenhuis, count=_fd_count, tolerance=_fd_tolerance)),
+    ("closedness_fd", *_sampled(_closedness, count=_fd_count, tolerance=_fd_tolerance)),
+    ("uncertainty_bound", *_sampled(_bound_slack("slack_geometric"))),
+    ("rs_baseline", *_sampled(_bound_slack("slack_rs"))),
+    ("pure_state_equality", *_sampled(_pure_state_equality)),
+    ("variance_identity", *_sampled(_variance_identity)),
+    ("spectrum_preservation", *_sampled(_spectrum_preservation, count=_fd_count)),
+    ("flow_composition", *_sampled(_flow_composition, count=_fd_count)),
+    ("ehrenfest", *_sampled(_ehrenfest, count=_fd_count, tolerance=_fd_tolerance)),
 ]
 
-CHECK_NAMES = tuple(name for name, _ in _CATALOG)
+CHECK_NAMES = tuple(name for name, _, _ in _CATALOG)
+
+
+def _evaluate(pending, cfg: Config):
+    """Build the points the pending samples drew, one stacked pass per dim,
+    and send each sample what it drew, points built, in draw order. A point
+    that fails its checks raises its own error once the samples drawn before
+    it are evaluated."""
+    drawn = [item for _, items, _ in pending for item in items]
+    built = list(drawn)
+    draws = [i for i, item in enumerate(drawn) if isinstance(item, _Draw)]
+    for dim in {drawn[i].spectrum.total_dim for i in draws}:
+        rows = [i for i in draws if drawn[i].spectrum.total_dim == dim]
+
+        def run(stack):
+            return _haar_points([drawn[i].spectrum for i in rows[:len(stack)]], stack, cfg)
+        frames = _haar_frames(np.stack([drawn[i].normals for i in rows]))
+        try:
+            points = _stacked(run, frames, _BatchFailure)
+        except _BatchFailure as failed:
+            m, error = failed.args
+            points = run(frames[:m]) + [error]  # the points after row m stay unbuilt
+        for i, point in zip(rows, points):
+            built[i] = point
+    start = 0
+    for sample, items, results in pending:
+        received = built[start:start + len(items)]
+        start += len(items)
+        for item in received:
+            if isinstance(item, Exception):
+                raise item
+        try:
+            sample.send(received)
+        except StopIteration as done:
+            results.append(done.value)
 
 
 def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
@@ -399,8 +437,8 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
 
     Deterministic given the arguments: every check gets its own child stream
     of the seed, so results do not depend on which other checks run. When
-    ``spectra`` (a list of :class:`Spectrum`) is given, sampled orbits are
-    drawn from it instead of from random spectra over ``dims``.
+    ``spectra`` (a nonempty list of :class:`Spectrum`) is given, sampled
+    orbits are drawn from it instead of from random spectra over ``dims``.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
@@ -409,16 +447,36 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not math.isfinite(perturb_j):
         raise ValueError(f"perturb_j must be finite, got {perturb_j}")
+    if spectra is not None and not len(spectra):
+        raise ValueError("the spectra pool is empty")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     children = np.random.SeedSequence(seed).spawn(len(_CATALOG))
-    reports = []
-    for (name, suite), child in zip(_CATALOG, children):
+    # (sample, what it drew, its suite's results), up to _CHUNK_ENTRIES
+    # matrix entries of pending draws at a time; a suite is reported, and its
+    # results let go, at the first evaluation after its last draw
+    pending, entries, drawn_suites, reports = [], 0, [], []
+    for (name, draws_of, report), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
         inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra,
                           perturb_j=perturb_j)
-        reports.append(suite(name, inst, samples))
-    return reports
+        results = []
+        for sample in draws_of(inst, samples):
+            try:
+                drawn = next(sample)
+            except Exception:
+                # a failing draw raises after the samples drawn before it
+                _evaluate(pending, cfg)
+                raise
+            pending.append((sample, drawn, results))
+            entries += sum(item.normals.size for item in drawn if isinstance(item, _Draw))
+            if entries >= _CHUNK_ENTRIES:
+                _evaluate(pending, cfg)
+                reports += [finish() for finish in drawn_suites]
+                pending, entries, drawn_suites = [], 0, []
+        drawn_suites.append(partial(report, name, inst, samples, results))
+    _evaluate(pending, cfg)
+    return reports + [finish() for finish in drawn_suites]

@@ -30,7 +30,7 @@ from .config import Config
 from .dynamics import trajectory
 from .errors import DimMismatchError, OrbitKahlerError, TheoremViolationError
 from .kahler import kahler_evaluation
-from .operators import _orbit_stack, _stacked, orbit_point
+from .operators import _CHUNK_ENTRIES, _orbit_stack, _prefixed, _stacked, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -51,11 +51,6 @@ _EXIT_DOMAIN = 3
 _EXIT_THEOREM = 4
 _EXIT_CHECKS = 5
 
-# sweep stacks at most this many matrix entries per pass, which bounds its
-# memory at large dims
-_SWEEP_CHUNK_ENTRIES = 2 ** 16
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -63,6 +58,13 @@ def _load_json(path: str):
 
 def _load_hermitian(path: str, cfg: Config):
     return hermitian_from_json(_load_json(path), cfg)
+
+
+def _load_spectra(path: str, cfg: Config) -> list:
+    items = _load_json(path)
+    if not isinstance(items, list):
+        raise ValueError(f"{path} must hold a JSON list of spectra, got {type(items).__name__}")
+    return [spectrum_from_json(item, cfg) for item in items]
 
 
 def _build_config(args) -> Config:
@@ -136,9 +138,7 @@ def _cmd_uncertainty(args, cfg: Config) -> int:
 def _cmd_checks(args, cfg: Config) -> int:
     dims = tuple(int(part) for part in args.dims.split(","))
     samples = min(args.samples, 100) if args.quick else args.samples
-    spectra = None
-    if args.spectra:
-        spectra = [spectrum_from_json(item, cfg) for item in _load_json(args.spectra)]
+    spectra = _load_spectra(args.spectra, cfg) if args.spectra else None
     reports = run_checks(dims=dims, samples=samples, seed=_seed(args), cfg=cfg,
                          perturb_j=args.perturb_j, spectra=spectra)
     _emit([dumps(check_report_to_json(r)) for r in reports], args.out)
@@ -170,8 +170,7 @@ def _cmd_sweep(args, cfg: Config) -> int:
     if args.grid is not None:
         eigenvalue_rows = [np.array([p, 1.0 - p]) for p in _parse_grid(args.grid)]
     else:
-        spectra = [spectrum_from_json(item, cfg) for item in _load_json(args.spectra)]
-        eigenvalue_rows = [s.full_values() for s in spectra]
+        eigenvalue_rows = [s.full_values() for s in _load_spectra(args.spectra, cfg)]
     dims = {len(row) for row in eigenvalue_rows}
     if len(dims) != 1:
         raise ValueError(f"all spectra in one sweep must share a dimension, got {dims}")
@@ -194,14 +193,15 @@ def _cmd_sweep(args, cfg: Config) -> int:
                       + ["deltaA", "deltaB", "product", "geom_bound", "rs_bound"])
     lines = [header]
     values = np.sort(np.array(eigenvalue_rows), axis=1)[:, ::-1]
-    chunk = max(1, _SWEEP_CHUNK_ENTRIES // dim ** 2)
+    chunk = max(1, _CHUNK_ENTRIES // dim ** 2)
     for start in range(0, len(values), chunk):
         rows = values[start:start + chunk]
         rhos = np.zeros(rows.shape + (dim,), dtype=complex)
         rhos[:, np.arange(dim), np.arange(dim)] = rows
         # deltaA to rs_bound; a failing row is named by its row in the sweep
         columns = _stacked(
-            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos, start)
+            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos,
+            lambda m, error: _prefixed(start + m, error))
         for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
             lines.append(",".join(map(repr, row + cells)))
     _emit(lines, args.out)

@@ -62,6 +62,8 @@ class Config:
         """Load a config from a JSON file mirroring the field names."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -5,6 +5,11 @@ The flow of the field generated by H is the conjugation
 diagonalizing the Hermitian generator. This keeps trajectories exactly on the
 orbit: the spectrum label never changes, and the frame is carried along by the
 same propagator rather than re-diagonalized.
+
+Flows are stacked: :func:`_flows` takes a point along a stack of generators
+to a stack of times with one eigendecomposition of the generators and one
+conjugation pass, and the flowed rows share the gap masks of the point. A
+single :func:`evolve` is that pass on one row.
 """
 
 from __future__ import annotations
@@ -15,34 +20,38 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger, _own_error
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
 
-def _propagator(w: np.ndarray, v: np.ndarray, t: float, hbar: float) -> np.ndarray:
-    return (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
+def _propagators(h: np.ndarray, times, hbar: float) -> np.ndarray:
+    """``exp(-i H t / hbar)`` for each H of the (G, d, d) stack ``h`` and each
+    of ``times``, from one eigendecomposition: (G * T, d, d), generator-major."""
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * w[:, None, :] * np.asarray(times, dtype=float)[:, None] / hbar)
+    u = (v[:, None] * phases[..., None, :]) @ _dagger(v)[:, None]
+    return u.reshape(-1, *h.shape[1:])
 
 
 def unitary_propagator(h: HermitianOperator, t: float, hbar: float) -> np.ndarray:
     """``exp(-i H t / hbar)`` via eigendecomposition of the Hermitian generator."""
-    return _propagator(*np.linalg.eigh(h.matrix), t, hbar)
+    return _propagators(h.matrix[None], (t,), hbar)[0]
 
 
 def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
-    return _conjugated(p, unitary_propagator(h, t, cfg.hbar), cfg)
+    return _flows(p, h.matrix[None], (t,), cfg)[0]
 
 
-def _flows(p: OrbitPoint, h: HermitianOperator, times, cfg: Config):
-    """Yield :func:`evolve` of ``p`` to each of ``times``, from one
-    eigendecomposition of ``h`` (taken when the first point is asked for)."""
-    _check_dims(p, h)
-    w, v = np.linalg.eigh(h.matrix)
-    for t in times:
-        yield _conjugated(p, _propagator(w, v, t, cfg.hbar), cfg)
+def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config, rename=_own_error):
+    """:func:`evolve` of ``p`` under each generator of the (G, d, d) stack
+    ``h`` to each of ``times``, as the rows of one conjugation pass (ordered
+    generator-major). The first failing row m raises ``rename(m, error)`` of
+    its own error."""
+    return _conjugated(p, _propagators(h, times, cfg.hbar), cfg, rename)
 
 
 def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
@@ -54,10 +63,9 @@ def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
     """
     _check_dims(p, a, h)
     step = cfg.fd_step
-    forward, backward = _flows(p, h, (step, -step), cfg)
-    derivative = (np.trace(forward.rho @ a.matrix).real
-                  - np.trace(backward.rho @ a.matrix).real) / (2.0 * step)
-    return abs(derivative - symplectic(a, h, p, cfg))
+    flowed = _flows(p, h.matrix[None], (step, -step), cfg)
+    forward, backward = (flowed.rho @ a.matrix).trace(axis1=-2, axis2=-1).real
+    return abs((forward - backward) / (2.0 * step) - symplectic(a, h, p, cfg))
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,8 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
     """Sample the flow of ``h`` at ``steps`` uniform times from 0 to ``t_max``."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_dims(p, h)
     times = np.linspace(0.0, t_max, steps)
-    flowed = _flows(p, h, [float(t) for t in times if t != 0.0], cfg)
+    flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))
     points = tuple(p if t == 0.0 else next(flowed) for t in times)
     return Trajectory(times=tuple(float(t) for t in times), points=points, generator=h)

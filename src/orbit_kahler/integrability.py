@@ -16,7 +16,9 @@ vanish: the first exactly, the second quadratically in the step.
 Directional derivatives always flow along exact unitary conjugations, never
 ODE steppers, so samples stay on the orbit and never drift across eigenvalue
 clusters; if a flowed point still fails validation, the checks raise
-:class:`DegenerateDriftError`.
+:class:`DegenerateDriftError`. Each check flows the point along all of its
+generators, forward and backward, in one stacked pass, and evaluates the
+fields on the flowed rows as one stack through the point-or-batch kernels.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .dynamics import _flows
-from .errors import DegenerateDriftError, OrbitKahlerError
-from .kahler import apply_J, symplectic, symplectic_tangent
-from .operators import HermitianOperator, OrbitPoint
+from .errors import DegenerateDriftError
+from .kahler import _apply_j, _real, apply_J, symplectic_tangent
+from .operators import HermitianOperator, OrbitPoint, _own_error, _stacked
 from .sampling import random_tangent
-from .tangent import TangentVector, _tangent, lift, tangent_map
+from .tangent import TangentVector, _lift, _tangent, tangent_map
 
 __all__ = [
     "CheckReport",
@@ -105,16 +107,6 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     return CheckReport.build("involutivity", max_residual, samples, tolerance, worst)
 
 
-def _fundamental_field(a: HermitianOperator, cfg: Config):
-    """The field q -> (1/(i hbar)) [A, rho_q], defined on the whole orbit."""
-    return lambda q: _tangent(a.matrix, q.rho, cfg.hbar)
-
-
-def _j_field(a: HermitianOperator, cfg: Config):
-    """The pointwise-J extension q -> J_q (fundamental field of A at q)."""
-    return lambda q: apply_J(tangent_map(a, q, cfg), cfg).ambient
-
-
 def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
     """Off-block-diagonal part of an ambient matrix, as a tangent vector at p.
 
@@ -126,32 +118,20 @@ def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
     return TangentVector(p, p.from_frame(framed))
 
 
-def _flow_pair(p: OrbitPoint, generator: HermitianOperator, cfg: Config) -> list:
-    """``p`` flowed under ``generator`` for times fd_step and -fd_step."""
+def _drift_flows(p: OrbitPoint, generators, cfg: Config):
+    """``p`` flowed under each generator for times fd_step and -fd_step, as
+    the rows of one stacked pass: (forward, backward) per generator."""
     times = (cfg.fd_step, -cfg.fd_step)
-    flows, pair = _flows(p, generator, times, cfg), []
-    for t in times:
-        try:
-            pair.append(next(flows))
-        except OrbitKahlerError as exc:
-            raise DegenerateDriftError(
-                f"flow for time {t} left the validated orbit neighborhood: {exc}") from exc
-    return pair
+
+    def drift(m, error):
+        return DegenerateDriftError(
+            f"flow for time {times[m % 2]} left the validated orbit neighborhood: {error}")
+    return _flows(p, np.stack(generators), times, cfg, drift)
 
 
-def _along(field, p: OrbitPoint, cfg: Config) -> tuple:
-    """``(field, forward, backward)``: an ambient-valued field with ``p``
-    flowed by +-fd_step along it (under the lift of its value at ``p``)."""
-    return (field, *_flow_pair(p, lift(TangentVector(p, field(p)), cfg), cfg))
-
-
-def _bracket(v: tuple, w: tuple, cfg: Config) -> np.ndarray:
-    """Lie bracket [V, W] at the base point, D_V W - D_W V by central
-    differences, of fields from :func:`_along`."""
-    (field_v, v_forward, v_backward), (field_w, w_forward, w_backward) = v, w
-    width = 2.0 * cfg.fd_step
-    return ((field_w(v_forward) - field_w(v_backward)) / width
-            - (field_v(w_forward) - field_v(w_backward)) / width)
+def _differences(values: np.ndarray, cfg: Config) -> np.ndarray:
+    """Central differences of fields evaluated at (forward, backward) row pairs."""
+    return (values[0::2] - values[1::2]) / (2.0 * cfg.fd_step)
 
 
 def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -162,16 +142,26 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     ``cfg.fd_step``; the exact value is zero, so the return is pure
     discretization residual, O(fd_step^2).
     """
-    field_a, field_b = (_along(_fundamental_field(x, cfg), p, cfg) for x in (a, b))
-    field_ja, field_jb = (_along(_j_field(x, cfg), p, cfg) for x in (a, b))
-    plain = _bracket(field_a, field_b, cfg)
-    mixed_a = _bracket(field_ja, field_b, cfg)
-    mixed_b = _bracket(field_a, field_jb, cfg)
-    twisted = _bracket(field_ja, field_jb, cfg)
-    total = (plain
+    hbar = cfg.hbar
+    # the fields X_A, X_B and their pointwise J, each flowed along the lift
+    # of its value at p
+    lifted = [_lift(_tangent(x.matrix, p.rho, hbar), p, hbar) for x in (a, b)]
+    flowed = _drift_flows(
+        p, lifted + [_lift(_apply_j(lift_x, p, cfg), p, hbar) for lift_x in lifted], cfg)
+    # along the flows of A and JA the fields of B and JB, along B and JB those of A and JA
+    other = np.stack([b.matrix, b.matrix, a.matrix, a.matrix] * 2)
+    plain = _tangent(other, flowed.rho, hbar)
+    twisted_values = _stacked(
+        lambda rows: _apply_j(_lift(plain[:len(rows)], rows, hbar), rows, cfg), flowed,
+        _own_error)
+    # D_A B, D_B A, D_JA B, D_JB A and D_A JB, D_B JA, D_JA JB, D_JB JA
+    d_plain, d_twisted = _differences(plain, cfg), _differences(twisted_values, cfg)
+    mixed_a = d_plain[2] - d_twisted[1]   # [JA, B]
+    mixed_b = d_twisted[0] - d_plain[3]   # [A, JB]
+    total = (d_plain[0] - d_plain[1]      # [A, B]
              + apply_J(_project_tangent(mixed_a, p), cfg).ambient
              + apply_J(_project_tangent(mixed_b, p), cfg).ambient
-             - twisted)
+             - (d_twisted[2] - d_twisted[3]))  # [JA, JB]
     return float(np.max(np.abs(total)))
 
 
@@ -184,27 +174,32 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     on pairwise brackets, normalized by 1/3. Exactly zero on the orbit; the
     return is the finite-difference residual, O(fd_step^2).
     """
-    step = cfg.fd_step
+    hbar = cfg.hbar
+    ops = (a.matrix, b.matrix, c.matrix)
+    lifted = [_lift(_tangent(x, p.rho, hbar), p, hbar) for x in ops]
+    # rows 0-5 flow along A, B, C; rows 6-11 along the lifts of X_A, X_B, X_C
+    flowed = _drift_flows(p, list(ops) + lifted, cfg)
 
-    def derivative_along(generator, first, second):
-        forward, backward = _flow_pair(p, generator, cfg)
-        return (symplectic(first, second, forward, cfg)
-                - symplectic(first, second, backward, cfg)) / (2.0 * step)
+    # omega(X_B, X_C), omega(X_A, X_C), omega(X_A, X_B) along the flows of A, B, C
+    commutators = np.repeat([ops[i] @ ops[j] - ops[j] @ ops[i]
+                             for i, j in ((1, 2), (0, 2), (0, 1))], 2, axis=0)
+    omega = _stacked(
+        lambda rows: _real((commutators[:len(rows)] @ rows.rho).trace(axis1=-2, axis2=-1)
+                           / (1j * hbar), cfg, "symplectic form"), flowed[:6], _own_error)
+    along_a, along_b, along_c = _differences(omega, cfg)
+    derivative_terms = along_a - along_b + along_c
 
-    derivative_terms = (derivative_along(a, b, c)
-                        - derivative_along(b, a, c)
-                        + derivative_along(c, a, b))
-
-    field_a, field_b, field_c = (_along(_fundamental_field(x, cfg), p, cfg)
-                                 for x in (a, b, c))
-    bracket_ab = _project_tangent(_bracket(field_a, field_b, cfg), p)
-    bracket_bc = _project_tangent(_bracket(field_b, field_c, cfg), p)
-    bracket_ca = _project_tangent(_bracket(field_c, field_a, cfg), p)
+    # D_A B, D_B A, D_B C, D_C B, D_C A, D_A C for [A, B], [B, C], [C, A]
+    rows = [6, 7, 8, 9, 8, 9, 10, 11, 10, 11, 6, 7]
+    fields = np.stack([ops[i] for i in (1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2)])
+    derivatives = _differences(_tangent(fields, flowed.rho[rows], hbar), cfg)
+    bracket_ab, bracket_bc, bracket_ca = (
+        _project_tangent(bracket, p) for bracket in derivatives[0::2] - derivatives[1::2])
     bracket_terms = (symplectic_tangent(bracket_ab, tangent_map(c, p, cfg), cfg)
                      + symplectic_tangent(bracket_bc, tangent_map(a, p, cfg), cfg)
                      + symplectic_tangent(bracket_ca, tangent_map(b, p, cfg), cfg))
 
-    return abs((derivative_terms + bracket_terms) / 3.0)
+    return float(abs((derivative_terms + bracket_terms) / 3.0))
 
 
 def nondegeneracy_check(p: OrbitPoint, samples: int, seed,

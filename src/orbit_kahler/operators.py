@@ -78,7 +78,8 @@ def _check_dims(p: "OrbitPoint", *operators):
 
 class _BatchFailure(Exception):
     """A check failed on a batch: ``args`` are its first failing row and the
-    error that row raises alone. Only :func:`_stacked` catches it."""
+    error that row raises alone. Only :func:`_stacked` and its callers that
+    ask for it back catch it."""
 
 
 def _require(bad, error, message):
@@ -96,22 +97,37 @@ def _require(bad, error, message):
         raise _BatchFailure(m, error(message(m)))
 
 
-def _stacked(run, rows, start=0):
-    """``run(rows)``, a stacked pass; if a check fails on some row, raise the
-    error that the first failing row raises alone.
+def _prefixed(m, error):
+    """The error of row m, its message prefixed ``row m:``."""
+    return type(error)(f"row {m}: {error}")
+
+
+def _own_error(m, error):
+    return error
+
+
+def _stacked(run, rows, rename=_prefixed):
+    """``run(rows)``, a stacked pass; if a check fails on some row, raise
+    ``rename(m, error)`` of the first failing row m and the error it raises
+    alone: by default that error prefixed ``row m:``; ``_BatchFailure`` hands
+    both to a caller that catches it.
 
     When the pass fails at row m, the rows before m passed that check but
     may fail a later one, so the pass re-runs on ``rows[:m]``: it either
-    passes or names an earlier row, at a later check. Once a prefix passes,
-    row m's error is raised, prefixed ``row i:`` with i counted from ``start``.
+    passes or names an earlier row, at a later check.
     """
     try:
         return run(rows)
     except _BatchFailure as failure:
         m, error = failure.args
     if m:
-        _stacked(run, rows[:m], start)
-    raise type(error)(f"row {start + m}: {error}")
+        _stacked(run, rows[:m], rename)
+    raise rename(m, error)
+
+
+# a stacked pass over many points holds at most this many matrix entries,
+# which bounds its memory at large dims
+_CHUNK_ENTRIES = 2 ** 16
 
 
 def _require_finite(arr: np.ndarray, error):
@@ -308,6 +324,21 @@ class OrbitPoint(_GapMasks):
         return _from_frame(self.frame, matrix)
 
 
+def _handed(p: OrbitPoint, masks, row=()) -> OrbitPoint:
+    """``p`` handed row ``row`` of the gap masks of ``masks``, which equal its
+    own, so that it never computes them."""
+    p.__dict__.update((name, getattr(masks, name)[row])
+                      for name in ("eigenvalues", "gaps", "same_cluster", "inv_gaps"))
+    return p
+
+
+def _cluster_starts(values: np.ndarray) -> np.ndarray:
+    """The first index of each cluster in rows of repeated eigenvalues."""
+    starts = np.ones(values.shape, bool)
+    starts[..., 1:] = values[..., 1:] != values[..., :-1]
+    return starts
+
+
 def _spectrum(values: np.ndarray, cluster_start: np.ndarray) -> Spectrum:
     bounds = cluster_start.nonzero()[0].tolist() + [values.size]
     return Spectrum(values=tuple(values[bounds[:-1]].tolist()),
@@ -390,20 +421,30 @@ def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
                        f"residual {residual[i]:.3e}")
 
 
-def _validate_point(rho: np.ndarray, spectrum: Spectrum, frame: np.ndarray,
-                    cfg: Config) -> OrbitPoint:
+def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
+                 cfg: Config) -> OrbitBatch:
+    """The stack of the Hermitian parts of ``rho``, checked to be reduced to
+    diag(values) by ``frame``, which must be finite and unitary."""
+    rho = 0.5 * (rho + _dagger(rho))
     # a frame built from outside input may be non-finite, which the products
     # in the checks would only warn about
     _require_finite(frame, NotUnitaryError)
-    _require_frame(rho, frame, spectrum.full_values(), cfg)
-    return OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
+    _require_frame(rho, frame, values, cfg)
+    return OrbitBatch(rho, frame, values, _cluster_starts(values))
 
 
-def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
-    """The point ``U rho U^dag`` with frame ``U U_p`` and the spectrum of ``p``."""
-    rho = u @ p.rho @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return _validate_point(rho, p.spectrum, u @ p.frame, cfg)
+def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
+                rename=_own_error) -> OrbitBatch:
+    """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d)
+    stack ``u``, checked in one stacked pass; a failing row raises
+    ``rename(m, error)`` of its own error. Conjugation keeps the spectrum, so
+    the rows share the (d, d) gap masks of ``p``, which broadcast."""
+    def conjugate(u):
+        batch = _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
+                             np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg)
+        batch.__dict__.update(gaps=p.gaps, same_cluster=p.same_cluster, inv_gaps=p.inv_gaps)
+        return batch
+    return _stacked(conjugate, u, rename)
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
@@ -496,7 +537,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     u = np.asarray(unitary, dtype=np.complex128)
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
-    return _conjugated(p, u, cfg)
+    return _conjugated(p, u[None], cfg)[0]
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
@@ -512,17 +553,41 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
         raise DimMismatchError(f"gauge shape {v.shape} vs dim {p.dim}")
     if np.max(np.abs(v), where=~p.same_cluster, initial=0.0) > cfg.tol_unitary:
         raise NotUnitaryError("gauge matrix is not block diagonal for this point")
-    return _validate_point(p.rho, p.spectrum, p.frame @ v, cfg)
+    frame = p.frame @ v
+    _require_finite(frame, NotUnitaryError)
+    _require_frame(p.rho, frame, p.eigenvalues, cfg)
+    return _handed(OrbitPoint(rho=p.rho, spectrum=p.spectrum, frame=frame), p)
+
+
+def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Gaussian (dim, dim) matrix of one Haar draw."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_frames(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from an (N, d, d) stack of normals: one QR, phases fixed."""
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
+def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> list:
+    """The points ``U diag(lambda) U^dag`` with frame U, one per spectrum and
+    row U of the (N, d, d) stack ``frames``, checked in one stacked pass and
+    handed the stack's gap masks. A failing row raises :class:`_BatchFailure`."""
+    values = np.array([s.full_values() for s in spectra]).reshape(frames.shape[:-1])
+    diagonal = np.zeros(frames.shape)  # rows of np.diag(values)
+    index = np.arange(frames.shape[-1])
+    diagonal[:, index, index] = values
+    batch = _point_stack(frames @ diagonal @ _dagger(frames), frames, values, cfg)
+    return [_handed(OrbitPoint(rho=batch.rho[i], spectrum=spectrum, frame=batch.frame[i]),
+                    batch, i) for i, spectrum in enumerate(spectra)]
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary from a seeded stream (QR with phase fix)."""
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar_frames(_normals(dim, np.random.default_rng(seed))[None])[0]
 
 
 def random_density(spectrum: Spectrum, seed,
@@ -537,7 +602,5 @@ def random_density(spectrum: Spectrum, seed,
 
 def _haar_point(spectrum: Spectrum, seed, cfg: Config) -> OrbitPoint:
     """:func:`random_density` on a spectrum :func:`make_spectrum` has built."""
-    u = haar_unitary(spectrum.total_dim, seed)
-    rho = u @ np.diag(spectrum.full_values()) @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return _validate_point(rho, spectrum, u, cfg)
+    frames = haar_unitary(spectrum.total_dim, seed)[None]
+    return _stacked(lambda rows: _haar_points([spectrum], rows, cfg), frames, _own_error)[0]

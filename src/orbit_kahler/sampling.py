@@ -91,8 +91,12 @@ def random_tangent(p: OrbitPoint, rng: np.random.Generator,
 
 def random_gauge(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Haar-random intra-cluster gauge: block-diagonal unitary for ``p``."""
+    return _block_diagonal(p, [haar_unitary(m, rng) for m in p.spectrum.mults])
+
+
+def _block_diagonal(p: OrbitPoint, blocks) -> np.ndarray:
+    """The block-diagonal matrix for ``p`` with one block per cluster, in order."""
     out = np.zeros((p.dim, p.dim), dtype=np.complex128)
     # in row-major order the mask runs through the cluster blocks one by one
-    out[p.same_cluster] = np.concatenate([haar_unitary(m, rng).ravel()
-                                          for m in p.spectrum.mults])
+    out[p.same_cluster] = np.concatenate([block.ravel() for block in blocks])
     return out

@@ -71,12 +71,15 @@ def _std(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> np.ndarray:
 
 
 def _geometric(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray,
-               rb: np.ndarray, p, cfg: Config) -> np.ndarray:
-    g, omega = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar, ra),
-                        _tangent(b.matrix, p.rho, cfg.hbar, rb), p, cfg)
+               rb: np.ndarray, p, cfg: Config, parts=None) -> np.ndarray:
+    """(hbar/2) |h(X_A, X_B)|; ``parts`` is ``(g, omega)`` of X_A, X_B when the
+    caller has evaluated it already."""
+    if parts is None:
+        parts = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar, ra),
+                         _tangent(b.matrix, p.rho, cfg.hbar, rb), p, cfg)
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
-    return 0.5 * cfg.hbar * np.hypot(g, omega)
+    return 0.5 * cfg.hbar * np.hypot(*parts)
 
 
 def _rs(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray, rb: np.ndarray,
@@ -172,14 +175,16 @@ class UncertaintyReport:
     slack_rs: float
 
 
-def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config) -> tuple:
+def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
+            parts=None) -> tuple:
     """The :class:`UncertaintyReport` fields at a point (0-d) or batch (N,);
-    rho A and rho B are formed once and shared by the four kernels."""
+    rho A and rho B are formed once and shared by the four kernels, and
+    ``parts`` is passed on to :func:`_geometric`."""
     ra = p.rho @ a.matrix
     rb = p.rho @ b.matrix
     delta_a = _std(a, ra, cfg)
     delta_b = _std(b, rb, cfg)
-    geometric = _geometric(a, b, ra, rb, p, cfg)
+    geometric = _geometric(a, b, ra, rb, p, cfg, parts)
     robertson = _rs(a, b, ra, rb, p, cfg)
     product = delta_a * delta_b
     slack_geometric = product - geometric

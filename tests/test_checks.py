@@ -73,6 +73,10 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="single-cluster"):
             _suite(dims=(1,), samples=2)
 
+    def test_empty_spectra_pool_rejected(self):
+        with pytest.raises(ValueError, match="spectra pool is empty"):
+            _suite(spectra=[])
+
     @pytest.mark.parametrize("perturb_j", [math.nan, math.inf])
     def test_non_finite_perturb_j_rejected(self, perturb_j):
         with pytest.raises(ValueError, match="perturb_j must be finite"):
@@ -124,6 +128,19 @@ def test_single_suite_matches_full_run(full_catalog, name):
     samples, lines = full_catalog
     alone = run_checks(samples=samples, seed=4, names=[name])
     assert [dumps(check_report_to_json(r)) for r in alone] == [lines[name]]
+
+
+@pytest.mark.parametrize("entries", [1, 60])
+def test_chunked_catalog_unchanged(entries, monkeypatch):
+    # pending draws are built and evaluated whenever they reach the chunk
+    # size in matrix entries: after every sample, or every few samples
+    import orbit_kahler.checks as checks_module
+
+    def lines():
+        return [dumps(check_report_to_json(r)) for r in _suite(samples=12, seed=3)]
+    whole = lines()
+    monkeypatch.setattr(checks_module, "_CHUNK_ENTRIES", entries)
+    assert lines() == whole
 
 
 def test_random_spectrum_rejects_dim_below_1():

@@ -140,6 +140,15 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.out == "" and "hbar must be finite" in captured.err
 
+    @pytest.mark.parametrize("content", ["5", "null", "[[1]]", '["hbar"]'])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, content):
+        # each raised a TypeError, which left the CLI with a traceback
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        assert main(["sweep", "--grid", "0.5:1:3", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must hold a JSON object" in captured.err
+
     @pytest.mark.parametrize("value", ["1", True])
     def test_non_numeric_config_value_exits_2(self, qubit_files, tmp_path, capsys, value):
         # a string used to crash with a TypeError, and true was taken as hbar = 1
@@ -263,6 +272,22 @@ class TestChecksCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize("command", [["checks", "--samples", "2"], ["sweep"]])
+    def test_spectra_not_a_list_exits_2(self, command, tmp_path, capsys):
+        spectra = tmp_path / "spectra.json"
+        spectra.write_text("5")
+        assert main(command + ["--spectra", str(spectra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must hold a JSON list of spectra" in captured.err
+
+    def test_empty_spectra_pool_exits_2(self, tmp_path, capsys):
+        # it used to fall back to the default dims and exit 0
+        spectra = tmp_path / "spectra.json"
+        spectra.write_text("[]")
+        assert main(["checks", "--samples", "2", "--spectra", str(spectra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "spectra pool is empty" in captured.err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         base = ["checks", "--dims", "2", "--samples", "8"]
@@ -398,7 +423,7 @@ class TestSweepCommand:
     def test_row_named_across_chunks(self, monkeypatch, capsys):
         import orbit_kahler.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_SWEEP_CHUNK_ENTRIES", 4)  # one qubit row
+        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 4)  # one qubit row
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
         assert "row 1:" in capsys.readouterr().err
 
@@ -406,14 +431,14 @@ class TestSweepCommand:
         import orbit_kahler.cli as cli_module
 
         args = ["sweep", "--spectra", str(DATA / "spectra_d5.json"), "--seed", "5"]
-        monkeypatch.setattr(cli_module, "_SWEEP_CHUNK_ENTRIES", 25)  # one d=5 row
+        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 25)  # one d=5 row
         assert main(args) == 0
         assert capsys.readouterr().out == (DATA / "sweep_spectra_d5_seed5.csv").read_text()
 
     def test_grid_longer_than_one_chunk(self, qubit_files, tmp_path):
         import orbit_kahler.cli as cli_module
 
-        rows = 2 * cli_module._SWEEP_CHUNK_ENTRIES // 4 + 3
+        rows = 2 * cli_module._CHUNK_ENTRIES // 4 + 3
         out = tmp_path / "long.csv"
         assert main(["sweep", "--grid", f"0.5:1.0:{rows}", "--a", qubit_files["a"],
                      "--b", qubit_files["b"], "--out", str(out)]) == 0

@@ -143,3 +143,26 @@ class TestTrajectorySpectra:
             assert point.spectrum == p.spectrum
             residual = point.to_frame(point.rho) - np.diag(point.eigenvalues)
             assert np.max(np.abs(residual)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 8])
+def test_flow_rows_equal_one_evolve_each(dim):
+    # one stacked pass over (generator, time) rows gives, row for row, the
+    # point evolve returns alone and the per-matrix propagator's conjugation
+    from orbit_kahler.dynamics import _flows
+
+    rng = np.random.default_rng(dim)
+    p = random_point(dim, rng)
+    generators = [gaussian_hermitian(dim, rng) for _ in range(3)]
+    times = (1e-4, -1e-4, 0.7)
+    flowed = _flows(p, np.stack([h.matrix for h in generators]), times, Config())
+    assert flowed.gaps is p.gaps and flowed.inv_gaps is p.inv_gaps
+    for row, (h, t) in enumerate((h, t) for h in generators for t in times):
+        alone = evolve(p, h, t)
+        w, v = np.linalg.eigh(h.matrix)
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        rho = u @ p.rho @ u.conj().T
+        for point in (flowed[row], alone):
+            assert point.spectrum == p.spectrum
+            assert np.array_equal(point.rho, 0.5 * (rho + rho.conj().T))
+            assert np.array_equal(point.frame, u @ p.frame)

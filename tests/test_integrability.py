@@ -90,21 +90,21 @@ class TestNijenhuis:
     @pytest.mark.parametrize("failing_call, sign", [(1, ""), (2, "-")])
     def test_drift_names_time_of_failing_flow(self, sigma_x, sigma_y, qubit_point,
                                               monkeypatch, failing_call, sign):
-        # the +fd_step and -fd_step flows share one eigendecomposition; the
-        # error still names the one that failed
-        import orbit_kahler.dynamics as dynamics
+        # all flows of the check run as one stack, with the flow of X_A at
+        # +fd_step and -fd_step in rows 0 and 1; the error still names the
+        # time of the row that failed
+        import orbit_kahler.operators as operators
         from orbit_kahler.errors import NotUnitaryError
 
-        calls = []
-        original = dynamics._conjugated
+        row = failing_call - 1
+        original = operators._require_frame
 
-        def conjugated(p, u, cfg):
-            calls.append(u)
-            if len(calls) == failing_call:
-                raise NotUnitaryError("injected")
-            return original(p, u, cfg)
+        def require_frame(rho, frame, values, cfg):
+            original(rho, frame, values, cfg)
+            if frame.ndim == 3 and len(frame) > row:
+                raise operators._BatchFailure(row, NotUnitaryError("injected"))
 
-        monkeypatch.setattr(dynamics, "_conjugated", conjugated)
+        monkeypatch.setattr(operators, "_require_frame", require_frame)
         step = Config().fd_step
         with pytest.raises(DegenerateDriftError,
                            match=f"^flow for time {sign}{step} left .*: injected$"):

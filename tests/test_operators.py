@@ -240,3 +240,43 @@ class TestGauge:
         p = random_density(make_spectrum([0.4, 0.1], [2, 2]), rng)
         with pytest.raises(NotUnitaryError):
             with_gauge(p, haar_unitary(4, rng))
+
+
+def _per_matrix_haar(dim, rng):
+    """The per-matrix Haar draw that the stacked pass replaced: QR of one
+    normal matrix, phases fixed."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 8])
+def test_haar_pass_rows_equal_one_point_draws(dim):
+    # a stacked pass over draws of one stream gives, row for row, exactly
+    # the points and unitaries drawn one at a time from the same stream
+    from orbit_kahler.operators import OrbitPoint, _haar_frames, _haar_points, _normals
+    from orbit_kahler.sampling import maximally_mixed_spectrum, pure_spectrum
+
+    cfg = Config()
+    rng = np.random.default_rng(100 + dim)
+    # random spectra (degenerate ones included) and the one-cluster and
+    # rank-one edge cases
+    spectra = ([random_spectrum(dim, rng) for _ in range(12)]
+               + [maximally_mixed_spectrum(dim), pure_spectrum(dim)])
+    stream = np.random.default_rng(dim)
+    frames = _haar_frames(np.stack([_normals(dim, stream) for _ in spectra]))
+    points = _haar_points(spectra, frames, cfg)
+    unitaries, densities, reference = (np.random.default_rng(dim) for _ in range(3))
+    for spectrum, frame, point in zip(spectra, frames, points):
+        assert np.array_equal(frame, haar_unitary(dim, unitaries))
+        alone = random_density(spectrum, densities)
+        u = _per_matrix_haar(dim, reference)
+        rho = u @ np.diag(spectrum.full_values()) @ u.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        fresh = OrbitPoint(rho=rho, spectrum=spectrum, frame=u)
+        for other in (alone, fresh):
+            assert other.spectrum == point.spectrum
+            for name in ("rho", "frame", "eigenvalues", "gaps", "same_cluster", "inv_gaps"):
+                assert np.array_equal(getattr(point, name), getattr(other, name)), name
