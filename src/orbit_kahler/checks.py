@@ -10,11 +10,11 @@ A sample runs in three steps: draw, build, evaluate. Its draw function takes
 everything it needs from the stream (spectra and Haar normals of its points,
 observables, unitaries) and yields that list, with each point still pending.
 ``run_checks`` runs the draws of every selected suite first, then builds all
-pending points of one dim in one stacked pass (one QR, one check, the gap
-masks once per stack), then sends each sample its list back, points built,
-to evaluate in draw order. No step after a yield touches the stream (each
-panel suite is one draw, so its checks may), so every suite draws exactly
-what it drew one sample at a time.
+pending points of one dim in one stacked pass (one QR, one frame check),
+then sends each sample its list back, points built, to evaluate in draw
+order. No step after a yield touches the stream (each panel suite is one
+draw, so its checks may), so every suite draws exactly what it drew one
+sample at a time.
 
 ``perturb_j`` is a fault-injection hook for the J^2 = -1 suite: it adds a
 multiple of the input vector to J(J(X)) so the suite must fail, which guards
@@ -50,12 +50,12 @@ from .kahler import (
 )
 from .operators import (
     _CHUNK_ENTRIES,
-    _BatchFailure,
     _conjugated,
     _haar_frames,
     _haar_points,
     _normals,
-    _stacked,
+    _passing,
+    _points,
     conjugate,
     conjugate_point,
     haar_unitary,
@@ -63,7 +63,7 @@ from .operators import (
     with_gauge,
 )
 from .sampling import (
-    _block_diagonal,
+    _random_gauge,
     gaussian_hermitian,
     maximally_mixed_spectrum,
     pure_spectrum,
@@ -263,10 +263,9 @@ def _gauge_invariance(inst, index):
     cfg = inst.cfg
     draw = inst.point(mixed_every=0)
     a, b = inst.observable(), inst.observable()
-    # the gauge of random_gauge: one Haar block per cluster
-    blocks = [haar_unitary(m, inst.rng) for m in draw.spectrum.mults]
+    gauge = _random_gauge(draw.spectrum, inst.rng)
     p, = yield [draw]
-    gauged = with_gauge(p, _block_diagonal(p, blocks), cfg)
+    gauged = with_gauge(p, gauge, cfg)
     before = _scalar_panel(a, b, p, cfg)
     after = _scalar_panel(a, b, gauged, cfg)
     return float(np.max(np.abs(after - before))), _case(p, index)
@@ -356,8 +355,9 @@ def _flow_composition(inst, index):
                           inst.rng.uniform(-1.0, 1.0, size=2)]
     # the three propagators from one eigendecomposition of h
     u_s, u_t, u_st = _propagators(h.matrix[None], (float(s), float(t), float(s + t)), cfg.hbar)
-    two_step = _conjugated(_conjugated(p, u_s[None], cfg)[0], u_t[None], cfg)[0]
-    one_step = _conjugated(p, u_st[None], cfg)[0]
+    two_step = _conjugated(_points(_conjugated(p, u_s[None], cfg), [p.spectrum])[0],
+                           u_t[None], cfg)
+    one_step = _conjugated(p, u_st[None], cfg)
     return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
 
 
@@ -406,16 +406,11 @@ def _evaluate(pending, cfg: Config):
     draws = [i for i, item in enumerate(drawn) if isinstance(item, _Draw)]
     for dim in {drawn[i].spectrum.total_dim for i in draws}:
         rows = [i for i in draws if drawn[i].spectrum.total_dim == dim]
-
-        def run(stack):
-            return _haar_points([drawn[i].spectrum for i in rows[:len(stack)]], stack, cfg)
-        frames = _haar_frames(np.stack([drawn[i].normals for i in rows]))
-        try:
-            points = _stacked(run, frames, _BatchFailure)
-        except _BatchFailure as failed:
-            m, error = failed.args
-            points = run(frames[:m]) + [error]  # the points after row m stay unbuilt
-        for i, point in zip(rows, points):
+        points, failure = _passing(
+            lambda stack: _haar_points([drawn[i].spectrum for i in rows[:len(stack)]], stack, cfg),
+            _haar_frames(np.stack([drawn[i].normals for i in rows])))
+        # a failing row m is built as its error, and the rows after it not at all
+        for i, point in zip(rows, (points or []) + ([failure[1]] if failure else [])):
             built[i] = point
     start = 0
     for sample, items, results in pending:

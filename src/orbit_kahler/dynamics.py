@@ -8,19 +8,20 @@ same propagator rather than re-diagonalized.
 
 Flows are stacked: :func:`_flows` takes a point along a stack of generators
 to a stack of times with one eigendecomposition of the generators and one
-conjugation pass, and the flowed rows share the gap masks of the point. A
+conjugation pass, and the flowed points keep the spectrum of the point. A
 single :func:`evolve` is that pass on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger, _own_error
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger, _points
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
@@ -43,14 +44,13 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
-    return _flows(p, h.matrix[None], (t,), cfg)[0]
+    return _points(_flows(p, h.matrix[None], (t,), cfg), [p.spectrum])[0]
 
 
-def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config, rename=_own_error):
+def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config, rename=None):
     """:func:`evolve` of ``p`` under each generator of the (G, d, d) stack
     ``h`` to each of ``times``, as the rows of one conjugation pass (ordered
-    generator-major). The first failing row m raises ``rename(m, error)`` of
-    its own error."""
+    generator-major), failing as :func:`_stacked`."""
     return _conjugated(p, _propagators(h, times, cfg.hbar), cfg, rename)
 
 
@@ -84,6 +84,7 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_dims(p, h)
     times = np.linspace(0.0, t_max, steps)
-    flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))
+    flowed = _flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg)
+    flowed = iter(_points(flowed, repeat(p.spectrum)))
     points = tuple(p if t == 0.0 else next(flowed) for t in times)
     return Trajectory(times=tuple(float(t) for t in times), points=points, generator=h)

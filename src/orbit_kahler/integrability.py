@@ -30,8 +30,8 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG
 from .dynamics import _flows
 from .errors import DegenerateDriftError
-from .kahler import _apply_j, _real, apply_J, symplectic_tangent
-from .operators import HermitianOperator, OrbitPoint, _own_error, _stacked
+from .kahler import _apply_j, _symplectic, apply_J, symplectic_tangent
+from .operators import HermitianOperator, OrbitPoint, _stacked
 from .sampling import random_tangent
 from .tangent import TangentVector, _lift, _tangent, tangent_map
 
@@ -152,8 +152,7 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     other = np.stack([b.matrix, b.matrix, a.matrix, a.matrix] * 2)
     plain = _tangent(other, flowed.rho, hbar)
     twisted_values = _stacked(
-        lambda rows: _apply_j(_lift(plain[:len(rows)], rows, hbar), rows, cfg), flowed,
-        _own_error)
+        lambda rows: _apply_j(_lift(plain[:len(rows)], rows, hbar), rows, cfg), flowed)
     # D_A B, D_B A, D_JA B, D_JB A and D_A JB, D_B JA, D_JA JB, D_JB JA
     d_plain, d_twisted = _differences(plain, cfg), _differences(twisted_values, cfg)
     mixed_a = d_plain[2] - d_twisted[1]   # [JA, B]
@@ -183,9 +182,8 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     # omega(X_B, X_C), omega(X_A, X_C), omega(X_A, X_B) along the flows of A, B, C
     commutators = np.repeat([ops[i] @ ops[j] - ops[j] @ ops[i]
                              for i, j in ((1, 2), (0, 2), (0, 1))], 2, axis=0)
-    omega = _stacked(
-        lambda rows: _real((commutators[:len(rows)] @ rows.rho).trace(axis1=-2, axis2=-1)
-                           / (1j * hbar), cfg, "symplectic form"), flowed[:6], _own_error)
+    omega = _stacked(lambda rows: _symplectic(commutators[:len(rows)], rows.rho, cfg),
+                     flowed[:6])
     along_a, along_b, along_c = _differences(omega, cfg)
     derivative_terms = along_a - along_b + along_c
 

@@ -96,6 +96,13 @@ def _pairing(lifted: np.ndarray, y: np.ndarray, cfg: Config) -> np.ndarray:
     return _real((lifted @ y).trace(axis1=-2, axis2=-1), cfg, "symplectic form")
 
 
+def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndarray:
+    """(1/(i hbar)) Tr([A, B] rho) from ``commutator = [A, B]``, over the
+    trailing two axes of both."""
+    z = (commutator @ rho).trace(axis1=-2, axis2=-1) / (1j * cfg.hbar)
+    return _real(z, cfg, "symplectic form")
+
+
 def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
     """``(g, omega)`` of tangent matrices x, y at a point or batch ``p``."""
     lifted = _lift(x, p, cfg.hbar)
@@ -130,9 +137,7 @@ def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     :class:`NonRealResultError` instead of being discarded.
     """
     _check_dims(p, a, b)
-    commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
-    z = np.trace(commutator @ p.rho) / (1j * cfg.hbar)
-    return float(_real(z, cfg, "symplectic form"))
+    return float(_symplectic(a.matrix @ b.matrix - b.matrix @ a.matrix, p.rho, cfg))
 
 
 def symplectic_tangent(x: TangentVector, y: TangentVector,

@@ -78,8 +78,7 @@ def _check_dims(p: "OrbitPoint", *operators):
 
 class _BatchFailure(Exception):
     """A check failed on a batch: ``args`` are its first failing row and the
-    error that row raises alone. Only :func:`_stacked` and its callers that
-    ask for it back catch it."""
+    error that row raises alone. Only :func:`_passing` catches it."""
 
 
 def _require(bad, error, message):
@@ -102,32 +101,38 @@ def _prefixed(m, error):
     return type(error)(f"row {m}: {error}")
 
 
-def _own_error(m, error):
-    return error
-
-
-def _stacked(run, rows, rename=_prefixed):
-    """``run(rows)``, a stacked pass; if a check fails on some row, raise
-    ``rename(m, error)`` of the first failing row m and the error it raises
-    alone: by default that error prefixed ``row m:``; ``_BatchFailure`` hands
-    both to a caller that catches it.
+def _passing(run, rows):
+    """``(run(rows), None)`` if the stacked pass passes; if a check fails on
+    some row, ``(run(rows[:m]), (m, error))`` for the first failing row m
+    and the error it raises alone (None in place of the run when m is 0).
 
     When the pass fails at row m, the rows before m passed that check but
     may fail a later one, so the pass re-runs on ``rows[:m]``: it either
     passes or names an earlier row, at a later check.
     """
     try:
-        return run(rows)
+        return run(rows), None
     except _BatchFailure as failure:
         m, error = failure.args
-    if m:
-        _stacked(run, rows[:m], rename)
-    raise rename(m, error)
+    if not m:
+        return None, (m, error)
+    done, earlier = _passing(run, rows[:m])
+    return done, earlier or (m, error)
+
+
+def _stacked(run, rows, rename=None):
+    """``run(rows)``, a stacked pass; the first failing row m raises its own
+    error, or ``rename(m, error)`` of it (:func:`_prefixed`, for one)."""
+    done, failure = _passing(run, rows)
+    if failure:
+        raise rename(*failure) if rename else failure[1]
+    return done
 
 
 # a stacked pass over many points holds at most this many matrix entries,
-# which bounds its memory at large dims
-_CHUNK_ENTRIES = 2 ** 16
+# which bounds its memory at large dims; 2 ** 16 ran no faster on 2 vCPUs and
+# peaked at 52 MB RSS against 40 MB for checks --samples 1000 --dims 3,12
+_CHUNK_ENTRIES = 2 ** 12
 
 
 def _require_finite(arr: np.ndarray, error):
@@ -324,14 +329,6 @@ class OrbitPoint(_GapMasks):
         return _from_frame(self.frame, matrix)
 
 
-def _handed(p: OrbitPoint, masks, row=()) -> OrbitPoint:
-    """``p`` handed row ``row`` of the gap masks of ``masks``, which equal its
-    own, so that it never computes them."""
-    p.__dict__.update((name, getattr(masks, name)[row])
-                      for name in ("eigenvalues", "gaps", "same_cluster", "inv_gaps"))
-    return p
-
-
 def _cluster_starts(values: np.ndarray) -> np.ndarray:
     """The first index of each cluster in rows of repeated eigenvalues."""
     starts = np.ones(values.shape, bool)
@@ -434,17 +431,18 @@ def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
 
 
 def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
-                rename=_own_error) -> OrbitBatch:
+                rename=None) -> OrbitBatch:
     """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d)
-    stack ``u``, checked in one stacked pass; a failing row raises
-    ``rename(m, error)`` of its own error. Conjugation keeps the spectrum, so
-    the rows share the (d, d) gap masks of ``p``, which broadcast."""
-    def conjugate(u):
-        batch = _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
-                             np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg)
-        batch.__dict__.update(gaps=p.gaps, same_cluster=p.same_cluster, inv_gaps=p.inv_gaps)
-        return batch
-    return _stacked(conjugate, u, rename)
+    stack ``u``, checked in one stacked pass, failing as :func:`_stacked`."""
+    return _stacked(lambda u: _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
+                                           np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg),
+                    u, rename)
+
+
+def _points(batch: OrbitBatch, spectra) -> list:
+    """The rows of ``batch`` as points, labelled by ``spectra`` in order."""
+    return [OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
+            for rho, spectrum, frame in zip(batch.rho, spectra, batch.frame)]
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
@@ -508,7 +506,7 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     arr = np.asarray(rhos, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
-    return _stacked(lambda rows: _orbit_stack(rows, cfg), arr)
+    return _stacked(lambda rows: _orbit_stack(rows, cfg), arr, _prefixed)
 
 
 def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitBatch:
@@ -537,7 +535,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     u = np.asarray(unitary, dtype=np.complex128)
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
-    return _conjugated(p, u[None], cfg)[0]
+    return _points(_conjugated(p, u[None], cfg), [p.spectrum])[0]
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
@@ -556,7 +554,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
     _require_frame(p.rho, frame, p.eigenvalues, cfg)
-    return _handed(OrbitPoint(rho=p.rho, spectrum=p.spectrum, frame=frame), p)
+    return OrbitPoint(rho=p.rho, spectrum=p.spectrum, frame=frame)
 
 
 def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -574,15 +572,12 @@ def _haar_frames(z: np.ndarray) -> np.ndarray:
 
 def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> list:
     """The points ``U diag(lambda) U^dag`` with frame U, one per spectrum and
-    row U of the (N, d, d) stack ``frames``, checked in one stacked pass and
-    handed the stack's gap masks. A failing row raises :class:`_BatchFailure`."""
+    row U of the (N, d, d) stack ``frames``, checked in one stacked pass. A
+    failing row raises :class:`_BatchFailure`."""
     values = np.array([s.full_values() for s in spectra]).reshape(frames.shape[:-1])
-    diagonal = np.zeros(frames.shape)  # rows of np.diag(values)
-    index = np.arange(frames.shape[-1])
-    diagonal[:, index, index] = values
-    batch = _point_stack(frames @ diagonal @ _dagger(frames), frames, values, cfg)
-    return [_handed(OrbitPoint(rho=batch.rho[i], spectrum=spectrum, frame=batch.frame[i]),
-                    batch, i) for i, spectrum in enumerate(spectra)]
+    # U * lambda is U @ np.diag(lambda), bit for bit
+    batch = _point_stack((frames * values[..., None, :]) @ _dagger(frames), frames, values, cfg)
+    return _points(batch, spectra)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -603,4 +598,4 @@ def random_density(spectrum: Spectrum, seed,
 def _haar_point(spectrum: Spectrum, seed, cfg: Config) -> OrbitPoint:
     """:func:`random_density` on a spectrum :func:`make_spectrum` has built."""
     frames = haar_unitary(spectrum.total_dim, seed)[None]
-    return _stacked(lambda rows: _haar_points([spectrum], rows, cfg), frames, _own_error)[0]
+    return _stacked(lambda rows: _haar_points([spectrum], rows, cfg), frames)[0]

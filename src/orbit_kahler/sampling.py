@@ -91,12 +91,13 @@ def random_tangent(p: OrbitPoint, rng: np.random.Generator,
 
 def random_gauge(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Haar-random intra-cluster gauge: block-diagonal unitary for ``p``."""
-    return _block_diagonal(p, [haar_unitary(m, rng) for m in p.spectrum.mults])
+    return _random_gauge(p.spectrum, rng)
 
 
-def _block_diagonal(p: OrbitPoint, blocks) -> np.ndarray:
-    """The block-diagonal matrix for ``p`` with one block per cluster, in order."""
-    out = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    # in row-major order the mask runs through the cluster blocks one by one
-    out[p.same_cluster] = np.concatenate([block.ravel() for block in blocks])
+def _random_gauge(spectrum: Spectrum, rng: np.random.Generator) -> np.ndarray:
+    """:func:`random_gauge` at the points labelled by ``spectrum``."""
+    out = np.zeros((spectrum.total_dim,) * 2, dtype=np.complex128)
+    bounds = np.cumsum((0,) + spectrum.mults).tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        out[start:end, start:end] = haar_unitary(end - start, rng)
     return out

@@ -30,6 +30,7 @@ from .operators import (
     OrbitPoint,
     _check_dims,
     _freeze,
+    _prefixed,
     _require,
     _stacked,
 )
@@ -216,5 +217,5 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBa
     the one the first failing row raises alone, prefixed ``row i:``.
     """
     _check_dims(batch, a, b)
-    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch)
+    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch, _prefixed)
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

@@ -39,6 +39,24 @@ class TestEvolve:
             eigenvalues = np.sort(np.linalg.eigvalsh(moved.rho))[::-1]
             assert np.max(np.abs(eigenvalues - p.spectrum.full_values())) < 1e-12
 
+    def test_spectrum_with_clamped_equal_values_kept(self):
+        # make_spectrum clamps -2e-9 and -4e-9 to two clusters at 0.0; a
+        # flowed or conjugated point keeps that label instead of re-reading
+        # it as one cluster of multiplicity 2 from its eigenvalues
+        from orbit_kahler import (OrbitPoint, conjugate_point, haar_unitary, make_spectrum,
+                                  with_gauge)
+
+        spectrum = make_spectrum([1.0 + 7e-9, -2e-9, -4e-9], [1, 1, 1])
+        assert spectrum.mults == (1, 1, 1) and spectrum.values[1:] == (0.0, 0.0)
+        u = haar_unitary(3, 4)
+        p = OrbitPoint(rho=u @ np.diag(spectrum.full_values()) @ u.conj().T,
+                       spectrum=spectrum, frame=u)
+        h = gaussian_hermitian(3, np.random.default_rng(5))
+        moved = [evolve(p, h, 0.4), conjugate_point(p, haar_unitary(3, 6)),
+                 with_gauge(p, np.eye(3)), *trajectory(p, h, 1.0, 3).points]
+        for point in moved:
+            assert point.spectrum == spectrum
+
     def test_flow_composition(self):
         rng = np.random.default_rng(1)
         p = random_point(4, rng)
@@ -156,7 +174,10 @@ def test_flow_rows_equal_one_evolve_each(dim):
     generators = [gaussian_hermitian(dim, rng) for _ in range(3)]
     times = (1e-4, -1e-4, 0.7)
     flowed = _flows(p, np.stack([h.matrix for h in generators]), times, Config())
-    assert flowed.gaps is p.gaps and flowed.inv_gaps is p.inv_gaps
+    for name in ("gaps", "same_cluster", "inv_gaps"):
+        mask = getattr(flowed, name)
+        assert mask.shape == (9, dim, dim)
+        assert np.array_equal(mask, np.broadcast_to(getattr(p, name), mask.shape)), name
     for row, (h, t) in enumerate((h, t) for h in generators for t in times):
         alone = evolve(p, h, t)
         w, v = np.linalg.eigh(h.matrix)

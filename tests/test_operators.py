@@ -280,3 +280,32 @@ def test_haar_pass_rows_equal_one_point_draws(dim):
             assert other.spectrum == point.spectrum
             for name in ("rho", "frame", "eigenvalues", "gaps", "same_cluster", "inv_gaps"):
                 assert np.array_equal(getattr(point, name), getattr(other, name)), name
+
+
+@pytest.mark.parametrize("rows, result, failure, runs", [
+    ([0, 5, 0, 7], [0], (1, ValueError, "value 5"), [4, 1]),
+    # the prefix before row 2 fails the later check at row 1
+    ([0, 1, 5], [0], (1, KeyError, "'value 1'"), [3, 2, 1]),
+    ([5, 0], None, (0, ValueError, "value 5"), [2]),
+    ([0, 0], [0, 0], None, [2]),
+])
+def test_passing_hands_back_the_passing_prefix(rows, result, failure, runs):
+    # the first failing row's own error comes with the run of the rows
+    # before it, and no pass runs twice on the same rows
+    from orbit_kahler.operators import _passing, _require
+
+    lengths = []
+
+    def run(stack):
+        lengths.append(len(stack))
+        _require(stack > 4, ValueError, lambda i: f"value {stack[i]}")
+        _require(stack == 1, KeyError, lambda i: f"value {stack[i]}")
+        return (10 * stack).tolist()
+
+    done, failed = _passing(run, np.array(rows))
+    assert done == result and lengths == runs
+    if failure is None:
+        assert failed is None
+    else:
+        m, error = failed
+        assert (m, type(error), str(error)) == failure
