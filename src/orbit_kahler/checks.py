@@ -55,7 +55,6 @@ from .operators import (
     _haar_points,
     _normals,
     _passing,
-    _points,
     conjugate,
     conjugate_point,
     haar_unitary,
@@ -355,8 +354,7 @@ def _flow_composition(inst, index):
                           inst.rng.uniform(-1.0, 1.0, size=2)]
     # the three propagators from one eigendecomposition of h
     u_s, u_t, u_st = _propagators(h.matrix[None], (float(s), float(t), float(s + t)), cfg.hbar)
-    two_step = _conjugated(_points(_conjugated(p, u_s[None], cfg), [p.spectrum])[0],
-                           u_t[None], cfg)
+    two_step = _conjugated(_conjugated(p, u_s[None], cfg)[0], u_t[None], cfg)
     one_step = _conjugated(p, u_st[None], cfg)
     return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
 
@@ -410,7 +408,7 @@ def _evaluate(pending, cfg: Config):
             lambda stack: _haar_points([drawn[i].spectrum for i in rows[:len(stack)]], stack, cfg),
             _haar_frames(np.stack([drawn[i].normals for i in rows])))
         # a failing row m is built as its error, and the rows after it not at all
-        for i, point in zip(rows, (points or []) + ([failure[1]] if failure else [])):
+        for i, point in zip(rows, list(points or ()) + ([failure[1]] if failure else [])):
             built[i] = point
     start = 0
     for sample, items, results in pending:

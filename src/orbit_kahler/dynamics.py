@@ -8,20 +8,20 @@ same propagator rather than re-diagonalized.
 
 Flows are stacked: :func:`_flows` takes a point along a stack of generators
 to a stack of times with one eigendecomposition of the generators and one
-conjugation pass, and the flowed points keep the spectrum of the point. A
-single :func:`evolve` is that pass on one row.
+conjugation pass; each flowed point reads its spectrum from its row, which
+gives back the spectrum of the point. A single :func:`evolve` is that pass
+on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger, _points
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
@@ -44,7 +44,7 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
-    return _points(_flows(p, h.matrix[None], (t,), cfg), [p.spectrum])[0]
+    return _flows(p, h.matrix[None], (t,), cfg)[0]
 
 
 def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config, rename=None):
@@ -84,7 +84,6 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_dims(p, h)
     times = np.linspace(0.0, t_max, steps)
-    flowed = _flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg)
-    flowed = iter(_points(flowed, repeat(p.spectrum)))
+    flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))
     points = tuple(p if t == 0.0 else next(flowed) for t in times)
     return Trajectory(times=tuple(float(t) for t in times), points=points, generator=h)

@@ -15,7 +15,8 @@ diagonal blocks, ``OrbitPoint.same_cluster``); gaps > 0 is the upper triangle
 of off-diagonal blocks, gaps < 0 the lower one.
 
 Eigenvalues whose gaps are at most ``tol_cluster`` are merged into one
-cluster. Gaps between clusters that are larger than ``tol_cluster`` but
+cluster, and so are the density eigenvalues clamped to 0.0, so a point's
+label is a function of its eigenvalues. Gaps between clusters that are larger than ``tol_cluster`` but
 smaller than twice it are ambiguous and raise :class:`DegenerateGapError`
 rather than silently committing to a block structure.
 
@@ -250,7 +251,9 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
     """Validate and build a :class:`Spectrum`.
 
     Gaps must exceed ``cfg.tol_cluster``; density spectra must be nonnegative
-    with unit weighted trace within ``cfg.tol_trace``.
+    with unit weighted trace within ``cfg.tol_trace``; values clamped to 0.0
+    merge into one cluster, as in :func:`orbit_point`, so a built spectrum
+    passes through unchanged.
     """
     values = tuple(float(v) for v in values)
     mults = tuple(mults)
@@ -271,6 +274,9 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
         if min(values) < -cfg.tol_trace:
             raise NotDensityError(f"negative eigenvalue {min(values)}")
         values = tuple(max(v, 0.0) for v in values)
+        if values.count(0.0) > 1:
+            zero = values.index(0.0)
+            values, mults = values[:zero + 1], mults[:zero] + (sum(mults[zero:]),)
         trace = sum(n * p for p, n in zip(values, mults))
         if abs(trace - 1.0) > cfg.tol_trace:
             raise NotDensityError(f"trace {trace} differs from 1 beyond {cfg.tol_trace}")
@@ -439,12 +445,6 @@ def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
                     u, rename)
 
 
-def _points(batch: OrbitBatch, spectra) -> list:
-    """The rows of ``batch`` as points, labelled by ``spectra`` in order."""
-    return [OrbitPoint(rho=rho, spectrum=spectrum, frame=frame)
-            for rho, spectrum, frame in zip(batch.rho, spectra, batch.frame)]
-
-
 def _diagonalize(rho: np.ndarray, cfg: Config):
     """Eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack, grouped by cluster.
 
@@ -452,7 +452,8 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     descending and merged by single linkage within ``cfg.tol_cluster`` (a gap
     between clusters under twice that is ambiguous, a
     :class:`DegenerateGapError`), each cluster is represented by its mean,
-    and the density conditions of :func:`make_spectrum` apply.
+    and the density conditions of :func:`make_spectrum` apply. Clusters are
+    marked on the clamped values, so those that clamp to 0.0 are one.
     """
     w, v = np.linalg.eigh(rho)  # eigenvalues ascending
     w = w[..., ::-1]
@@ -460,9 +461,9 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     step = w[..., :-1] - w[..., 1:]
     split = step > cfg.tol_cluster
     ambiguous = split & (step < 2 * cfg.tol_cluster)
-    cluster_start = np.ones(w.shape, bool)
-    cluster_start[..., 1:] = split
-    bounds = np.concatenate((cluster_start.ravel(), [True])).nonzero()[0]
+    split_start = np.ones(w.shape, bool)
+    split_start[..., 1:] = split
+    bounds = np.concatenate((split_start.ravel(), [True])).nonzero()[0]
     first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     means = _cluster_means(w.reshape(-1), first, sizes)
     values = np.where(means < 0.0, 0.0, means)
@@ -480,7 +481,7 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     _require(np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
              lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}")
     _require_frame(rho, v, values, cfg)
-    return v, values, cluster_start
+    return v, values, _cluster_starts(values)
 
 
 def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -530,12 +531,13 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
                     cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Move a point along the orbit: ``rho -> U rho U^dag``, frame ``U U_p``.
 
-    The spectrum is carried over unchanged (conjugation preserves it exactly).
+    The moved point reads its spectrum from the eigenvalues of ``p``, which
+    gives back ``p.spectrum`` (conjugation preserves it exactly).
     """
     u = np.asarray(unitary, dtype=np.complex128)
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
-    return _points(_conjugated(p, u[None], cfg), [p.spectrum])[0]
+    return _conjugated(p, u[None], cfg)[0]
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
@@ -570,14 +572,14 @@ def _haar_frames(z: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> list:
-    """The points ``U diag(lambda) U^dag`` with frame U, one per spectrum and
-    row U of the (N, d, d) stack ``frames``, checked in one stacked pass. A
-    failing row raises :class:`_BatchFailure`."""
+def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitBatch:
+    """The batch of points ``U diag(lambda) U^dag`` with frame U, one per
+    spectrum and row U of the (N, d, d) stack ``frames``, checked in one
+    stacked pass. Row i is labelled by spectra[i], read back from its
+    eigenvalues. A failing row raises :class:`_BatchFailure`."""
     values = np.array([s.full_values() for s in spectra]).reshape(frames.shape[:-1])
     # U * lambda is U @ np.diag(lambda), bit for bit
-    batch = _point_stack((frames * values[..., None, :]) @ _dagger(frames), frames, values, cfg)
-    return _points(batch, spectra)
+    return _point_stack((frames * values[..., None, :]) @ _dagger(frames), frames, values, cfg)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -592,10 +594,6 @@ def random_density(spectrum: Spectrum, seed,
     Draws U Haar-uniformly from the seeded stream and returns the point
     ``U diag(p_1 I_{n_1}, ...) U^dag`` with frame U.
     """
-    return _haar_point(make_spectrum(spectrum.values, spectrum.mults, cfg), seed, cfg)
-
-
-def _haar_point(spectrum: Spectrum, seed, cfg: Config) -> OrbitPoint:
-    """:func:`random_density` on a spectrum :func:`make_spectrum` has built."""
+    spectrum = make_spectrum(spectrum.values, spectrum.mults, cfg)
     frames = haar_unitary(spectrum.total_dim, seed)[None]
     return _stacked(lambda rows: _haar_points([spectrum], rows, cfg), frames)[0]

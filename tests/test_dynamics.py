@@ -40,20 +40,23 @@ class TestEvolve:
             assert np.max(np.abs(eigenvalues - p.spectrum.full_values())) < 1e-12
 
     def test_spectrum_with_clamped_equal_values_kept(self):
-        # make_spectrum clamps -2e-9 and -4e-9 to two clusters at 0.0; a
-        # flowed or conjugated point keeps that label instead of re-reading
-        # it as one cluster of multiplicity 2 from its eigenvalues
+        # make_spectrum merges -2e-9 and -4e-9, both clamped to 0.0, into one
+        # cluster of multiplicity 2; a flowed, conjugated or gauged point,
+        # which reads its label from its eigenvalues, keeps that label
         from orbit_kahler import (OrbitPoint, conjugate_point, haar_unitary, make_spectrum,
                                   with_gauge)
+        from orbit_kahler.sampling import random_gauge
 
         spectrum = make_spectrum([1.0 + 7e-9, -2e-9, -4e-9], [1, 1, 1])
-        assert spectrum.mults == (1, 1, 1) and spectrum.values[1:] == (0.0, 0.0)
+        assert spectrum.mults == (1, 2) and spectrum.values[1:] == (0.0,)
         u = haar_unitary(3, 4)
         p = OrbitPoint(rho=u @ np.diag(spectrum.full_values()) @ u.conj().T,
                        spectrum=spectrum, frame=u)
         h = gaussian_hermitian(3, np.random.default_rng(5))
+        gauge = random_gauge(p, np.random.default_rng(6))
+        assert np.abs(gauge[1:, 1:] - np.eye(2)).max() > 0.1
         moved = [evolve(p, h, 0.4), conjugate_point(p, haar_unitary(3, 6)),
-                 with_gauge(p, np.eye(3)), *trajectory(p, h, 1.0, 3).points]
+                 with_gauge(p, gauge), *trajectory(p, h, 1.0, 3).points]
         for point in moved:
             assert point.spectrum == spectrum
 

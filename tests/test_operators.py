@@ -16,11 +16,13 @@ from orbit_kahler import (
     haar_unitary,
     make_hermitian,
     make_spectrum,
+    orbit_batch,
     orbit_point,
     random_density,
     with_gauge,
 )
 from orbit_kahler.sampling import gaussian_hermitian, random_gauge, random_spectrum
+from orbit_kahler.serialize import spectrum_from_json, spectrum_to_json
 
 
 class TestMakeHermitian:
@@ -73,6 +75,11 @@ class TestSpectrum:
         s = make_spectrum([1.0 + 1e-9, -1e-9], [1, 1], cfg)
         assert s.values[1] == 0.0
 
+    def test_clusters_clamped_to_zero_merge(self, cfg):
+        s = make_spectrum([1.0 + 7e-9, -2e-9, -4e-9], [1, 1, 1], cfg)
+        assert (s.values, s.mults) == ((1.000000007, 0.0), (1, 2))
+        assert make_spectrum(s.values, s.mults, cfg) == s
+
     def test_ordering_enforced(self, cfg):
         with pytest.raises(DegenerateGapError):
             make_spectrum([0.3, 0.7], [1, 1], cfg)
@@ -100,6 +107,32 @@ class TestSpectrum:
         assert all(a > b for a, b in zip(s.values, s.values[1:]))
         assert abs(s.weighted_sum - 1.0) < 1e-12
         assert max(s.mults) <= 3 and s.k <= 4
+
+    def test_random_spectrum_draws_as_numpy_rejection(self, cfg):
+        # the rejection test on Python floats makes the decisions, and so
+        # the RNG calls, of the numpy reduction it replaced
+        def reference(dim, rng, max_clusters, max_mult, min_gap):
+            k = int(rng.integers(-(-dim // max_mult), min(max_clusters, dim) + 1))
+            while True:
+                mults = rng.multinomial(dim - k, [1.0 / k] * k) + 1
+                if mults.max() <= max_mult:
+                    break
+            while True:
+                levels = np.sort(rng.uniform(0.1, 1.0, size=k))[::-1]
+                if k == 1 or np.min(-np.diff(levels)) >= min_gap:
+                    break
+            return make_spectrum(levels / float(np.dot(mults, levels)), mults, cfg)
+
+        for kwargs in ((4, 3, .05), (8, 6, .05), (2, 6, .05), (4, 3, 0), (3, 4, .2)):
+            for dim in range(1, 13):
+                for seed in range(300):
+                    rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+                    s = random_spectrum(dim, rng, *kwargs, cfg=cfg)
+                    t = reference(dim, expected, *kwargs)
+                    assert (s.values, s.mults) == (t.values, t.mults)
+                    assert [type(v) for v in s.values] == [float] * s.k
+                    assert [type(m) for m in s.mults] == [int] * s.k
+                    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestOrbitPoint:
@@ -147,6 +180,16 @@ class TestOrbitPoint:
         cfg = Config(tol_cluster=1e-3)
         rho = make_hermitian(np.diag([0.5 + 4e-4, 0.5 - 4e-4]).astype(complex), cfg)
         assert orbit_point(rho, cfg).spectrum.mults == (2,)
+
+    def test_clusters_clamped_to_zero_one_label(self):
+        # -2e-9 and -4e-9 are split by their raw gap but both clamp to 0.0
+        rho = make_hermitian(np.diag([1.0 + 6e-9, -2e-9, -4e-9]).astype(complex))
+        for p in (orbit_point(rho), orbit_batch(rho.matrix[None])[0]):
+            assert (p.spectrum.values, p.spectrum.mults) == ((1.000000006, 0.0), (1, 2))
+            cluster = np.repeat(np.arange(p.spectrum.k), p.spectrum.mults)
+            assert np.array_equal(p.same_cluster, cluster[:, None] == cluster)
+            assert random_density(p.spectrum, 0).spectrum == p.spectrum
+            assert spectrum_from_json(spectrum_to_json(p.spectrum)) == p.spectrum
 
 
 class TestConjugate:
