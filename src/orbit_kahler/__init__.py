@@ -24,7 +24,6 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
-    OrbitBatch,
     OrbitPoint,
     Spectrum,
     conjugate,
@@ -83,7 +82,7 @@ __all__ = [
     "NotUnitaryError", "NotDensityError", "DegenerateGapError",
     "BaseMismatchError", "NotOffDiagonalError", "NonRealResultError",
     "NegativeVarianceError", "DegenerateDriftError", "TheoremViolationError",
-    "HermitianOperator", "Spectrum", "OrbitPoint", "OrbitBatch",
+    "HermitianOperator", "Spectrum", "OrbitPoint",
     "make_hermitian", "make_spectrum", "orbit_point", "orbit_batch", "conjugate",
     "conjugate_point", "with_gauge", "random_density", "haar_unitary",
     "TangentVector", "tangent_map", "make_tangent", "split_kernel", "lift",

@@ -344,7 +344,7 @@ def _spectrum_preservation(inst, index):
     drift = 0.0
     for point in traj.points:
         eigenvalues = np.sort(np.linalg.eigvalsh(point.rho))[::-1]
-        drift = max(drift, float(np.max(np.abs(eigenvalues - p.spectrum.full_values()))))
+        drift = max(drift, float(np.max(np.abs(eigenvalues - p.eigenvalues))))
     return drift, _case(p, index)
 
 

@@ -18,7 +18,7 @@ ODE steppers, so samples stay on the orbit and never drift across eigenvalue
 clusters; if a flowed point still fails validation, the checks raise
 :class:`DegenerateDriftError`. Each check flows the point along all of its
 generators, forward and backward, in one stacked pass, and evaluates the
-fields on the flowed rows as one stack through the point-or-batch kernels.
+fields on the flowed rows as one stack through the point-or-stack kernels.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def _require_offdiag(framed: np.ndarray, p, cfg: Config):
 
 
 def _j_twist(b: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """Generators twisted by ``i sign(gaps)`` in the frame of a point or batch
+    """Generators twisted by ``i sign(gaps)`` in the frame of a point or stack
     ``p``; ``b`` must be off-block-diagonal."""
     framed = _to_frame(p.frame, b)
     _require_offdiag(framed, p, cfg)
@@ -104,7 +104,7 @@ def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndar
 
 
 def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
-    """``(g, omega)`` of tangent matrices x, y at a point or batch ``p``."""
+    """``(g, omega)`` of tangent matrices x, y at a point or stack ``p``."""
     lifted = _lift(x, p, cfg.hbar)
     jx = _apply_j(lifted, p, cfg)
     return (_pairing(_lift(jx, p, cfg.hbar), y, cfg),

@@ -20,14 +20,14 @@ label is a function of its eigenvalues. Gaps between clusters that are larger th
 smaller than twice it are ambiguous and raise :class:`DegenerateGapError`
 rather than silently committing to a block structure.
 
-Batches. :class:`OrbitBatch` stacks N points of one dimension along a leading
-axis. The kernels here and in the modules above take either a point or a
-batch and work over the trailing two axes, so a single point runs the same
-code as one row of a batch and gives bitwise the same numbers. Each check
-raises where it fails, with the error it builds for its first failing row.
-On a batch, the rows before that row may still fail a later check, so the
-batch function re-runs the stacked pass on them until a prefix passes, and
-raises the error of the last row named, prefixed ``row i:``.
+Stacks. An :class:`OrbitPoint` also holds N points of one dimension, stacked
+along a leading axis. The kernels here and in the modules above take a point
+or a stack and work over the trailing two axes, so a single point runs the
+same code as one row of a stack and gives bitwise the same numbers. Each
+check raises where it fails, with the error it builds for its first failing
+row. On a stack, the rows before that row may still fail a later check, so
+the stack function re-runs the stacked pass on them until a prefix passes,
+and raises the error of the last row named, prefixed ``row i:``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "HermitianOperator",
     "Spectrum",
     "OrbitPoint",
-    "OrbitBatch",
     "make_hermitian",
     "make_spectrum",
     "orbit_point",
@@ -78,7 +77,7 @@ def _check_dims(p: "OrbitPoint", *operators):
 
 
 class _BatchFailure(Exception):
-    """A check failed on a batch: ``args`` are its first failing row and the
+    """A check failed on a stack: ``args`` are its first failing row and the
     error that row raises alone. Only :func:`_passing` catches it."""
 
 
@@ -86,7 +85,7 @@ def _require(bad, error, message):
     """Raise ``error(message(i))`` where a check fails, i the failing row.
 
     ``bad`` is 0-d for a point (i is ``()``) and has one entry per row for a
-    batch; a failing batch raises :class:`_BatchFailure` with its first
+    stack; a failing stack raises :class:`_BatchFailure` with its first
     failing row m and the error ``error(message(m))``.
     """
     if bad.ndim == 0:
@@ -283,12 +282,64 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
     return Spectrum(values=values, mults=mults)
 
 
-class _GapMasks:
-    """Gap masks over the last axis of ``eigenvalues`` (a point or a batch)."""
+def _cluster_starts(values: np.ndarray) -> np.ndarray:
+    """The first index of each cluster in rows of repeated eigenvalues."""
+    starts = np.ones(values.shape, bool)
+    starts[..., 1:] = values[..., 1:] != values[..., :-1]
+    return starts
+
+
+@dataclass(frozen=True)
+class OrbitPoint:
+    """A density operator with a cluster-ordered diagonalizing frame, or a
+    stack of N of them of one dimension d.
+
+    ``rho`` and ``frame`` are (d, d), or (N, d, d) for a stack;
+    ``eigenvalues`` (d,) or (N, d) are the cluster values repeated by
+    multiplicity, descending, and ``cluster_start`` marks the first index of
+    each cluster. ``gaps``, ``same_cluster`` and ``inv_gaps`` have the shape
+    of ``rho``. Only a stack has rows: ``p[i]`` is the point that
+    :func:`orbit_point` returns for row i, and ``p[a:b]`` is the stack of
+    those rows. Only a single point has a ``spectrum``.
+    """
+
+    rho: np.ndarray
+    frame: np.ndarray
+    eigenvalues: np.ndarray
+    cluster_start: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _freeze(self.rho))
+        object.__setattr__(self, "frame", _freeze(self.frame))
+        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
+        object.__setattr__(self, "cluster_start", _freeze(self.cluster_start, bool))
 
     @property
     def dim(self) -> int:
         return self.rho.shape[-1]
+
+    def __bool__(self) -> bool:
+        """A single point is true; a stack is true when it has rows."""
+        return self.rho.ndim == 2 or self.rho.shape[0] > 0
+
+    def __len__(self) -> int:
+        if self.rho.ndim == 2:
+            raise TypeError("a single OrbitPoint has no rows")
+        return self.rho.shape[0]
+
+    def __getitem__(self, i) -> "OrbitPoint":
+        if self.rho.ndim == 2:
+            raise TypeError("a single OrbitPoint has no rows")
+        return OrbitPoint(self.rho[i], self.frame[i], self.eigenvalues[i], self.cluster_start[i])
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The distinct eigenvalues and their multiplicities (a single point)."""
+        if self.rho.ndim != 2:
+            raise TypeError("a stack has one spectrum per row: read p[i].spectrum")
+        bounds = self.cluster_start.nonzero()[0].tolist() + [self.dim]
+        return Spectrum(values=tuple(self.eigenvalues[bounds[:-1]].tolist()),
+                        mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -308,24 +359,6 @@ class _GapMasks:
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
         return _freeze(out, float)
 
-
-@dataclass(frozen=True)
-class OrbitPoint(_GapMasks):
-    """A density operator with a cluster-ordered diagonalizing frame."""
-
-    rho: np.ndarray
-    spectrum: Spectrum
-    frame: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _freeze(self.rho))
-        object.__setattr__(self, "frame", _freeze(self.frame))
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues repeated by multiplicity, descending."""
-        return _freeze(self.spectrum.full_values(), float)
-
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
         return _to_frame(self.frame, matrix)
@@ -333,54 +366,6 @@ class OrbitPoint(_GapMasks):
     def from_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Map a frame-coordinates matrix back to the ambient basis."""
         return _from_frame(self.frame, matrix)
-
-
-def _cluster_starts(values: np.ndarray) -> np.ndarray:
-    """The first index of each cluster in rows of repeated eigenvalues."""
-    starts = np.ones(values.shape, bool)
-    starts[..., 1:] = values[..., 1:] != values[..., :-1]
-    return starts
-
-
-def _spectrum(values: np.ndarray, cluster_start: np.ndarray) -> Spectrum:
-    bounds = cluster_start.nonzero()[0].tolist() + [values.size]
-    return Spectrum(values=tuple(values[bounds[:-1]].tolist()),
-                    mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
-
-
-@dataclass(frozen=True)
-class OrbitBatch(_GapMasks):
-    """N density operators of one dimension d with their frames, stacked.
-
-    ``rho`` and ``frame`` are (N, d, d); ``eigenvalues`` (N, d) are the
-    cluster values repeated by multiplicity, descending, and
-    ``cluster_start`` (N, d) marks the first index of each cluster. ``gaps``,
-    ``same_cluster`` and ``inv_gaps`` are (N, d, d). ``batch[i]`` is the
-    :class:`OrbitPoint` that :func:`orbit_point` returns for row i, and a
-    slice ``batch[a:b]`` is the :class:`OrbitBatch` of those rows.
-    """
-
-    rho: np.ndarray
-    frame: np.ndarray
-    eigenvalues: np.ndarray
-    cluster_start: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _freeze(self.rho))
-        object.__setattr__(self, "frame", _freeze(self.frame))
-        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
-        object.__setattr__(self, "cluster_start", _freeze(self.cluster_start, bool))
-
-    def __len__(self) -> int:
-        return self.rho.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return OrbitBatch(self.rho[i], self.frame[i], self.eigenvalues[i],
-                              self.cluster_start[i])
-        return OrbitPoint(rho=self.rho[i],
-                          spectrum=_spectrum(self.eigenvalues[i], self.cluster_start[i]),
-                          frame=self.frame[i])
 
 
 def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
@@ -425,7 +410,7 @@ def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
 
 
 def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
-                 cfg: Config) -> OrbitBatch:
+                 cfg: Config) -> OrbitPoint:
     """The stack of the Hermitian parts of ``rho``, checked to be reduced to
     diag(values) by ``frame``, which must be finite and unitary."""
     rho = 0.5 * (rho + _dagger(rho))
@@ -433,11 +418,11 @@ def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
     # in the checks would only warn about
     _require_finite(frame, NotUnitaryError)
     _require_frame(rho, frame, values, cfg)
-    return OrbitBatch(rho, frame, values, _cluster_starts(values))
+    return OrbitPoint(rho, frame, values, _cluster_starts(values))
 
 
 def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
-                rename=None) -> OrbitBatch:
+                rename=None) -> OrbitPoint:
     """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d)
     stack ``u``, checked in one stacked pass, failing as :func:`_stacked`."""
     return _stacked(lambda u: _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
@@ -492,12 +477,10 @@ def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPo
     :class:`NotDensityError` for negative eigenvalues (beyond ``tol_trace``)
     or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering.
     """
-    frame, values, cluster_start = _diagonalize(rho.matrix, cfg)
-    return OrbitPoint(rho=rho.matrix, spectrum=_spectrum(values, cluster_start),
-                      frame=frame)
+    return OrbitPoint(rho.matrix, *_diagonalize(rho.matrix, cfg))
 
 
-def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
+def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """:func:`make_hermitian` and :func:`orbit_point` on an (N, d, d) stack at once.
 
     One ``eigh`` covers the stack and every check runs on all rows together;
@@ -510,10 +493,10 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitBatch:
     return _stacked(lambda rows: _orbit_stack(rows, cfg), arr, _prefixed)
 
 
-def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitBatch:
+def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitPoint:
     """The stacked pass of :func:`orbit_batch`: a failing row raises :class:`_BatchFailure`."""
     _require_hermitian(arr, cfg)
-    return OrbitBatch(arr, *_diagonalize(arr, cfg))  # frame, eigenvalues, cluster_start
+    return OrbitPoint(arr, *_diagonalize(arr, cfg))  # frame, eigenvalues, cluster_start
 
 
 def conjugate(a: HermitianOperator, unitary: np.ndarray,
@@ -535,6 +518,8 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     gives back ``p.spectrum`` (conjugation preserves it exactly).
     """
     u = np.asarray(unitary, dtype=np.complex128)
+    if u.shape != p.rho.shape:
+        raise DimMismatchError(f"point dim {p.dim} vs unitary shape {u.shape}")
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, cfg)
     return _conjugated(p, u[None], cfg)[0]
@@ -556,7 +541,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
     _require_frame(p.rho, frame, p.eigenvalues, cfg)
-    return OrbitPoint(rho=p.rho, spectrum=p.spectrum, frame=frame)
+    return OrbitPoint(p.rho, frame, p.eigenvalues, p.cluster_start)
 
 
 def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -572,8 +557,8 @@ def _haar_frames(z: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitBatch:
-    """The batch of points ``U diag(lambda) U^dag`` with frame U, one per
+def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitPoint:
+    """The stack of points ``U diag(lambda) U^dag`` with frame U, one per
     spectrum and row U of the (N, d, d) stack ``frames``, checked in one
     stacked pass. Row i is labelled by spectra[i], read back from its
     eigenvalues. A failing row raises :class:`_BatchFailure`."""

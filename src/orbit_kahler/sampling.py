@@ -56,15 +56,22 @@ def random_spectrum(dim: int, rng: np.random.Generator,
 
     Distinct values are kept at least ``min_gap`` apart before trace
     normalization, which keeps every gap far above the clustering tolerance.
+    Bounds that no draw can meet raise :class:`ValueError`.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if max_clusters < 1 or max_mult < 1:
+        raise ValueError(f"max_clusters and max_mult must be >= 1, got "
+                         f"{max_clusters} and {max_mult}")
     lo = -(-dim // max_mult)  # ceil
     hi = min(max_clusters, dim)
     if lo > hi:
         raise ValueError(f"dim {dim} cannot be split into <= {max_clusters} "
                          f"clusters of multiplicity <= {max_mult}")
     k = int(rng.integers(lo, hi + 1))
+    # k levels in [0.1, 1.0) span less than 0.9, so no draw could be accepted
+    if k > 1 and not (k - 1) * min_gap < 0.9:
+        raise ValueError(f"{k} levels in [0.1, 1.0) cannot be {min_gap} apart")
     while True:
         mults = rng.multinomial(dim - k, [1.0 / k] * k) + 1
         if mults.max() <= max_mult:

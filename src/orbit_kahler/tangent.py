@@ -103,14 +103,14 @@ class TangentVector:
 
 
 def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndarray:
-    """(1/(i hbar))[H, rho] for a point's or a batch's ``rho``; ``rho_h`` is
+    """(1/(i hbar))[H, rho] for a point's or a stack's ``rho``; ``rho_h`` is
     ``rho @ h`` when the caller has formed it already."""
     return (h @ rho - (rho @ h if rho_h is None else rho_h)) / (1j * hbar)
 
 
 def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:
     """Off-block-diagonal generator of the tangent matrices ``x`` at a point or
-    batch ``p``: ``-i hbar X * inv_gaps`` in its frame."""
+    stack ``p``: ``-i hbar X * inv_gaps`` in its frame."""
     return _from_frame(p.frame, -1j * hbar * _to_frame(p.frame, x) * p.inv_gaps)
 
 

@@ -26,7 +26,6 @@ from .errors import NegativeVarianceError, NonRealResultError, TheoremViolationE
 from .kahler import _h_parts, _real
 from .operators import (
     HermitianOperator,
-    OrbitBatch,
     OrbitPoint,
     _check_dims,
     _freeze,
@@ -47,7 +46,7 @@ __all__ = [
     "full_report_batch",
 ]
 
-# The kernels below take a point or a batch (gap-mask and batch conventions in
+# The kernels below take a point or a stack (gap-mask and stack conventions in
 # :mod:`orbit_kahler.operators`) and raise each check where it fails.
 
 
@@ -132,7 +131,7 @@ def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
     """
     _check_dims(p, a)
     framed = p.to_frame(a.matrix)
-    values = p.spectrum.full_values()
+    values = p.eigenvalues
     weight = np.abs(framed) ** 2
     upper = p.gaps > 0
     first = float(np.dot(values, framed.diagonal().real))
@@ -164,7 +163,8 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
 class UncertaintyReport:
     """Both uncertainty bounds against the product of standard deviations.
 
-    Floats from :func:`full_report`; (N,) arrays from :func:`full_report_batch`.
+    Floats from :func:`full_report` at a point; (N,) arrays, one entry per
+    row, from :func:`full_report_batch` at a stack of N points.
     """
 
     deltaA: float
@@ -178,7 +178,7 @@ class UncertaintyReport:
 
 def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
             parts=None) -> tuple:
-    """The :class:`UncertaintyReport` fields at a point (0-d) or batch (N,);
+    """The :class:`UncertaintyReport` fields at a point (0-d) or stack (N,);
     rho A and rho B are formed once and shared by the four kernels, and
     ``parts`` is passed on to :func:`_geometric`."""
     ra = p.rho @ a.matrix
@@ -208,9 +208,10 @@ def full_report(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     return UncertaintyReport(*(float(v) for v in _report(a, b, p, cfg)))
 
 
-def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitBatch,
+def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitPoint,
                       cfg: Config = DEFAULT_CONFIG) -> UncertaintyReport:
-    """:func:`full_report` at every point of ``batch`` at once.
+    """:func:`full_report` at every row of ``batch``, an :class:`OrbitPoint`
+    stack of N points, at once.
 
     Each field of the returned report is a read-only (N,) array whose entry i
     equals the field of ``full_report(a, b, batch[i])``. The error raised is

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from orbit_kahler import Config, make_hermitian, orbit_point
+from orbit_kahler import Config, OrbitPoint, make_hermitian, orbit_point
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def labelled_point(rho, spectrum, frame):
+    """The point on ``rho`` and ``frame`` labelled ``spectrum``, unchecked
+    (white box): its eigenvalues and cluster starts are read off the label."""
+    cluster_start = np.zeros(spectrum.total_dim, bool)
+    cluster_start[np.cumsum((0,) + spectrum.mults[:-1])] = True
+    return OrbitPoint(rho=rho, frame=frame, eigenvalues=spectrum.full_values(),
+                      cluster_start=cluster_start)
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ from orbit_kahler import (
     NegativeVarianceError,
     NotDensityError,
     NotHermitianError,
-    OrbitBatch,
     OrbitKahlerError,
+    OrbitPoint,
     UncertaintyReport,
     full_report,
     full_report_batch,
@@ -93,7 +93,7 @@ def test_batch_rows_equal_single_points(dim):
 def test_sliced_batch_equals_batch_of_slice(dim, rows):
     rhos = _stack(dim, np.random.default_rng(dim))
     sliced = orbit_batch(rhos)[rows]
-    assert isinstance(sliced, OrbitBatch)
+    assert isinstance(sliced, OrbitPoint)
     expected = orbit_batch(rhos[rows])
     for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps", "same_cluster",
                  "inv_gaps"):
@@ -173,7 +173,7 @@ def test_full_report_batch_raises_first_failing_row():
     values = np.array([[0.7, 0.3], [0.6, 0.4], [1.1, -0.1], [1.2, -0.2]])
     rhos = np.array([np.diag(v) for v in values], dtype=complex)
     starts = np.ones_like(values, dtype=bool)
-    batch = OrbitBatch(rho=rhos, frame=np.array([np.eye(2)] * 4, dtype=complex),
+    batch = OrbitPoint(rho=rhos, frame=np.array([np.eye(2)] * 4, dtype=complex),
                        eigenvalues=values, cluster_start=starts)
     projector = make_hermitian(np.diag([0.0, 1.0]))
     expected = _first_row_error(
@@ -188,7 +188,7 @@ def test_full_report_batch_prefix_fails_a_later_check():
     # white box: row 1 fails the variance of A first, but row 0 fails the
     # later variance of B, and row 0 is the first failing row
     values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
-    batch = OrbitBatch(rho=np.array([np.diag(v) for v in values], dtype=complex),
+    batch = OrbitPoint(rho=np.array([np.diag(v) for v in values], dtype=complex),
                        frame=np.array([np.eye(3)] * 2, dtype=complex),
                        eigenvalues=values, cluster_start=np.ones_like(values, dtype=bool))
     a = make_hermitian(np.diag([0.0, 1.0, 0.0]))
@@ -210,7 +210,7 @@ def test_failing_batches_never_evaluate_a_row_alone(monkeypatch):
     a = make_hermitian(np.diag([0.0, 1.0, 0.0]))
     b = make_hermitian(np.diag([0.0, 0.0, 1.0]))
     values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
-    report_rows = OrbitBatch(rho=np.array([np.diag(v) for v in values], dtype=complex),
+    report_rows = OrbitPoint(rho=np.array([np.diag(v) for v in values], dtype=complex),
                              frame=np.array([np.eye(3)] * 2, dtype=complex),
                              eigenvalues=values,
                              cluster_start=np.ones_like(values, dtype=bool))

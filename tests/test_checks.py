@@ -148,6 +148,35 @@ def test_random_spectrum_rejects_dim_below_1():
         random_spectrum(0, np.random.default_rng(0))
 
 
+class _BoundedRng:
+    """A seeded Generator that fails after ``limit`` uniform draws, so that a
+    rejection loop which can never accept fails instead of spinning."""
+
+    def __init__(self, seed, limit=1000):
+        self._rng = np.random.default_rng(seed)
+        self._left = limit
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, *args, **kwargs):
+        self._left -= 1
+        assert self._left >= 0, "the rejection loop accepted no draw"
+        return self._rng.uniform(*args, **kwargs)
+
+
+def test_random_spectrum_rejects_bounds_it_cannot_meet():
+    for kwargs in ({"max_mult": 0}, {"max_clusters": 0}):
+        with pytest.raises(ValueError, match="max_clusters and max_mult must be >= 1"):
+            random_spectrum(4, _BoundedRng(0), **kwargs)
+    # 3 or 4 levels drawn from [0.1, 1.0) span less than 0.9 < 2 * 0.5
+    for seed in range(4):
+        with pytest.raises(ValueError, match="levels in \\[0.1, 1.0\\) cannot be 0.5 apart"):
+            random_spectrum(4, _BoundedRng(seed), min_gap=0.5)
+    # two levels 0.5 apart can be drawn
+    assert random_spectrum(2, _BoundedRng(0), min_gap=0.5).k == 2
+
+
 class TestReportMax:
     @pytest.mark.parametrize("residuals, worst", [
         ([1e-12, math.nan, 1e-3], 1),  # later finite residuals do not replace it

@@ -17,6 +17,8 @@ from orbit_kahler import (
 from orbit_kahler.dynamics import Trajectory
 from orbit_kahler.sampling import gaussian_hermitian, random_point
 
+from conftest import labelled_point
+
 
 class TestEvolve:
     def test_zero_time_identity(self, qubit_point, sigma_x):
@@ -43,15 +45,13 @@ class TestEvolve:
         # make_spectrum merges -2e-9 and -4e-9, both clamped to 0.0, into one
         # cluster of multiplicity 2; a flowed, conjugated or gauged point,
         # which reads its label from its eigenvalues, keeps that label
-        from orbit_kahler import (OrbitPoint, conjugate_point, haar_unitary, make_spectrum,
-                                  with_gauge)
+        from orbit_kahler import conjugate_point, haar_unitary, make_spectrum, with_gauge
         from orbit_kahler.sampling import random_gauge
 
         spectrum = make_spectrum([1.0 + 7e-9, -2e-9, -4e-9], [1, 1, 1])
         assert spectrum.mults == (1, 2) and spectrum.values[1:] == (0.0,)
         u = haar_unitary(3, 4)
-        p = OrbitPoint(rho=u @ np.diag(spectrum.full_values()) @ u.conj().T,
-                       spectrum=spectrum, frame=u)
+        p = labelled_point(u @ np.diag(spectrum.full_values()) @ u.conj().T, spectrum, u)
         h = gaussian_hermitian(3, np.random.default_rng(5))
         gauge = random_gauge(p, np.random.default_rng(6))
         assert np.abs(gauge[1:, 1:] - np.eye(2)).max() > 0.1

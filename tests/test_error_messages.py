@@ -12,6 +12,7 @@ import pytest
 
 from orbit_kahler import (
     DegenerateGapError,
+    DimMismatchError,
     HermitianOperator,
     NegativeVarianceError,
     NonRealResultError,
@@ -19,7 +20,6 @@ from orbit_kahler import (
     NotHermitianError,
     NotOffDiagonalError,
     NotUnitaryError,
-    OrbitBatch,
     OrbitPoint,
     TangentVector,
     TheoremViolationError,
@@ -45,11 +45,14 @@ from orbit_kahler import (
 )
 from orbit_kahler.cli import main
 
+from conftest import labelled_point
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 GOOD = np.diag([0.6, 0.4]).astype(complex)
 QUBIT = orbit_point(make_hermitian(np.diag([0.7, 0.3])))
 MIXED = orbit_point(make_hermitian(np.eye(2) / 2))
+QUTRIT = orbit_point(make_hermitian(np.diag([0.5, 0.3, 0.2])))
 
 
 def _raw(matrix):
@@ -59,9 +62,9 @@ def _raw(matrix):
 
 def _fake_point(values, frame=np.eye(2)):
     """A point on diag(values) with an unchecked spectrum and frame."""
-    return OrbitPoint(rho=np.diag(values).astype(complex),
-                      spectrum=make_spectrum(values, [1] * len(values), density=False),
-                      frame=np.asarray(frame, dtype=complex))
+    return labelled_point(np.diag(values).astype(complex),
+                          make_spectrum(values, [1] * len(values), density=False),
+                          np.asarray(frame, dtype=complex))
 
 
 def _batch_after_zero_row(p):
@@ -69,7 +72,7 @@ def _batch_after_zero_row(p):
     operands, since every trace and tangent vector vanishes."""
     d = p.dim
     starts = np.concatenate(([True], np.diff(p.eigenvalues) != 0))
-    return OrbitBatch(rho=[np.zeros((d, d)), p.rho], frame=[np.eye(d), p.frame],
+    return OrbitPoint(rho=[np.zeros((d, d)), p.rho], frame=[np.eye(d), p.frame],
                       eigenvalues=[np.zeros(d), p.eigenvalues],
                       cluster_start=[np.arange(d) == 0, starts])
 
@@ -88,13 +91,11 @@ IMAG_PAIRING = (_raw([[0, 1j], [0, 0]]), _raw(SX), QUBIT)
 IMAG_COVARIANCE = (_raw([[0, 1j], [0, 0]]), _raw(SX), MIXED)
 # one claimed cluster: every lift vanishes, so only the RS traces see the operands
 REAL_COMMUTATOR = (_raw([[0, 1], [0, 0]]), _raw(SX),
-                   OrbitPoint(rho=QUBIT.rho, spectrum=make_spectrum([0.5], [2]),
-                              frame=np.eye(2)))
+                   labelled_point(QUBIT.rho, make_spectrum([0.5], [2]), np.eye(2)))
 NEGATIVE_VARIANCE = (make_hermitian(np.diag([0.0, 1.0])),
                      make_hermitian(np.diag([0.0, 1.0])), _fake_point([1.1, -0.1]))
 LYING_SPECTRUM = (make_hermitian(SX), make_hermitian(np.array([[0, -1j], [1j, 0]])),
-                  OrbitPoint(rho=QUBIT.rho, spectrum=make_spectrum([0.55, 0.45], [1, 1]),
-                             frame=QUBIT.frame))
+                  labelled_point(QUBIT.rho, make_spectrum([0.55, 0.45], [1, 1]), QUBIT.frame))
 
 SINGLE = {
     "hermiticity": (lambda: make_hermitian(NOT_HERMITIAN), NotHermitianError,
@@ -109,6 +110,10 @@ SINGLE = {
                         "unitarity defect 3.000e+00"),
     "non-finite unitary": (lambda: conjugate_point(QUBIT, np.diag([np.inf, 1.0])),
                            NotUnitaryError, "non-finite entries"),
+    "point unitary shape": (lambda: conjugate_point(QUTRIT, np.eye(2)), DimMismatchError,
+                            "point dim 3 vs unitary shape (2, 2)"),
+    "point unitary stack": (lambda: conjugate_point(QUTRIT, np.array([np.eye(3)] * 3)),
+                            DimMismatchError, "point dim 3 vs unitary shape (3, 3, 3)"),
     "frame unitarity": (lambda: with_gauge(QUBIT, NOT_UNITARY), NotUnitaryError,
                         "frame unitarity defect 3.000e+00"),
     "frame residual": (lambda: conjugate_point(_fake_point([0.7, 0.3], SX), np.eye(2)),

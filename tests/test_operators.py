@@ -24,6 +24,8 @@ from orbit_kahler import (
 from orbit_kahler.sampling import gaussian_hermitian, random_gauge, random_spectrum
 from orbit_kahler.serialize import spectrum_from_json, spectrum_to_json
 
+from conftest import labelled_point
+
 
 class TestMakeHermitian:
     def test_identity_accepted(self):
@@ -181,6 +183,19 @@ class TestOrbitPoint:
         rho = make_hermitian(np.diag([0.5 + 4e-4, 0.5 - 4e-4]).astype(complex), cfg)
         assert orbit_point(rho, cfg).spectrum.mults == (2,)
 
+    def test_only_a_stack_has_rows(self, qubit_point):
+        # one type holds a point and a stack, so only these guards keep a
+        # single point from yielding the rows of its matrices
+        for read in (len, lambda p: p[0], list):
+            with pytest.raises(TypeError, match="a single OrbitPoint has no rows"):
+                read(qubit_point)
+        assert qubit_point and not orbit_batch(np.zeros((0, 2, 2)))
+        stack = orbit_batch([qubit_point.rho] * 3)
+        assert len(stack) == len(list(stack)) == 3
+        assert stack[2].spectrum == qubit_point.spectrum
+        with pytest.raises(TypeError, match="a stack has one spectrum per row"):
+            stack.spectrum
+
     def test_clusters_clamped_to_zero_one_label(self):
         # -2e-9 and -4e-9 are split by their raw gap but both clamp to 0.0
         rho = make_hermitian(np.diag([1.0 + 6e-9, -2e-9, -4e-9]).astype(complex))
@@ -221,12 +236,16 @@ class TestConjugate:
         for dim in range(2, 9):
             rng = np.random.default_rng(dim)
             for _ in range(100):
-                p = random_density(random_spectrum(dim, rng), rng)
+                s = random_spectrum(dim, rng)
+                p = random_density(s, rng)
                 u = haar_unitary(dim, rng)
                 moved = orbit_point(conjugate(make_hermitian(p.rho), u))
                 assert moved.spectrum.mults == p.spectrum.mults
                 np.testing.assert_allclose(moved.spectrum.values,
                                            p.spectrum.values, atol=1e-10)
+                # a point reads its label from its own eigenvalues, so it is
+                # exactly the label it was built with, unlike re-diagonalizing
+                assert p.spectrum == conjugate_point(p, u).spectrum == s
 
 
 class TestRandomGenerators:
@@ -299,7 +318,7 @@ def _per_matrix_haar(dim, rng):
 def test_haar_pass_rows_equal_one_point_draws(dim):
     # a stacked pass over draws of one stream gives, row for row, exactly
     # the points and unitaries drawn one at a time from the same stream
-    from orbit_kahler.operators import OrbitPoint, _haar_frames, _haar_points, _normals
+    from orbit_kahler.operators import _haar_frames, _haar_points, _normals
     from orbit_kahler.sampling import maximally_mixed_spectrum, pure_spectrum
 
     cfg = Config()
@@ -318,7 +337,7 @@ def test_haar_pass_rows_equal_one_point_draws(dim):
         u = _per_matrix_haar(dim, reference)
         rho = u @ np.diag(spectrum.full_values()) @ u.conj().T
         rho = 0.5 * (rho + rho.conj().T)
-        fresh = OrbitPoint(rho=rho, spectrum=spectrum, frame=u)
+        fresh = labelled_point(rho, spectrum, u)
         for other in (alone, fresh):
             assert other.spectrum == point.spectrum
             for name in ("rho", "frame", "eigenvalues", "gaps", "same_cluster", "inv_gaps"):

@@ -4,7 +4,6 @@ import pytest
 from orbit_kahler import (
     DimMismatchError,
     NegativeVarianceError,
-    OrbitPoint,
     TheoremViolationError,
     expectation,
     full_report,
@@ -20,6 +19,8 @@ from orbit_kahler import (
     variance_decomposition,
 )
 from orbit_kahler.sampling import gaussian_hermitian, pure_spectrum, random_point
+
+from conftest import labelled_point
 
 
 class TestExpectation:
@@ -54,9 +55,9 @@ class TestUncertainty:
     def test_negative_variance_guard(self):
         # white box: a corrupted point with a negative "eigenvalue" makes the
         # variance of the matching projector negative, which must be flagged
-        fake = OrbitPoint(rho=np.diag([1.1, -0.1]).astype(complex),
-                          spectrum=make_spectrum([1.1, -0.1], [1, 1], density=False),
-                          frame=np.eye(2, dtype=complex))
+        fake = labelled_point(np.diag([1.1, -0.1]).astype(complex),
+                              make_spectrum([1.1, -0.1], [1, 1], density=False),
+                              np.eye(2, dtype=complex))
         projector = make_hermitian(np.diag([0.0, 1.0]))
         with pytest.raises(NegativeVarianceError):
             uncertainty(projector, fake)
@@ -189,8 +190,7 @@ class TestFullReport:
     def test_theorem_violation_guard(self, sigma_x, sigma_y, qubit_point):
         # white box: lie about the spectrum so the lifted generator (and with
         # it the bound) is inflated past the product; must raise, not return
-        lying = OrbitPoint(rho=qubit_point.rho,
-                           spectrum=make_spectrum([0.55, 0.45], [1, 1]),
-                           frame=qubit_point.frame)
+        lying = labelled_point(qubit_point.rho, make_spectrum([0.55, 0.45], [1, 1]),
+                               qubit_point.frame)
         with pytest.raises(TheoremViolationError):
             full_report(sigma_x, sigma_y, lying)
