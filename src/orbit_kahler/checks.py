@@ -23,6 +23,7 @@ the plumbing that turns residuals into exit codes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import namedtuple
 from functools import partial
@@ -32,8 +33,8 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG
 from .dynamics import _propagators, ehrenfest_check, trajectory
 from .integrability import (
-    CheckReport,
     _case,
+    _report_max,
     closedness_check,
     involutivity_check,
     nijenhuis_fd,
@@ -93,7 +94,7 @@ class _Instances:
         self.rng = rng
         self.cfg = cfg
         self.perturb_j = perturb_j
-        self.pool = [make_spectrum(s.values, s.mults, cfg) for s in pool] if pool else None
+        self.pool = pool
         self.dims = (tuple(sorted({s.total_dim for s in self.pool}))
                      if self.pool else tuple(dims))
         self._count = 0
@@ -126,19 +127,6 @@ class _Instances:
 
     def observable(self, dim: int | None = None):
         return gaussian_hermitian(dim or self.dim, self.rng)
-
-
-def _report_max(name, pairs, samples, tolerance, **extra):
-    """Build a report from (residual, worst_case) pairs; ``extra`` entries
-    are appended to the worst case."""
-    max_residual = 0.0
-    worst = {}
-    for residual, case in pairs:
-        # a NaN residual is kept, so that it fails the report
-        if residual >= max_residual or math.isnan(residual):
-            max_residual = residual
-            worst = case
-    return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
 def _sampled(draw, count=None, tolerance=None):
@@ -283,8 +271,7 @@ def _panel(inst, samples, check):
 
 def _panel_report(name, inst, samples, results):
     (worst, count), = results
-    return CheckReport.build(name, worst.max_residual, count, worst.tolerance,
-                             worst.worst_case)
+    return dataclasses.replace(worst, samples=count)
 
 
 def _fd_tolerance(cfg: Config) -> float:
@@ -446,6 +433,8 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     unknown = (selected or set()) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if spectra is not None:
+        spectra = [make_spectrum(s.values, s.mults, cfg) for s in spectra]
     children = np.random.SeedSequence(seed).spawn(len(_CATALOG))
     # (sample, what it drew, its suite's results), up to _CHUNK_ENTRIES
     # matrix entries of pending draws at a time; a suite is reported, and its

@@ -23,6 +23,7 @@ fields on the flowed rows as one stack through the point-or-stack kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .config import Config, DEFAULT_CONFIG
 from .dynamics import _flows
 from .errors import DegenerateDriftError
 from .kahler import _apply_j, _symplectic, apply_J, symplectic_tangent
-from .operators import HermitianOperator, OrbitPoint, _stacked
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _stacked
 from .sampling import random_tangent
 from .tangent import TangentVector, _lift, _tangent, tangent_map
 
@@ -74,11 +75,23 @@ def _case(p: OrbitPoint, index: int, **extra) -> dict:
     return {"sample": index, "dim": p.dim, **extra, "spectrum": spectrum}
 
 
+def _report_max(name, pairs, samples, tolerance, **extra):
+    """Build a report from (residual, worst_case) pairs; ``extra`` entries
+    are appended to the worst case."""
+    max_residual = 0.0
+    worst = {}
+    for residual, case in pairs:
+        # a NaN residual is kept, so that it fails the report
+        if residual >= max_residual or math.isnan(residual):
+            max_residual = residual
+            worst = case
+    return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
+
+
 def _random_strictly_upper(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Frame-coordinates matrix with Gaussian entries strictly above the
     block diagonal (gaps > 0) and exact zeros elsewhere."""
-    z = rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
-    return np.where(p.gaps > 0, z, 0.0)
+    return np.where(p.gaps > 0, _normals(p.dim, rng), 0.0)
 
 
 def involutivity_check(p: OrbitPoint, samples: int, seed,
@@ -91,20 +104,17 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    max_residual = 0.0
     scale = 1.0
-    worst = _case(p, 0)
+    pairs = []
     for index in range(samples):
         upper_a = _random_strictly_upper(p, rng)
         upper_b = _random_strictly_upper(p, rng)
         commutator = upper_a @ upper_b - upper_b @ upper_a
         residual = float(np.max(np.abs(commutator), where=p.gaps < 0, initial=0.0))
         scale = max(scale, float(np.linalg.norm(upper_a) * np.linalg.norm(upper_b)))
-        if residual >= max_residual:
-            max_residual = residual
-            worst["sample"] = index
+        pairs.append((residual, _case(p, index)))
     tolerance = 100.0 * np.finfo(float).eps * scale
-    return CheckReport.build("involutivity", max_residual, samples, tolerance, worst)
+    return _report_max("involutivity", pairs, samples, tolerance)
 
 
 def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
@@ -142,6 +152,7 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     ``cfg.fd_step``; the exact value is zero, so the return is pure
     discretization residual, O(fd_step^2).
     """
+    _check_dims(p, a, b)
     hbar = cfg.hbar
     # the fields X_A, X_B and their pointwise J, each flowed along the lift
     # of its value at p
@@ -173,6 +184,7 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     on pairwise brackets, normalized by 1/3. Exactly zero on the orbit; the
     return is the finite-difference residual, O(fd_step^2).
     """
+    _check_dims(p, a, b, c)
     hbar = cfg.hbar
     ops = (a.matrix, b.matrix, c.matrix)
     lifted = [_lift(_tangent(x, p.rho, hbar), p, hbar) for x in ops]

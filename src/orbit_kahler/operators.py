@@ -23,7 +23,9 @@ rather than silently committing to a block structure.
 Stacks. An :class:`OrbitPoint` also holds N points of one dimension, stacked
 along a leading axis. The kernels here and in the modules above take a point
 or a stack and work over the trailing two axes, so a single point runs the
-same code as one row of a stack and gives bitwise the same numbers. Each
+same code as one row of a stack and gives bitwise the same numbers. The
+public functions of a single point raise :class:`TypeError` on a stack, and
+the ``_batch`` functions raise it on a single point. Each
 check raises where it fails, with the error it builds for its first failing
 row. On a stack, the rows before that row may still fail a later check, so
 the stack function re-runs the stacked pass on them until a prefix passes,
@@ -33,7 +35,7 @@ and raises the error of the last row named, prefixed ``row i:``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,9 +73,29 @@ def _freeze(arr, dtype=np.complex128) -> np.ndarray:
 
 
 def _check_dims(p: "OrbitPoint", *operators):
+    """Check that ``p`` is a single point and the operators have its dim."""
+    if p.rho.ndim != 2:
+        raise TypeError(f"expected a single point, got rho of shape {p.rho.shape}")
+    _check_operand_dims(p, *operators)
+
+
+def _check_operand_dims(p: "OrbitPoint", *operators):
     for op in operators:
         if op.dim != p.dim:
             raise DimMismatchError(f"operator dim {op.dim} vs point dim {p.dim}")
+
+
+def _value_type(cls):
+    """A frozen dataclass whose ``==`` compares field by field: a field that
+    is itself a value with ``==``, arrays and numbers with ``np.array_equal``.
+    The hash stays the dataclass one, so a value holding arrays is unhashable."""
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a == b if is_dataclass(a) else np.array_equal(a, b) for a, b in pairs)
+    cls.__eq__, cls.__hash__ = __eq__, None
+    return dataclass(frozen=True)(cls)
 
 
 class _BatchFailure(Exception):
@@ -173,7 +195,7 @@ def _require_unitary(u: np.ndarray, cfg: Config, what: str = "unitarity defect")
     _require(defect > cfg.tol_unitary, NotUnitaryError, lambda i: f"{what} {defect[i]:.3e}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class HermitianOperator:
     """A validated n x n complex matrix equal to its conjugate transpose.
 
@@ -234,22 +256,16 @@ class Spectrum:
         """Largest minus smallest distinct eigenvalue."""
         return float(self.values[0] - self.values[-1])
 
-    @property
-    def weighted_sum(self) -> float:
-        """Trace of any operator with this spectrum."""
-        return float(sum(n * p for p, n in zip(self.values, self.mults)))
-
     def full_values(self) -> np.ndarray:
         """All eigenvalues with multiplicity, descending."""
         return np.repeat(np.asarray(self.values, dtype=float),
                          np.asarray(self.mults, dtype=int))
 
 
-def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
-                  density: bool = True) -> Spectrum:
-    """Validate and build a :class:`Spectrum`.
+def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
+    """Validate and build the :class:`Spectrum` of a density operator.
 
-    Gaps must exceed ``cfg.tol_cluster``; density spectra must be nonnegative
+    Gaps must exceed ``cfg.tol_cluster``; the values must be nonnegative
     with unit weighted trace within ``cfg.tol_trace``; values clamped to 0.0
     merge into one cluster, as in :func:`orbit_point`, so a built spectrum
     passes through unchanged.
@@ -269,16 +285,15 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG,
         if not a - b > cfg.tol_cluster:
             raise DegenerateGapError(
                 f"values not strictly descending with gap > {cfg.tol_cluster}: {a} vs {b}")
-    if density:
-        if min(values) < -cfg.tol_trace:
-            raise NotDensityError(f"negative eigenvalue {min(values)}")
-        values = tuple(max(v, 0.0) for v in values)
-        if values.count(0.0) > 1:
-            zero = values.index(0.0)
-            values, mults = values[:zero + 1], mults[:zero] + (sum(mults[zero:]),)
-        trace = sum(n * p for p, n in zip(values, mults))
-        if abs(trace - 1.0) > cfg.tol_trace:
-            raise NotDensityError(f"trace {trace} differs from 1 beyond {cfg.tol_trace}")
+    if min(values) < -cfg.tol_trace:
+        raise NotDensityError(f"negative eigenvalue {min(values)}")
+    values = tuple(max(v, 0.0) for v in values)
+    if values.count(0.0) > 1:
+        zero = values.index(0.0)
+        values, mults = values[:zero + 1], mults[:zero] + (sum(mults[zero:]),)
+    trace = sum(n * p for p, n in zip(values, mults))
+    if abs(trace - 1.0) > cfg.tol_trace:
+        raise NotDensityError(f"trace {trace} differs from 1 beyond {cfg.tol_trace}")
     return Spectrum(values=values, mults=mults)
 
 
@@ -289,7 +304,7 @@ def _cluster_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
-@dataclass(frozen=True)
+@_value_type
 class OrbitPoint:
     """A density operator with a cluster-ordered diagonalizing frame, or a
     stack of N of them of one dimension d.
@@ -517,6 +532,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     The moved point reads its spectrum from the eigenvalues of ``p``, which
     gives back ``p.spectrum`` (conjugation preserves it exactly).
     """
+    _check_dims(p)
     u = np.asarray(unitary, dtype=np.complex128)
     if u.shape != p.rho.shape:
         raise DimMismatchError(f"point dim {p.dim} vs unitary shape {u.shape}")
@@ -533,6 +549,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     freedom inside degenerate clusters. The matrix must be block diagonal
     with respect to the multiplicity pattern of ``p``.
     """
+    _check_dims(p)
     v = np.asarray(block_unitary, dtype=np.complex128)
     if v.shape != (p.dim, p.dim):
         raise DimMismatchError(f"gauge shape {v.shape} vs dim {p.dim}")

@@ -13,6 +13,7 @@ from .operators import (
     HermitianOperator,
     OrbitPoint,
     Spectrum,
+    _normals,
     haar_unitary,
     make_spectrum,
     random_density,
@@ -32,7 +33,7 @@ __all__ = [
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian-ensemble Hermitian matrix drawn from ``rng``."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = _normals(dim, rng)
     return HermitianOperator(0.5 * (z + z.conj().T))
 
 

@@ -8,6 +8,7 @@ default float repr), so identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -76,11 +77,9 @@ def spectrum_to_json(spectrum: Spectrum) -> dict:
 
 def spectrum_from_json(data: dict, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     try:
-        values = data["values"]
-        mults = data["mults"]
+        return make_spectrum(data["values"], data["mults"], cfg)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed spectrum JSON: {exc}") from exc
-    return make_spectrum(values, mults, cfg)
 
 
 def check_report_to_json(report: CheckReport) -> dict:
@@ -95,15 +94,7 @@ def check_report_to_json(report: CheckReport) -> dict:
 
 
 def uncertainty_report_to_json(report: UncertaintyReport) -> dict:
-    return {
-        "deltaA": report.deltaA,
-        "deltaB": report.deltaB,
-        "product": report.product,
-        "geometric_bound": report.geometric_bound,
-        "rs_bound": report.rs_bound,
-        "slack_geometric": report.slack_geometric,
-        "slack_rs": report.slack_rs,
-    }
+    return dataclasses.asdict(report)
 
 
 def kahler_evaluation_to_json(evaluation: KahlerEvaluation) -> dict:

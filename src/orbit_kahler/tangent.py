@@ -12,8 +12,6 @@ different points raise :class:`BaseMismatchError` rather than re-basing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
@@ -26,6 +24,7 @@ from .operators import (
     _from_frame,
     _require_hermitian,
     _to_frame,
+    _value_type,
 )
 
 __all__ = [
@@ -37,21 +36,12 @@ __all__ = [
 ]
 
 
-def same_base(p: OrbitPoint, q: OrbitPoint) -> bool:
-    """Whether two orbit points are the same base point (same rho and frame)."""
-    return (p is q) or (
-        p.spectrum == q.spectrum
-        and np.array_equal(p.rho, q.rho)
-        and np.array_equal(p.frame, q.frame)
-    )
-
-
 def _require_same_base(p: OrbitPoint, q: OrbitPoint):
-    if not same_base(p, q):
+    if p is not q and p != q:
         raise BaseMismatchError("tangent vectors live at different base points")
 
 
-@dataclass(frozen=True)
+@_value_type
 class TangentVector:
     """A tangent vector at ``base``, stored as its ambient Hermitian matrix.
 
@@ -62,11 +52,8 @@ class TangentVector:
     ambient: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.base)
         object.__setattr__(self, "ambient", _freeze(self.ambient))
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.shape[0]
 
     @property
     def max_norm(self) -> float:
@@ -75,10 +62,6 @@ class TangentVector:
     @property
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.ambient))
-
-    def in_frame(self) -> np.ndarray:
-        """Matrix of the vector in the frame of its base point."""
-        return self.base.to_frame(self.ambient)
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         if not isinstance(other, TangentVector):
@@ -126,6 +109,7 @@ def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> Tangen
 
     Requires hermiticity and vanishing diagonal blocks in the frame of ``p``.
     """
+    _check_dims(p)
     arr = np.asarray(ambient, dtype=np.complex128)
     if arr.shape != (p.dim, p.dim):
         raise DimMismatchError(f"shape {arr.shape} vs point dim {p.dim}")

@@ -17,8 +17,6 @@ comparison baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
@@ -28,10 +26,12 @@ from .operators import (
     HermitianOperator,
     OrbitPoint,
     _check_dims,
+    _check_operand_dims,
     _freeze,
     _prefixed,
     _require,
     _stacked,
+    _value_type,
 )
 from .tangent import _tangent
 
@@ -159,7 +159,7 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     return float(_rs(a, b, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
 
 
-@dataclass(frozen=True)
+@_value_type
 class UncertaintyReport:
     """Both uncertainty bounds against the product of standard deviations.
 
@@ -217,6 +217,8 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitPo
     equals the field of ``full_report(a, b, batch[i])``. The error raised is
     the one the first failing row raises alone, prefixed ``row i:``.
     """
-    _check_dims(batch, a, b)
+    if batch.rho.ndim != 3:
+        raise TypeError(f"expected a stack of points, got rho of shape {batch.rho.shape}")
+    _check_operand_dims(batch, a, b)
     fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch, _prefixed)
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

@@ -10,15 +10,22 @@ from orbit_kahler import (
     conjugate,
     conjugate_point,
     evolve,
+    full_report,
     full_report_batch,
+    hermitian_product,
     j_generator,
+    kahler_evaluation,
     lift,
     make_hermitian,
     make_spectrum,
+    metric,
     orbit_batch,
+    orbit_point,
     random_density,
     split_kernel,
+    symplectic_tangent,
     tangent_map,
+    trajectory,
     with_gauge,
 )
 from orbit_kahler.sampling import gaussian_hermitian, random_gauge
@@ -95,3 +102,43 @@ def test_values_copy_their_input():
     source[0, 0] = 5.0
     assert op.matrix[0, 0] == 0.7
     assert batch.rho[0, 0, 0] == 0.7
+
+
+def test_values_compare_by_value():
+    rng = np.random.default_rng(3)
+    m = gaussian_hermitian(3, rng).matrix
+    rho = random_density(make_spectrum([0.5, 0.25], [1, 2]), rng).rho
+    p, q = orbit_point(make_hermitian(rho)), orbit_point(make_hermitian(rho))
+    assert p is not q and p == q and not p != q and q in [p]
+    assert make_hermitian(m) == make_hermitian(m)
+    a, b = make_hermitian(m), gaussian_hermitian(3, rng)
+    assert tangent_map(a, p) == tangent_map(a, q) and tangent_map(a, p) != tangent_map(b, p)
+    batch = orbit_batch([rho, rho.conj()])
+    assert full_report_batch(a, b, batch) == full_report_batch(a, b, orbit_batch(batch.rho))
+    assert trajectory(p, a, 1.0, 4) == trajectory(q, a, 1.0, 4)
+    assert kahler_evaluation(a, b, p) == kahler_evaluation(a, b, q)
+    # a gauge that moves the frame inside the 2-cluster gives a different value
+    gauge = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    assert with_gauge(p, gauge) != p
+    assert (tangent_map(a, p) == a) is False and (a == tangent_map(a, p)) is False
+
+
+def test_values_holding_arrays_stay_unhashable():
+    p = orbit_point(make_hermitian(np.diag([0.6, 0.4])))
+    a = make_hermitian(np.diag([1.0, -1.0]))
+    for value in (p, a, tangent_map(a, p), full_report_batch(a, a, orbit_batch(p.rho[None]))):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert hash(full_report(a, a, p)) == hash(full_report(a, a, p))
+
+
+def test_vectors_at_equal_points_combine():
+    # the value branch of the base check: equal but distinct point objects
+    rho = make_hermitian(np.diag([0.6, 0.4]))
+    p, q = orbit_point(rho), orbit_point(rho)
+    a, b = make_hermitian([[0, 1], [1, 0]]), make_hermitian([[0, -1j], [1j, 0]])
+    x, y = tangent_map(a, p), tangent_map(b, q)
+    assert (x + y).base is p and (x - y).ambient.shape == (2, 2)
+    assert symplectic_tangent(x, y) == symplectic_tangent(x, tangent_map(b, p))
+    assert metric(x, y) == metric(tangent_map(a, p), tangent_map(b, p))
+    assert hermitian_product(x, y) == hermitian_product(x, tangent_map(b, p))

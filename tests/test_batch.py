@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import orbit_kahler as ok
 from orbit_kahler import (
     Config,
     DegenerateGapError,
@@ -27,7 +28,12 @@ from orbit_kahler import (
     orbit_point,
     random_density,
 )
-from orbit_kahler.sampling import gaussian_hermitian, random_spectrum
+from orbit_kahler.sampling import (
+    gaussian_hermitian,
+    random_gauge,
+    random_spectrum,
+    random_tangent,
+)
 
 FIELDS = [field.name for field in dataclasses.fields(UncertaintyReport)]
 
@@ -224,3 +230,56 @@ def test_failing_batches_never_evaluate_a_row_alone(monkeypatch):
         orbit_batch(np.array([GOOD, AMBIGUOUS, NEGATIVE], dtype=complex))
     with pytest.raises(NegativeVarianceError, match="^row 0: "):
         full_report_batch(a, b, report_rows)
+
+
+def _single_point_calls():
+    """Every public function of a single point, as ``name -> call(p)``."""
+    rng = np.random.default_rng(0)
+    a, b, c = (gaussian_hermitian(3, rng) for _ in range(3))
+    off = make_hermitian(np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1))
+    return {
+        "conjugate_point": lambda p: ok.conjugate_point(p, np.eye(3)),
+        "with_gauge": lambda p: ok.with_gauge(p, np.eye(3)),
+        "TangentVector": lambda p: ok.TangentVector(p, np.zeros(p.rho.shape)),
+        "tangent_map": lambda p: ok.tangent_map(a, p),
+        "make_tangent": lambda p: ok.make_tangent(np.zeros((3, 3)), p),
+        "split_kernel": lambda p: ok.split_kernel(a, p),
+        "j_generator": lambda p: ok.j_generator(off, p),
+        "symplectic": lambda p: ok.symplectic(a, b, p),
+        "hermitian_product_blocks": lambda p: ok.hermitian_product_blocks(off, off, p),
+        "kahler_evaluation": lambda p: ok.kahler_evaluation(a, b, p),
+        "expectation": lambda p: ok.expectation(a, p),
+        "uncertainty": lambda p: ok.uncertainty(a, p),
+        "variance_decomposition": lambda p: ok.variance_decomposition(a, p),
+        "geometric_bound": lambda p: ok.geometric_bound(a, b, p),
+        "rs_bound": lambda p: ok.rs_bound(a, b, p),
+        "full_report": lambda p: ok.full_report(a, b, p),
+        "involutivity_check": lambda p: ok.involutivity_check(p, 2, 0),
+        "nijenhuis_fd": lambda p: ok.nijenhuis_fd(a, b, p),
+        "closedness_check": lambda p: ok.closedness_check(a, b, c, p),
+        "nondegeneracy_check": lambda p: ok.nondegeneracy_check(p, 2, 0),
+        "evolve": lambda p: ok.evolve(p, a, 0.1),
+        "ehrenfest_check": lambda p: ok.ehrenfest_check(a, b, p),
+        "trajectory": lambda p: ok.trajectory(p, a, 1.0, 3),
+        "random_tangent": lambda p: random_tangent(p, rng),
+        "random_gauge": lambda p: random_gauge(p, rng),
+    }
+
+
+@pytest.mark.parametrize("name", list(_single_point_calls()))
+def test_single_point_functions_reject_a_stack(name):
+    # a stack once leaked _BatchFailure, raised a bare numpy error or
+    # returned a value of the wrong size (lift of a vector at a stack of 2
+    # had dim 2)
+    diag = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    stack = orbit_batch([diag, diag[::-1, ::-1]])
+    call = _single_point_calls()[name]
+    call(stack[0])
+    with pytest.raises(TypeError, match="single point|one spectrum per row"):
+        call(stack)
+
+
+def test_full_report_batch_rejects_a_single_point():
+    a = make_hermitian(np.diag([1.0, -1.0]))
+    with pytest.raises(TypeError, match="expected a stack of points"):
+        full_report_batch(a, a, orbit_point(make_hermitian(np.diag([0.6, 0.4]))))

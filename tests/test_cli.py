@@ -281,6 +281,18 @@ class TestChecksCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "must hold a JSON list of spectra" in captured.err
 
+    @pytest.mark.parametrize("command", [["checks", "--samples", "2"], ["sweep"]])
+    @pytest.mark.parametrize("content", ['[{"values": 5, "mults": 1}]',
+                                         '[{"values": [1.0], "mults": [null]}]',
+                                         '[{"values": [1.0], "mults": 1}]'])
+    def test_malformed_spectrum_exits_2(self, command, content, tmp_path, capsys):
+        # each raised a TypeError with a traceback, exit 1
+        spectra = tmp_path / "spectra.json"
+        spectra.write_text(content)
+        assert main(command + ["--spectra", str(spectra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: malformed spectrum JSON: ")
+
     def test_empty_spectra_pool_exits_2(self, tmp_path, capsys):
         # it used to fall back to the default dims and exit 0
         spectra = tmp_path / "spectra.json"

@@ -21,6 +21,7 @@ from orbit_kahler import (
     NotOffDiagonalError,
     NotUnitaryError,
     OrbitPoint,
+    Spectrum,
     TangentVector,
     TheoremViolationError,
     conjugate,
@@ -63,7 +64,7 @@ def _raw(matrix):
 def _fake_point(values, frame=np.eye(2)):
     """A point on diag(values) with an unchecked spectrum and frame."""
     return labelled_point(np.diag(values).astype(complex),
-                          make_spectrum(values, [1] * len(values), density=False),
+                          Spectrum(tuple(values), (1,) * len(values)),
                           np.asarray(frame, dtype=complex))
 
 

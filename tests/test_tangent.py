@@ -51,7 +51,7 @@ class TestTangentMap:
         for dim in (3, 5, 6):
             p = random_point(dim, rng)
             x = tangent_map(gaussian_hermitian(dim, rng), p)
-            framed = x.in_frame()
+            framed = x.base.to_frame(x.ambient)
             assert np.max(np.abs(framed[p.same_cluster])) < 1e-13
 
     def test_equivariance(self):

@@ -4,6 +4,7 @@ import pytest
 from orbit_kahler import (
     DimMismatchError,
     NegativeVarianceError,
+    Spectrum,
     TheoremViolationError,
     expectation,
     full_report,
@@ -56,7 +57,7 @@ class TestUncertainty:
         # white box: a corrupted point with a negative "eigenvalue" makes the
         # variance of the matching projector negative, which must be flagged
         fake = labelled_point(np.diag([1.1, -0.1]).astype(complex),
-                              make_spectrum([1.1, -0.1], [1, 1], density=False),
+                              Spectrum((1.1, -0.1), (1, 1)),
                               np.eye(2, dtype=complex))
         projector = make_hermitian(np.diag([0.0, 1.0]))
         with pytest.raises(NegativeVarianceError):
