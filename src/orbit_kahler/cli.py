@@ -19,6 +19,8 @@ theorem violation, 5 check-suite failure. The seed defaults to the
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -87,12 +89,11 @@ def _seed(args) -> int:
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write each of ``lines`` with a newline to ``out_path``, or to stdout."""
+    sink = open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _cmd_spectrum(args, cfg: Config) -> int:
@@ -168,13 +169,16 @@ def _cmd_sweep(args, cfg: Config) -> int:
     if (args.grid is None) == (args.spectra is None):
         raise ValueError("provide exactly one of --grid or --spectra")
     if args.grid is not None:
-        eigenvalue_rows = [np.array([p, 1.0 - p]) for p in _parse_grid(args.grid)]
+        p = _parse_grid(args.grid)
+        values = np.stack([p, 1.0 - p], axis=1)
     else:
-        eigenvalue_rows = [s.full_values() for s in _load_spectra(args.spectra, cfg)]
-    dims = {len(row) for row in eigenvalue_rows}
-    if len(dims) != 1:
-        raise ValueError(f"all spectra in one sweep must share a dimension, got {dims}")
-    dim = dims.pop()
+        rows = [s.full_values() for s in _load_spectra(args.spectra, cfg)]
+        dims = {len(row) for row in rows}
+        if len(dims) != 1:
+            raise ValueError(f"all spectra in one sweep must share a dimension, got {dims}")
+        values = np.array(rows)
+    values = np.sort(values, axis=1)[:, ::-1]
+    dim = values.shape[1]
 
     if (args.a is None) != (args.b is None):
         raise ValueError("provide both --a and --b, or neither")
@@ -191,20 +195,21 @@ def _cmd_sweep(args, cfg: Config) -> int:
 
     header = ",".join([f"p{i + 1}" for i in range(dim)]
                       + ["deltaA", "deltaB", "product", "geom_bound", "rs_bound"])
-    lines = [header]
-    values = np.sort(np.array(eigenvalue_rows), axis=1)[:, ::-1]
+    # every row is evaluated before any is written, so a failing sweep writes nothing
+    table = np.empty((len(values), dim + 5))
+    table[:, :dim] = values
     chunk = max(1, _CHUNK_ENTRIES // dim ** 2)
     for start in range(0, len(values), chunk):
         rows = values[start:start + chunk]
         rhos = np.zeros(rows.shape + (dim,), dtype=complex)
         rhos[:, np.arange(dim), np.arange(dim)] = rows
         # deltaA to rs_bound; a failing row is named by its row in the sweep
-        columns = _stacked(
+        table[start:start + chunk, dim:] = np.stack(_stacked(
             lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos,
-            lambda m, error: _prefixed(start + m, error))
-        for row, *cells in zip(rows.tolist(), *(column.tolist() for column in columns)):
-            lines.append(",".join(map(repr, row + cells)))
-    _emit(lines, args.out)
+            lambda m, error: _prefixed(start + m, error)), axis=1)
+    lines = (",".join(map(repr, row)) for start in range(0, len(table), chunk)
+             for row in table[start:start + chunk].tolist())
+    _emit(itertools.chain([header], lines), args.out)
     return 0
 
 

@@ -13,6 +13,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+__all__ = ["Config", "DEFAULT_CONFIG"]
+
 
 @dataclass(frozen=True)
 class Config:

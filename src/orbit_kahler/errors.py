@@ -5,6 +5,13 @@ Every domain failure raises a subclass of :class:`OrbitKahlerError` so callers
 mathematical contracts.
 """
 
+__all__ = [
+    "OrbitKahlerError", "DimMismatchError", "NotHermitianError", "NotUnitaryError",
+    "NotDensityError", "DegenerateGapError", "BaseMismatchError", "NotOffDiagonalError",
+    "NonRealResultError", "NegativeVarianceError", "DegenerateDriftError",
+    "TheoremViolationError",
+]
+
 
 class OrbitKahlerError(Exception):
     """Base class for all orbit_kahler errors."""

@@ -24,7 +24,7 @@ fields on the flowed rows as one stack through the point-or-stack kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,26 +47,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one sampled invariant check."""
+    """Outcome of one sampled invariant check: it passed when
+    ``max_residual <= tolerance``, so a NaN residual fails."""
 
     check_name: str
     max_residual: float
     samples: int
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     worst_case: dict
 
-    @staticmethod
-    def build(name: str, max_residual: float, samples: int, tolerance: float,
-              worst_case: dict) -> "CheckReport":
-        return CheckReport(
-            check_name=name,
-            max_residual=float(max_residual),
-            samples=int(samples),
-            tolerance=float(tolerance),
-            passed=bool(max_residual <= tolerance),
-            worst_case=worst_case,
-        )
+    def __post_init__(self):
+        for name, kind in (("max_residual", float), ("samples", int), ("tolerance", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "passed", self.max_residual <= self.tolerance)
 
 
 def _case(p: OrbitPoint, index: int, **extra) -> dict:
@@ -85,7 +79,7 @@ def _report_max(name, pairs, samples, tolerance, **extra):
         if residual >= max_residual or math.isnan(residual):
             max_residual = residual
             worst = case
-    return CheckReport.build(name, max_residual, samples, tolerance, {**worst, **extra})
+    return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
 def _random_strictly_upper(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
@@ -226,7 +220,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     rng = np.random.default_rng(seed)
     if p.spectrum.k == 1:
         worst = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}
-        return CheckReport.build("nondegeneracy", 0.0, samples, cfg.tol_check, worst)
+        return CheckReport("nondegeneracy", 0.0, samples, cfg.tol_check, worst)
     floor = cfg.hbar / p.spectrum.span
     max_deficit = 0.0
     smallest_witness = np.inf
@@ -243,4 +237,4 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
             worst["sample"] = index
             worst["smallest_witness"] = witness
         max_deficit = max(max_deficit, deficit)
-    return CheckReport.build("nondegeneracy", max_deficit, samples, cfg.tol_check, worst)
+    return CheckReport("nondegeneracy", max_deficit, samples, cfg.tol_check, worst)

@@ -14,11 +14,13 @@ lambda_b``. A zero gap means that a and b lie in the same cluster (the
 diagonal blocks, ``OrbitPoint.same_cluster``); gaps > 0 is the upper triangle
 of off-diagonal blocks, gaps < 0 the lower one.
 
-Eigenvalues whose gaps are at most ``tol_cluster`` are merged into one
-cluster, and so are the density eigenvalues clamped to 0.0, so a point's
-label is a function of its eigenvalues. Gaps between clusters that are larger than ``tol_cluster`` but
-smaller than twice it are ambiguous and raise :class:`DegenerateGapError`
-rather than silently committing to a block structure.
+A point stores ``rho``, its frame and its eigenvalues; its cluster label
+(``cluster_start``, ``spectrum``) and gap masks are functions of the
+eigenvalues. Eigenvalues whose gaps are at most ``tol_cluster`` are merged
+into one cluster, and so are the density eigenvalues clamped to 0.0. Gaps
+between clusters that are larger than ``tol_cluster`` but smaller than twice
+it are ambiguous and raise :class:`DegenerateGapError` rather than silently
+committing to a block structure.
 
 Stacks. An :class:`OrbitPoint` also holds N points of one dimension, stacked
 along a leading axis. The kernels here and in the modules above take a point
@@ -297,13 +299,6 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     return Spectrum(values=values, mults=mults)
 
 
-def _cluster_starts(values: np.ndarray) -> np.ndarray:
-    """The first index of each cluster in rows of repeated eigenvalues."""
-    starts = np.ones(values.shape, bool)
-    starts[..., 1:] = values[..., 1:] != values[..., :-1]
-    return starts
-
-
 @_value_type
 class OrbitPoint:
     """A density operator with a cluster-ordered diagonalizing frame, or a
@@ -311,23 +306,22 @@ class OrbitPoint:
 
     ``rho`` and ``frame`` are (d, d), or (N, d, d) for a stack;
     ``eigenvalues`` (d,) or (N, d) are the cluster values repeated by
-    multiplicity, descending, and ``cluster_start`` marks the first index of
-    each cluster. ``gaps``, ``same_cluster`` and ``inv_gaps`` have the shape
-    of ``rho``. Only a stack has rows: ``p[i]`` is the point that
-    :func:`orbit_point` returns for row i, and ``p[a:b]`` is the stack of
-    those rows. Only a single point has a ``spectrum``.
+    multiplicity, descending. The rest is derived from them:
+    ``cluster_start`` marks the first index of each cluster, and ``gaps``,
+    ``same_cluster`` and ``inv_gaps`` have the shape of ``rho``. Only a stack
+    has rows: ``p[i]`` is the point that :func:`orbit_point` returns for row
+    i, and ``p[a:b]`` is the stack of those rows. Only a single point has a
+    ``spectrum``.
     """
 
     rho: np.ndarray
     frame: np.ndarray
     eigenvalues: np.ndarray
-    cluster_start: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _freeze(self.rho))
         object.__setattr__(self, "frame", _freeze(self.frame))
         object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
-        object.__setattr__(self, "cluster_start", _freeze(self.cluster_start, bool))
 
     @property
     def dim(self) -> int:
@@ -345,7 +339,7 @@ class OrbitPoint:
     def __getitem__(self, i) -> "OrbitPoint":
         if self.rho.ndim == 2:
             raise TypeError("a single OrbitPoint has no rows")
-        return OrbitPoint(self.rho[i], self.frame[i], self.eigenvalues[i], self.cluster_start[i])
+        return OrbitPoint(self.rho[i], self.frame[i], self.eigenvalues[i])
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -355,6 +349,14 @@ class OrbitPoint:
         bounds = self.cluster_start.nonzero()[0].tolist() + [self.dim]
         return Spectrum(values=tuple(self.eigenvalues[bounds[:-1]].tolist()),
                         mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
+
+    @cached_property
+    def cluster_start(self) -> np.ndarray:
+        """Mask of the first index of each cluster: a value unlike the one before."""
+        values = self.eigenvalues
+        starts = np.ones(values.shape, bool)
+        starts[..., 1:] = values[..., 1:] != values[..., :-1]
+        return _freeze(starts, bool)
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -433,7 +435,7 @@ def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
     # in the checks would only warn about
     _require_finite(frame, NotUnitaryError)
     _require_frame(rho, frame, values, cfg)
-    return OrbitPoint(rho, frame, values, _cluster_starts(values))
+    return OrbitPoint(rho, frame, values)
 
 
 def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
@@ -448,12 +450,12 @@ def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
 def _diagonalize(rho: np.ndarray, cfg: Config):
     """Eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack, grouped by cluster.
 
-    Returns ``(frame, eigenvalues, cluster_start)``. Eigenvalues are sorted
-    descending and merged by single linkage within ``cfg.tol_cluster`` (a gap
-    between clusters under twice that is ambiguous, a
-    :class:`DegenerateGapError`), each cluster is represented by its mean,
-    and the density conditions of :func:`make_spectrum` apply. Clusters are
-    marked on the clamped values, so those that clamp to 0.0 are one.
+    Returns ``(frame, eigenvalues)``. Eigenvalues are sorted descending and
+    merged by single linkage within ``cfg.tol_cluster`` (a gap between
+    clusters under twice that is ambiguous, a :class:`DegenerateGapError`),
+    each cluster is represented by its mean, and the density conditions of
+    :func:`make_spectrum` apply. The values are clamped at 0.0, so clusters
+    that clamp to 0.0 read as one.
     """
     w, v = np.linalg.eigh(rho)  # eigenvalues ascending
     w = w[..., ::-1]
@@ -481,7 +483,7 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     _require(np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
              lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}")
     _require_frame(rho, v, values, cfg)
-    return v, values, _cluster_starts(values)
+    return v, values
 
 
 def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -511,7 +513,7 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
 def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitPoint:
     """The stacked pass of :func:`orbit_batch`: a failing row raises :class:`_BatchFailure`."""
     _require_hermitian(arr, cfg)
-    return OrbitPoint(arr, *_diagonalize(arr, cfg))  # frame, eigenvalues, cluster_start
+    return OrbitPoint(arr, *_diagonalize(arr, cfg))
 
 
 def conjugate(a: HermitianOperator, unitary: np.ndarray,
@@ -558,7 +560,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
     _require_frame(p.rho, frame, p.eigenvalues, cfg)
-    return OrbitPoint(p.rho, frame, p.eigenvalues, p.cluster_start)
+    return OrbitPoint(p.rho, frame, p.eigenvalues)
 
 
 def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:

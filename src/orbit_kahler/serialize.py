@@ -51,10 +51,14 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
-        n = int(data["n"])
+        n = data["n"]
+        # bool is an int subclass, and int() would truncate 2.9 to 2
+        if isinstance(n, bool) or not float(n).is_integer():
+            raise ValueError(f"n must be an integer, got {n!r}")
+        n = int(n)
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(

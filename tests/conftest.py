@@ -10,11 +10,8 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def labelled_point(rho, spectrum, frame):
     """The point on ``rho`` and ``frame`` labelled ``spectrum``, unchecked
-    (white box): its eigenvalues and cluster starts are read off the label."""
-    cluster_start = np.zeros(spectrum.total_dim, bool)
-    cluster_start[np.cumsum((0,) + spectrum.mults[:-1])] = True
-    return OrbitPoint(rho=rho, frame=frame, eigenvalues=spectrum.full_values(),
-                      cluster_start=cluster_start)
+    (white box): its eigenvalues are read off the label."""
+    return OrbitPoint(rho=rho, frame=frame, eigenvalues=spectrum.full_values())
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -6,7 +7,9 @@ import pytest
 
 import orbit_kahler
 from orbit_kahler import (
+    CheckReport,
     HermitianOperator,
+    OrbitPoint,
     conjugate,
     conjugate_point,
     evolve,
@@ -31,6 +34,27 @@ from orbit_kahler import (
 from orbit_kahler.sampling import gaussian_hermitian, random_gauge
 
 MODULES = [info.name for info in pkgutil.iter_modules(orbit_kahler.__path__)]
+REEXPORTED = ("config", "errors", "operators", "tangent", "kahler", "integrability",
+              "uncertainty", "dynamics", "checks")
+PUBLIC = {
+    "Config", "DEFAULT_CONFIG",
+    "OrbitKahlerError", "DimMismatchError", "NotHermitianError", "NotUnitaryError",
+    "NotDensityError", "DegenerateGapError", "BaseMismatchError", "NotOffDiagonalError",
+    "NonRealResultError", "NegativeVarianceError", "DegenerateDriftError",
+    "TheoremViolationError",
+    "HermitianOperator", "Spectrum", "OrbitPoint", "make_hermitian", "make_spectrum",
+    "orbit_point", "orbit_batch", "conjugate", "conjugate_point", "with_gauge",
+    "random_density", "haar_unitary",
+    "TangentVector", "tangent_map", "make_tangent", "split_kernel", "lift",
+    "KahlerEvaluation", "j_generator", "apply_J", "symplectic", "symplectic_tangent",
+    "metric", "hermitian_product", "hermitian_product_blocks", "kahler_evaluation",
+    "CheckReport", "involutivity_check", "nijenhuis_fd", "closedness_check",
+    "nondegeneracy_check",
+    "UncertaintyReport", "expectation", "uncertainty", "variance_decomposition",
+    "geometric_bound", "rs_bound", "full_report", "full_report_batch",
+    "Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory",
+    "CHECK_NAMES", "run_checks",
+}
 
 
 @pytest.mark.parametrize("name", [None] + MODULES)
@@ -41,6 +65,49 @@ def test_all_exports_resolve_without_duplicates(name):
     assert len(exported) == len(set(exported))
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_package_reexports_each_module_api(name):
+    module = importlib.import_module(f"orbit_kahler.{name}")
+    assert [item for item in module.__all__
+            if getattr(orbit_kahler, item) is not getattr(module, item)] == []
+
+
+def test_package_api_is_unchanged():
+    assert len(orbit_kahler.__all__) == len(PUBLIC) == 60
+    assert set(orbit_kahler.__all__) == PUBLIC
+    # besides the API, only the submodules are public attributes
+    public = {name for name in dir(orbit_kahler) if not name.startswith("_")}
+    assert public - PUBLIC <= set(MODULES)
+    assert callable(orbit_kahler.uncertainty)
+
+
+def test_orbit_point_label_is_derived():
+    assert [f.name for f in dataclasses.fields(OrbitPoint)] == ["rho", "frame", "eigenvalues"]
+    with pytest.raises(TypeError):
+        OrbitPoint(np.eye(2) / 2, np.eye(2), [0.5, 0.5], [True, True])
+    mixed = OrbitPoint(np.eye(2) / 2, np.eye(2), [0.5, 0.5])
+    assert mixed.cluster_start.tolist() == [True, False]
+    assert mixed.spectrum == make_spectrum([0.5], [2]) and mixed.same_cluster.all()
+    rho = random_density(make_spectrum([0.5, 0.25], [1, 2]), 4).rho
+    batch = orbit_batch([rho, np.diag([0.6, 0.3, 0.1])])
+    assert batch.cluster_start.tolist() == [[True, True, False], [True, True, True]]
+    for point in (orbit_point(make_hermitian(rho)), batch, batch[1]):
+        assert not point.cluster_start.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.cluster_start = np.ones(3, bool)
+
+
+def test_check_report_verdict_is_derived():
+    with pytest.raises(TypeError):
+        CheckReport("x", 0.0, 1, 1e-9, {}, passed=True)
+    assert not CheckReport("x", 1.0, 1, 1e-9, {}).passed
+    assert not CheckReport("x", float("nan"), 1, 1e-9, {}).passed
+    report = CheckReport("x", np.float64(1e-10), np.int64(3), 1e-9, {})
+    assert report.passed
+    assert [type(report.max_residual), type(report.samples)] == [float, int]
+    assert not dataclasses.replace(report, max_residual=1.0).passed
 
 
 def test_public_arrays_are_read_only():

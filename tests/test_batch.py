@@ -178,9 +178,8 @@ def test_full_report_batch_raises_first_failing_row():
     # "eigenvalue" make the variance of the matching projector negative
     values = np.array([[0.7, 0.3], [0.6, 0.4], [1.1, -0.1], [1.2, -0.2]])
     rhos = np.array([np.diag(v) for v in values], dtype=complex)
-    starts = np.ones_like(values, dtype=bool)
     batch = OrbitPoint(rho=rhos, frame=np.array([np.eye(2)] * 4, dtype=complex),
-                       eigenvalues=values, cluster_start=starts)
+                       eigenvalues=values)
     projector = make_hermitian(np.diag([0.0, 1.0]))
     expected = _first_row_error(
         lambda i: full_report(projector, projector, batch[i]), range(len(batch)))
@@ -196,7 +195,7 @@ def test_full_report_batch_prefix_fails_a_later_check():
     values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
     batch = OrbitPoint(rho=np.array([np.diag(v) for v in values], dtype=complex),
                        frame=np.array([np.eye(3)] * 2, dtype=complex),
-                       eigenvalues=values, cluster_start=np.ones_like(values, dtype=bool))
+                       eigenvalues=values)
     a = make_hermitian(np.diag([0.0, 1.0, 0.0]))
     b = make_hermitian(np.diag([0.0, 0.0, 1.0]))
     expected = _first_row_error(lambda i: full_report(a, b, batch[i]), range(len(batch)))
@@ -218,8 +217,7 @@ def test_failing_batches_never_evaluate_a_row_alone(monkeypatch):
     values = np.array([[0.5, 0.6, -0.1], [0.6, -0.1, 0.5]])
     report_rows = OrbitPoint(rho=np.array([np.diag(v) for v in values], dtype=complex),
                              frame=np.array([np.eye(3)] * 2, dtype=complex),
-                             eigenvalues=values,
-                             cluster_start=np.ones_like(values, dtype=bool))
+                             eigenvalues=values)
 
     def alone(*args, **kwargs):
         raise AssertionError("a failing batch evaluated a row alone")

@@ -87,6 +87,18 @@ class TestSpectrumCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["spectrum", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("n, dim, shown", [("2.9", 2, "2.9"), ("true", 1, "True"),
+                                               ("Infinity", 2, "inf")])
+    def test_malformed_n_exits_2(self, tmp_path, capsys, n, dim, shown):
+        # 2.9 was read as 2 and true as 1, both exiting 0, and Infinity raised
+        # an OverflowError
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(matrix_to_json(np.eye(dim) / dim)).replace(
+            f'"n": {dim}', f'"n": {n}'))
+        assert main(["spectrum", str(rho)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: malformed matrix JSON: n must be an integer, got {shown}\n")
+
     def test_non_finite_matrix_exits_3(self, tmp_path, capsys):
         # JSON's Infinity literal parses to float inf
         rho = tmp_path / "inf.json"
@@ -148,6 +160,12 @@ class TestConfigValidation:
         assert main(["sweep", "--grid", "0.5:1:3", "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must hold a JSON object" in captured.err
+
+    def test_unknown_config_field_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hbar": 1.0, "bogus": 1}))
+        assert main(["sweep", "--grid", "0.5:1:3", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown config fields: ['bogus']\n")
 
     @pytest.mark.parametrize("value", ["1", True])
     def test_non_numeric_config_value_exits_2(self, qubit_files, tmp_path, capsys, value):
@@ -266,6 +284,7 @@ class TestChecksCommand:
         (["--dims", "1"], "single-cluster"),
         (["--dims", "0"], "dims must be nonempty and >= 1"),
         (["--dims", "2", "--perturb-J", "nan"], "perturb_j must be finite"),
+        (["--dims", "16"], "dim 16 cannot be split"),
     ])
     def test_out_of_domain_input_exits_2(self, args, message, capsys):
         assert main(["checks", "--samples", "2"] + args) == 2
@@ -300,6 +319,11 @@ class TestChecksCommand:
         assert main(["checks", "--samples", "2", "--spectra", str(spectra)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "spectra pool is empty" in captured.err
+
+    def test_fd_step_sets_fd_tolerance(self, capsys):
+        assert main(["checks", "--dims", "2", "--samples", "2", "--fd-step", "1e-3"]) == 0
+        reports = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+        assert reports["nijenhuis_fd"]["tolerance"] == 0.001
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         base = ["checks", "--dims", "2", "--samples", "8"]
@@ -374,6 +398,17 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("observables, message", [
+        ([("a", np.diag([1.0, -1.0]))], "provide both --a and --b, or neither"),
+        ([("a", np.eye(3)), ("b", np.eye(3))], "observable dims 3, 3 vs spectrum dim 2"),
+    ])
+    def test_observable_input_exits_2(self, observables, message, tmp_path, capsys):
+        args = ["sweep", "--grid", "0.5:1.0:3"]
+        for name, matrix in observables:
+            args += [f"--{name}", _write_matrix(tmp_path / f"{name}.json", matrix)]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_non_finite_spectrum_exits_2(self, tmp_path, capsys):
         spectra = tmp_path / "nan.json"
         spectra.write_text('[{"values": [NaN], "mults": [1]}]')
@@ -437,7 +472,18 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 4)  # one qubit row
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "row 1:" in captured.err
+
+    def test_failing_second_chunk_writes_no_file(self, monkeypatch, tmp_path, capsys):
+        import orbit_kahler.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 4)  # one qubit row
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0",
+                     "--out", str(out)]) == 3
         assert "row 1:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_chunked_output_unchanged(self, monkeypatch, capsys):
         import orbit_kahler.cli as cli_module

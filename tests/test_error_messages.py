@@ -35,9 +35,11 @@ from orbit_kahler import (
     make_hermitian,
     make_spectrum,
     make_tangent,
+    nondegeneracy_check,
     orbit_batch,
     orbit_point,
     rs_bound,
+    run_checks,
     symplectic,
     symplectic_tangent,
     tangent_map,
@@ -45,6 +47,7 @@ from orbit_kahler import (
     with_gauge,
 )
 from orbit_kahler.cli import main
+from orbit_kahler.sampling import random_spectrum
 
 from conftest import labelled_point
 
@@ -72,10 +75,8 @@ def _batch_after_zero_row(p):
     """The batch [0, p]: at rho = 0 every full_report check passes for any
     operands, since every trace and tangent vector vanishes."""
     d = p.dim
-    starts = np.concatenate(([True], np.diff(p.eigenvalues) != 0))
     return OrbitPoint(rho=[np.zeros((d, d)), p.rho], frame=[np.eye(d), p.frame],
-                      eigenvalues=[np.zeros(d), p.eigenvalues],
-                      cluster_start=[np.arange(d) == 0, starts])
+                      eigenvalues=[np.zeros(d), p.eigenvalues])
 
 
 NOT_HERMITIAN = np.array([[0.6, 0.1], [0.0, 0.4]])
@@ -173,6 +174,50 @@ SINGLE = {
                       "RS slack 6.000e-01"),
 }
 
+# checks on the other arguments, and operands that arithmetic does not take
+QUBIT_OP = make_hermitian(SZ)
+QUBIT_X = tangent_map(make_hermitian(SX), QUBIT)
+
+
+def _unsupported(symbol, left, right):
+    return f"unsupported operand type(s) for {symbol}: '{left}' and '{right}'"
+
+
+ARGUMENTS = {
+    "run_checks samples": (lambda: run_checks(samples=0), ValueError,
+                           "samples must be >= 1, got 0"),
+    "nondegeneracy samples": (lambda: nondegeneracy_check(QUBIT, 0, 0), ValueError,
+                              "samples must be >= 1, got 0"),
+    "empty spectrum": (lambda: make_spectrum([], []), ValueError,
+                       "values and mults must be nonempty and of equal length"),
+    "spectrum lengths": (lambda: make_spectrum([0.5, 0.5], [1]), ValueError,
+                         "values and mults must be nonempty and of equal length"),
+    "zero multiplicity": (lambda: make_spectrum([1.0], [0]), ValueError,
+                          "multiplicities must be positive, got (0,)"),
+    "unitary shape": (lambda: conjugate(QUBIT_OP, np.eye(3)), DimMismatchError,
+                      "operator dim 2 vs unitary shape (3, 3)"),
+    "gauge shape": (lambda: with_gauge(QUBIT, np.eye(3)), DimMismatchError,
+                    "gauge shape (3, 3) vs dim 2"),
+    "tangent shape": (lambda: make_tangent(np.eye(3), QUBIT), DimMismatchError,
+                      "shape (3, 3) vs point dim 2"),
+    "operator dims": (lambda: QUBIT_OP + make_hermitian(np.eye(3)), DimMismatchError,
+                      "dims 2 and 3"),
+    "operator + int": (lambda: QUBIT_OP + 1, TypeError,
+                       _unsupported("+", "HermitianOperator", "int")),
+    "operator - int": (lambda: QUBIT_OP - 1, TypeError,
+                       _unsupported("-", "HermitianOperator", "int")),
+    "operator * complex": (lambda: QUBIT_OP * 1j, TypeError,
+                           _unsupported("*", "HermitianOperator", "complex")),
+    "tangent + operator": (lambda: QUBIT_X + QUBIT_OP, TypeError,
+                           _unsupported("+", "TangentVector", "HermitianOperator")),
+    "tangent - operator": (lambda: QUBIT_X - QUBIT_OP, TypeError,
+                           _unsupported("-", "TangentVector", "HermitianOperator")),
+    "tangent * complex": (lambda: QUBIT_X * 1j, TypeError,
+                          _unsupported("*", "TangentVector", "complex")),
+    "unsplittable dim": (lambda: random_spectrum(16, np.random.default_rng(0)), ValueError,
+                         "dim 16 cannot be split into <= 4 clusters of multiplicity <= 3"),
+}
+
 ORBIT_ROWS = {
     "hermiticity": NOT_HERMITIAN,
     "non-finite": NON_FINITE,
@@ -201,6 +246,12 @@ def _raised(call):
 @pytest.mark.parametrize("site", SINGLE)
 def test_single_point_message(site):
     call, error, message = SINGLE[site]
+    assert _raised(call) == (error, message)
+
+
+@pytest.mark.parametrize("site", ARGUMENTS)
+def test_argument_message(site):
+    call, error, message = ARGUMENTS[site]
     assert _raised(call) == (error, message)
 
 
