@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .dynamics import _propagators, ehrenfest_check, trajectory
+from .dynamics import ehrenfest_check, evolve, trajectory
 from .integrability import (
     _case,
     _report_max,
@@ -51,7 +52,6 @@ from .kahler import (
 )
 from .operators import (
     _CHUNK_ENTRIES,
-    _conjugated,
     _haar_frames,
     _haar_points,
     _normals,
@@ -328,21 +328,15 @@ def _variance_identity(inst, index):
 def _spectrum_preservation(inst, index):
     p, h = yield [inst.point(mixed_every=0), inst.observable()]
     traj = trajectory(p, h, t_max=1.0, steps=5, cfg=inst.cfg)
-    drift = 0.0
-    for point in traj.points:
-        eigenvalues = np.sort(np.linalg.eigvalsh(point.rho))[::-1]
-        drift = max(drift, float(np.max(np.abs(eigenvalues - p.eigenvalues))))
-    return drift, _case(p, index)
+    eigenvalues = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
+    return float(np.max(np.abs(eigenvalues - p.eigenvalues))), _case(p, index)
 
 
 def _flow_composition(inst, index):
-    cfg = inst.cfg
     p, h, (s, t) = yield [inst.point(mixed_every=0), inst.observable(),
                           inst.rng.uniform(-1.0, 1.0, size=2)]
-    # the three propagators from one eigendecomposition of h
-    u_s, u_t, u_st = _propagators(h.matrix[None], (float(s), float(t), float(s + t)), cfg.hbar)
-    two_step = _conjugated(_conjugated(p, u_s[None], cfg)[0], u_t[None], cfg)
-    one_step = _conjugated(p, u_st[None], cfg)
+    two_step = evolve(evolve(p, h, s, inst.cfg), h, t, inst.cfg)
+    one_step = evolve(p, h, s + t, inst.cfg)
     return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
 
 
@@ -420,9 +414,15 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     ``spectra`` (a nonempty list of :class:`Spectrum`) is given, sampled
     orbits are drawn from it instead of from random spectra over ``dims``.
     """
+    dims = tuple(dims)
+    # bool is an int subclass, and int() would truncate 2.7 to 2
+    if any(isinstance(d, bool) or not float(d).is_integer() for d in dims):
+        raise ValueError(f"dims must be integers, got {dims}")
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be nonempty and >= 1, got {dims}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not math.isfinite(perturb_j):

@@ -10,16 +10,20 @@ Flows are stacked: :func:`_flows` takes a point along a stack of generators
 to a stack of times with one eigendecomposition of the generators and one
 conjugation pass; each flowed point reads its spectrum from its row, which
 gives back the spectrum of the point. A single :func:`evolve` is that pass
-on one row.
+on one row. A flowed point that still fails validation has drifted off the
+orbit: it raises :class:`DegenerateDriftError` naming its time. Derivatives
+along flows are central differences (:func:`_differences`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
+from .errors import DegenerateDriftError
 from .kahler import symplectic
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger
 
@@ -29,8 +33,13 @@ __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "tra
 def _propagators(h: np.ndarray, times, hbar: float) -> np.ndarray:
     """``exp(-i H t / hbar)`` for each H of the (G, d, d) stack ``h`` and each
     of ``times``, from one eigendecomposition: (G * T, d, d), generator-major."""
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"flow times must be finite, got {times.tolist()}")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and strictly positive, got {hbar}")
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w[:, None, :] * np.asarray(times, dtype=float)[:, None] / hbar)
+    phases = np.exp(-1j * w[:, None, :] * times[:, None] / hbar)
     u = (v[:, None] * phases[..., None, :]) @ _dagger(v)[:, None]
     return u.reshape(-1, *h.shape[1:])
 
@@ -47,11 +56,19 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
     return _flows(p, h.matrix[None], (t,), cfg)[0]
 
 
-def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config, rename=None):
+def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config):
     """:func:`evolve` of ``p`` under each generator of the (G, d, d) stack
     ``h`` to each of ``times``, as the rows of one conjugation pass (ordered
-    generator-major), failing as :func:`_stacked`."""
-    return _conjugated(p, _propagators(h, times, cfg.hbar), cfg, rename)
+    generator-major); the first failing row raises its drift error."""
+    def drift(m, error):
+        return DegenerateDriftError(f"flow for time {times[m % len(times)]} left the "
+                                    f"validated orbit neighborhood: {error}")
+    return _conjugated(p, _propagators(h, times, cfg.hbar), cfg, drift)
+
+
+def _differences(values: np.ndarray, cfg: Config) -> np.ndarray:
+    """Central differences of fields evaluated at (forward, backward) row pairs."""
+    return (values[0::2] - values[1::2]) / (2.0 * cfg.fd_step)
 
 
 def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
@@ -62,10 +79,9 @@ def ehrenfest_check(a: HermitianOperator, h: HermitianOperator, p: OrbitPoint,
     so the residual is O(fd_step^2).
     """
     _check_dims(p, a, h)
-    step = cfg.fd_step
-    flowed = _flows(p, h.matrix[None], (step, -step), cfg)
-    forward, backward = (flowed.rho @ a.matrix).trace(axis1=-2, axis2=-1).real
-    return abs((forward - backward) / (2.0 * step) - symplectic(a, h, p, cfg))
+    flowed = _flows(p, h.matrix[None], (cfg.fd_step, -cfg.fd_step), cfg)
+    (rate,) = _differences((flowed.rho @ a.matrix).trace(axis1=-2, axis2=-1).real, cfg)
+    return abs(rate - symplectic(a, h, p, cfg))
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,8 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
     """Sample the flow of ``h`` at ``steps`` uniform times from 0 to ``t_max``."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     _check_dims(p, h)
     times = np.linspace(0.0, t_max, steps)
     flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))

@@ -13,12 +13,9 @@ on vector fields extended from generators, with Lie brackets approximated by
 central finite differences along exact unitary flows. Both residuals must
 vanish: the first exactly, the second quadratically in the step.
 
-Directional derivatives always flow along exact unitary conjugations, never
-ODE steppers, so samples stay on the orbit and never drift across eigenvalue
-clusters; if a flowed point still fails validation, the checks raise
-:class:`DegenerateDriftError`. Each check flows the point along all of its
-generators, forward and backward, in one stacked pass, and evaluates the
-fields on the flowed rows as one stack through the point-or-stack kernels.
+Each check flows the point along all of its generators, forward and
+backward, in one stacked pass of :mod:`.dynamics`, and evaluates the fields
+on the flowed rows as one stack through the point-or-stack kernels.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .dynamics import _flows
-from .errors import DegenerateDriftError
+from .dynamics import _differences, _flows
 from .kahler import _apply_j, _symplectic, apply_J, symplectic_tangent
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _stacked
 from .sampling import random_tangent
@@ -122,22 +118,6 @@ def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
     return TangentVector(p, p.from_frame(framed))
 
 
-def _drift_flows(p: OrbitPoint, generators, cfg: Config):
-    """``p`` flowed under each generator for times fd_step and -fd_step, as
-    the rows of one stacked pass: (forward, backward) per generator."""
-    times = (cfg.fd_step, -cfg.fd_step)
-
-    def drift(m, error):
-        return DegenerateDriftError(
-            f"flow for time {times[m % 2]} left the validated orbit neighborhood: {error}")
-    return _flows(p, np.stack(generators), times, cfg, drift)
-
-
-def _differences(values: np.ndarray, cfg: Config) -> np.ndarray:
-    """Central differences of fields evaluated at (forward, backward) row pairs."""
-    return (values[0::2] - values[1::2]) / (2.0 * cfg.fd_step)
-
-
 def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                  cfg: Config = DEFAULT_CONFIG) -> float:
     """Max-norm of the torsion tensor of J on the fields generated by a, b.
@@ -151,8 +131,8 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     # the fields X_A, X_B and their pointwise J, each flowed along the lift
     # of its value at p
     lifted = [_lift(_tangent(x.matrix, p.rho, hbar), p, hbar) for x in (a, b)]
-    flowed = _drift_flows(
-        p, lifted + [_lift(_apply_j(lift_x, p, cfg), p, hbar) for lift_x in lifted], cfg)
+    lifted += [_lift(_apply_j(lift_x, p, cfg), p, hbar) for lift_x in lifted]
+    flowed = _flows(p, np.stack(lifted), (cfg.fd_step, -cfg.fd_step), cfg)
     # along the flows of A and JA the fields of B and JB, along B and JB those of A and JA
     other = np.stack([b.matrix, b.matrix, a.matrix, a.matrix] * 2)
     plain = _tangent(other, flowed.rho, hbar)
@@ -183,7 +163,7 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     ops = (a.matrix, b.matrix, c.matrix)
     lifted = [_lift(_tangent(x, p.rho, hbar), p, hbar) for x in ops]
     # rows 0-5 flow along A, B, C; rows 6-11 along the lifts of X_A, X_B, X_C
-    flowed = _drift_flows(p, list(ops) + lifted, cfg)
+    flowed = _flows(p, np.stack(list(ops) + lifted), (cfg.fd_step, -cfg.fd_step), cfg)
 
     # omega(X_B, X_C), omega(X_A, X_C), omega(X_A, X_B) along the flows of A, B, C
     commutators = np.repeat([ops[i] @ ops[j] - ops[j] @ ops[i]

@@ -67,6 +67,23 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="dims must be nonempty and >= 1"):
             _suite(dims=dims)
 
+    @pytest.mark.parametrize("dims", [(2.7,), (True,), (2, 3.5), (math.nan,)])
+    def test_non_integer_dims_rejected(self, dims):
+        # int() once truncated 2.7 to 2 and True to 1
+        with pytest.raises(ValueError, match="dims must be integers"):
+            _suite(dims=dims, samples=2, names=["j_squared"])
+
+    def test_integral_dims_accepted(self):
+        runs = [_suite(dims=dims, samples=2, names=["j_squared"])
+                for dims in ((2, 3), (2.0, np.int64(3)))]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, True])
+    def test_non_integer_samples_rejected(self, samples):
+        # range() once raised a bare TypeError on 2.5
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            _suite(samples=samples, names=["j_squared"])
+
     def test_single_cluster_dims_rejected(self):
         # every dim-1 spectrum is a single cluster, so drawing a point with a
         # nonzero tangent space once looped forever

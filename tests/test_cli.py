@@ -347,6 +347,16 @@ class TestEvolveCommand:
             eigenvalues = np.sort(np.linalg.eigvalsh(rho))[::-1]
             np.testing.assert_allclose(eigenvalues, [0.7, 0.3], atol=1e-12)
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_exits_2(self, qubit_files, t_max, capsys):
+        # nan once exited 3 as a non-finite frame, and inf warned first
+        args = ["evolve", qubit_files["rho"], qubit_files["a"],
+                "--t-max", t_max, "--steps", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: t_max must be finite, got {t_max}\n"
+
 
 class TestSweepCommand:
     def test_qubit_grid_closed_form(self, qubit_files, tmp_path):

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from orbit_kahler import (
     Config,
+    DegenerateDriftError,
     DimMismatchError,
+    closedness_check,
     conjugate,
     ehrenfest_check,
     evolve,
     geometric_bound,
     make_hermitian,
+    nijenhuis_fd,
     rs_bound,
     symplectic,
     trajectory,
@@ -84,6 +89,24 @@ class TestEvolve:
         with pytest.raises(DimMismatchError):
             evolve(qubit_point, make_hermitian(np.eye(3)), 1.0)
 
+    @pytest.mark.parametrize("flow, message", [
+        (lambda p, h: unitary_propagator(h, math.nan, 1.0), "flow times must be finite"),
+        (lambda p, h: unitary_propagator(h, 1.0, 0.0), "hbar must be finite and strictly"),
+        (lambda p, h: unitary_propagator(h, 1.0, -1.0), "hbar must be finite and strictly"),
+        (lambda p, h: unitary_propagator(h, 1.0, math.inf), "hbar must be finite"),
+        (lambda p, h: evolve(p, h, math.nan), "flow times must be finite"),
+        (lambda p, h: evolve(p, h, -math.inf), "flow times must be finite"),
+        (lambda p, h: trajectory(p, h, math.nan, 3), "t_max must be finite, got nan"),
+        (lambda p, h: trajectory(p, h, math.inf, 3), "t_max must be finite, got inf"),
+    ], ids=["propagator-nan-time", "propagator-zero-hbar", "propagator-negative-hbar",
+            "propagator-inf-hbar", "evolve-nan", "evolve-minus-inf", "trajectory-nan",
+            "trajectory-inf"])
+    def test_non_finite_time_or_hbar_is_input_error(self, qubit_point, sigma_x, flow, message):
+        # rejected before any propagator or frame is built, so no all-NaN
+        # matrix comes back and no RuntimeWarning is raised on the way
+        with pytest.raises(ValueError, match=message):
+            flow(qubit_point, sigma_x)
+
 
 class TestEhrenfest:
     def test_energy_conservation(self):
@@ -94,6 +117,23 @@ class TestEhrenfest:
 
     def test_identity_conserved(self, qubit_point, sigma_x):
         assert ehrenfest_check(make_hermitian(np.eye(2)), sigma_x, qubit_point) < 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_central_difference_is_the_inline_formula(self, dim):
+        # the derivative taken through _differences equals, bit for bit,
+        # (f(+step) - f(-step)) / (2 step) written out on the flowed pair
+        from orbit_kahler.dynamics import _flows
+
+        rng = np.random.default_rng(30 + dim)
+        for cfg in (Config(), Config(fd_step=1e-3)):
+            for _ in range(10):
+                p = random_point(dim, rng)
+                a, h = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+                step = cfg.fd_step
+                flowed = _flows(p, h.matrix[None], (step, -step), cfg)
+                forward, backward = (flowed.rho @ a.matrix).trace(axis1=-2, axis2=-1).real
+                inline = abs((forward - backward) / (2.0 * step) - symplectic(a, h, p, cfg))
+                assert ehrenfest_check(a, h, p, cfg) == inline
 
     def test_quadratic_convergence(self):
         rng = np.random.default_rng(4)
@@ -190,3 +230,19 @@ def test_flow_rows_equal_one_evolve_each(dim):
             assert point.spectrum == p.spectrum
             assert np.array_equal(point.rho, 0.5 * (rho + rho.conj().T))
             assert np.array_equal(point.frame, u @ p.frame)
+
+
+@pytest.mark.parametrize("flow", [
+    lambda p, a, b, cfg: evolve(p, a, 0.5, cfg),
+    lambda p, a, b, cfg: trajectory(p, a, 1.0, 3, cfg),
+    lambda p, a, b, cfg: ehrenfest_check(a, b, p, cfg),
+    lambda p, a, b, cfg: nijenhuis_fd(a, b, p, cfg),
+    lambda p, a, b, cfg: closedness_check(a, b, a, p, cfg),
+], ids=["evolve", "trajectory", "ehrenfest_check", "nijenhuis_fd", "closedness_check"])
+def test_every_flow_names_its_drift(sigma_x, sigma_y, qubit_point, flow):
+    # an absurdly tight unitarity tolerance makes every flowed point fail
+    # validation; whichever entry point flowed it, that surfaces as drift
+    # naming the time of the flow, not as a bare frame error
+    with pytest.raises(DegenerateDriftError, match="^flow for time .* left the validated "
+                                                   "orbit neighborhood: frame unitarity defect"):
+        flow(qubit_point, sigma_x, sigma_y, Config(tol_unitary=1e-18))

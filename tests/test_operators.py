@@ -12,7 +12,6 @@ from orbit_kahler import (
     NotUnitaryError,
     conjugate,
     conjugate_point,
-    evolve,
     haar_unitary,
     make_hermitian,
     make_spectrum,
@@ -292,8 +291,6 @@ class TestGauge:
         gauge[0, 0] = np.nan
         with pytest.raises(NotUnitaryError, match="non-finite"):
             with_gauge(p, gauge)
-        with pytest.raises(NotUnitaryError, match="non-finite"):
-            evolve(p, gaussian_hermitian(4, rng), float("nan"))
 
     def test_non_block_gauge_rejected(self):
         rng = np.random.default_rng(18)
