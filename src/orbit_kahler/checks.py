@@ -15,23 +15,18 @@ then sends each sample its list back, points built, to evaluate in draw
 order. No step after a yield touches the stream (each panel suite is one
 draw, so its checks may), so every suite draws exactly what it drew one
 sample at a time.
-
-``perturb_j`` is a fault-injection hook for the J^2 = -1 suite: it adds a
-multiple of the input vector to J(J(X)) so the suite must fail, which guards
-the plumbing that turns residuals into exit codes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer, _is_integral
 from .dynamics import ehrenfest_check, evolve, trajectory
 from .integrability import (
     _case,
@@ -89,11 +84,9 @@ class _Instances:
     by default in the dim of the last point.
     """
 
-    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None,
-                 perturb_j: float = 0.0):
+    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None):
         self.rng = rng
         self.cfg = cfg
-        self.perturb_j = perturb_j
         self.pool = pool
         self.dims = (tuple(sorted({s.total_dim for s in self.pool}))
                      if self.pool else tuple(dims))
@@ -148,8 +141,7 @@ def _j_squared(inst, index):
     p, h = yield [inst.point(), inst.observable()]
     x = tangent_map(h, p, cfg)
     twice = apply_J(apply_J(x, cfg), cfg)
-    residual_matrix = twice.ambient + x.ambient + inst.perturb_j * x.ambient
-    return float(np.max(np.abs(residual_matrix))), _case(p, index)
+    return float(np.max(np.abs(twice.ambient + x.ambient))), _case(p, index)
 
 
 def _omega_antisymmetry(inst, index):
@@ -405,8 +397,7 @@ def _evaluate(pending, cfg: Config):
 
 
 def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
-               cfg: Config = DEFAULT_CONFIG, perturb_j: float = 0.0,
-               names=None, spectra=None) -> list:
+               cfg: Config = DEFAULT_CONFIG, names=None, spectra=None) -> list:
     """Run the full invariant catalog (or the named subset).
 
     Deterministic given the arguments: every check gets its own child stream
@@ -415,18 +406,15 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     orbits are drawn from it instead of from random spectra over ``dims``.
     """
     dims = tuple(dims)
-    # bool is an int subclass, and int() would truncate 2.7 to 2
-    if any(isinstance(d, bool) or not float(d).is_integer() for d in dims):
+    if not all(_is_integral(d) for d in dims):
         raise ValueError(f"dims must be integers, got {dims}")
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be nonempty and >= 1, got {dims}")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+    # unlike a dim, a sample count given as a float is refused, even 2.0
+    if not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not math.isfinite(perturb_j):
-        raise ValueError(f"perturb_j must be finite, got {perturb_j}")
+    samples = _integer("samples", samples, 1)
     if spectra is not None and not len(spectra):
         raise ValueError("the spectra pool is empty")
     selected = set(names) if names is not None else None
@@ -443,8 +431,7 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     for (name, draws_of, report), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
-        inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra,
-                          perturb_j=perturb_j)
+        inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
         results = []
         for sample in draws_of(inst, samples):
             try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -71,14 +72,8 @@ def _load_spectra(path: str, cfg: Config) -> list:
 
 def _build_config(args) -> Config:
     cfg = Config.from_json(args.config) if args.config else Config()
-    overrides = {}
-    if args.hbar is not None:
-        overrides["hbar"] = args.hbar
-    if args.tol is not None:
-        overrides["tol_check"] = args.tol
-    if args.fd_step is not None:
-        overrides["fd_step"] = args.fd_step
-    return cfg.replace(**overrides) if overrides else cfg
+    overrides = {"hbar": args.hbar, "tol_check": args.tol, "fd_step": args.fd_step}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _seed(args) -> int:
@@ -141,7 +136,7 @@ def _cmd_checks(args, cfg: Config) -> int:
     samples = min(args.samples, 100) if args.quick else args.samples
     spectra = _load_spectra(args.spectra, cfg) if args.spectra else None
     reports = run_checks(dims=dims, samples=samples, seed=_seed(args), cfg=cfg,
-                         perturb_j=args.perturb_j, spectra=spectra)
+                         spectra=spectra)
     _emit([dumps(check_report_to_json(r)) for r in reports], args.out)
     return 0 if all(r.passed for r in reports) else _EXIT_CHECKS
 
@@ -251,8 +246,6 @@ def _args_checks(p: argparse.ArgumentParser):
                    help="samples per suite (default 200)")
     p.add_argument("--quick", action="store_true", help="cap samples at 100")
     p.add_argument("--spectra", help="JSON list of spectra to sample orbits from")
-    p.add_argument("--perturb-J", type=float, default=0.0, dest="perturb_j",
-                   help="fault-injection hook: offset J^2 by this factor")
 
 
 def _args_evolve(p: argparse.ArgumentParser):

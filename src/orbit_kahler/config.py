@@ -16,6 +16,35 @@ from dataclasses import dataclass
 __all__ = ["Config", "DEFAULT_CONFIG"]
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, so True would pass as 1; int and float skip the slower ABC
+    return not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+
+
+def _is_integral(value) -> bool:
+    """An int, a numpy integer or an integral float; never a bool."""
+    return _is_number(value) and float(value).is_integer()
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int that is at least ``minimum``, else a ValueError naming ``name``."""
+    if not _is_integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {int(value)}")
+    return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 if ``positive``, else a ValueError naming ``name``."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value) or positive and not value > 0:
+        domain = "finite and strictly positive" if positive else "finite"
+        raise ValueError(f"{name} must be {domain}, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Config:
     """Units and tolerances shared by all operations.
@@ -35,7 +64,7 @@ class Config:
     tol_check : float
         Tolerance for cross-checks (real parts, equivalence of formulas).
     fd_step : float
-        Step for central finite differences along unitary flows.
+        Step for central finite differences along unitary flows; at most 1e-2.
     """
 
     hbar: float = 1.0
@@ -48,16 +77,10 @@ class Config:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            # bool is an int subclass, so True would pass as 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(
-                    f"{field.name} must be finite and strictly positive, got {value}")
-
-    def replace(self, **overrides) -> "Config":
-        return dataclasses.replace(self, **overrides)
+            _real(field.name, getattr(self, field.name), positive=True)
+        # the finite-difference gate 1e3 * fd_step ** 2 stays at most 0.1
+        if self.fd_step > 1e-2:
+            raise ValueError(f"fd_step must be <= 0.01, got {self.fd_step}")
 
     @classmethod
     def from_json(cls, path: str) -> "Config":

@@ -17,12 +17,11 @@ along flows are central differences (:func:`_differences`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer, _real
 from .errors import DegenerateDriftError
 from .kahler import symplectic
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger
@@ -34,10 +33,6 @@ def _propagators(h: np.ndarray, times, hbar: float) -> np.ndarray:
     """``exp(-i H t / hbar)`` for each H of the (G, d, d) stack ``h`` and each
     of ``times``, from one eigendecomposition: (G * T, d, d), generator-major."""
     times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError(f"flow times must be finite, got {times.tolist()}")
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and strictly positive, got {hbar}")
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w[:, None, :] * times[:, None] / hbar)
     u = (v[:, None] * phases[..., None, :]) @ _dagger(v)[:, None]
@@ -46,6 +41,7 @@ def _propagators(h: np.ndarray, times, hbar: float) -> np.ndarray:
 
 def unitary_propagator(h: HermitianOperator, t: float, hbar: float) -> np.ndarray:
     """``exp(-i H t / hbar)`` via eigendecomposition of the Hermitian generator."""
+    t, hbar = _real("flow times", t), _real("hbar", hbar, positive=True)
     return _propagators(h.matrix[None], (t,), hbar)[0]
 
 
@@ -53,7 +49,7 @@ def evolve(p: OrbitPoint, h: HermitianOperator, t: float,
            cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     """Flow a point for time ``t`` under the field generated by ``h``."""
     _check_dims(p, h)
-    return _flows(p, h.matrix[None], (t,), cfg)[0]
+    return _flows(p, h.matrix[None], (_real("flow times", t),), cfg)[0]
 
 
 def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config):
@@ -96,10 +92,7 @@ class Trajectory:
 def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
                cfg: Config = DEFAULT_CONFIG) -> Trajectory:
     """Sample the flow of ``h`` at ``steps`` uniform times from 0 to ``t_max``."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    steps, t_max = _integer("steps", steps, 1), _real("t_max", t_max)
     _check_dims(p, h)
     times = np.linspace(0.0, t_max, steps)
     flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))

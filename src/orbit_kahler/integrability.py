@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
-from .kahler import _apply_j, _symplectic, apply_J, symplectic_tangent
+from .kahler import _apply_j, _j_factor, _symplectic, apply_J, symplectic_tangent
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _stacked
 from .sampling import random_tangent
 from .tangent import TangentVector, _lift, _tangent, tangent_map
@@ -78,12 +78,6 @@ def _report_max(name, pairs, samples, tolerance, **extra):
     return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
-def _random_strictly_upper(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
-    """Frame-coordinates matrix with Gaussian entries strictly above the
-    block diagonal (gaps > 0) and exact zeros elsewhere."""
-    return np.where(p.gaps > 0, _normals(p.dim, rng), 0.0)
-
-
 def involutivity_check(p: OrbitPoint, samples: int, seed,
                        cfg: Config = DEFAULT_CONFIG) -> CheckReport:
     """Strictly-lower residual of commutators of strictly-upper block matrices.
@@ -91,16 +85,18 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     Structural zero: products of strictly upper block triangular matrices stay
     strictly upper, so the residual is exactly zero even in floating point.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
+    # the +i and -i eigenspaces of the J the library applies, in the frame of p
+    factor = _j_factor(p)
+    upper, lower = factor == 1j, factor == -1j
     scale = 1.0
     pairs = []
     for index in range(samples):
-        upper_a = _random_strictly_upper(p, rng)
-        upper_b = _random_strictly_upper(p, rng)
+        upper_a = np.where(upper, _normals(p.dim, rng), 0.0)
+        upper_b = np.where(upper, _normals(p.dim, rng), 0.0)
         commutator = upper_a @ upper_b - upper_b @ upper_a
-        residual = float(np.max(np.abs(commutator), where=p.gaps < 0, initial=0.0))
+        residual = float(np.max(np.abs(commutator), where=lower, initial=0.0))
         scale = max(scale, float(np.linalg.norm(upper_a) * np.linalg.norm(upper_b)))
         pairs.append((residual, _case(p, index)))
     tolerance = 100.0 * np.finfo(float).eps * scale
@@ -195,8 +191,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     weight in the block sum). Reports the deficit against that floor and the
     smallest observed witness ratio.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     if p.spectrum.k == 1:
         worst = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}

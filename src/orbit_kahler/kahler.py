@@ -78,12 +78,17 @@ def _require_offdiag(framed: np.ndarray, p, cfg: Config):
                        "split off the commuting part first")
 
 
+def _j_factor(p) -> np.ndarray:
+    """J's elementwise factor ``i sign(gaps)`` in the frame of a point or stack ``p``."""
+    return 1j * np.sign(p.gaps)
+
+
 def _j_twist(b: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """Generators twisted by ``i sign(gaps)`` in the frame of a point or stack
+    """Generators twisted by :func:`_j_factor` in the frame of a point or stack
     ``p``; ``b`` must be off-block-diagonal."""
     framed = _to_frame(p.frame, b)
     _require_offdiag(framed, p, cfg)
-    return _from_frame(p.frame, 1j * np.sign(p.gaps) * framed)
+    return _from_frame(p.frame, _j_factor(p) * framed)
 
 
 def _apply_j(lifted: np.ndarray, p, cfg: Config) -> np.ndarray:

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer, _is_integral, _is_number
 from .errors import (
     DegenerateGapError,
     DimMismatchError,
@@ -272,15 +272,15 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     merge into one cluster, as in :func:`orbit_point`, so a built spectrum
     passes through unchanged.
     """
+    values, mults = tuple(values), tuple(mults)
+    if not all(_is_number(v) and math.isfinite(v) for v in values):
+        raise ValueError(f"eigenvalues must be finite numbers, got {values}")
     values = tuple(float(v) for v in values)
-    mults = tuple(mults)
-    if not all(float(m).is_integer() for m in mults):
+    if not all(_is_integral(m) for m in mults):
         raise ValueError(f"multiplicities must be integers, got {mults}")
     mults = tuple(int(m) for m in mults)
     if len(values) != len(mults) or not values:
         raise ValueError("values and mults must be nonempty and of equal length")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"eigenvalues must be finite, got {values}")
     if any(m < 1 for m in mults):
         raise ValueError(f"multiplicities must be positive, got {mults}")
     for a, b in zip(values, values[1:]):
@@ -394,6 +394,8 @@ def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise ValueError(f"matrix must be at least 1 x 1, got shape {arr.shape}")
     _require_hermitian(arr, cfg)
     return HermitianOperator(arr)
 
@@ -588,7 +590,7 @@ def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitPoint:
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary from a seeded stream (QR with phase fix)."""
-    return _haar_frames(_normals(dim, np.random.default_rng(seed))[None])[0]
+    return _haar_frames(_normals(_integer("dim", dim, 1), np.random.default_rng(seed))[None])[0]
 
 
 def random_density(spectrum: Spectrum, seed,

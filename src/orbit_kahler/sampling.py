@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer, _real
 from .operators import (
     HermitianOperator,
     OrbitPoint,
@@ -33,17 +33,19 @@ __all__ = [
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian-ensemble Hermitian matrix drawn from ``rng``."""
-    z = _normals(dim, rng)
+    z = _normals(_integer("dim", dim, 1), rng)
     return HermitianOperator(0.5 * (z + z.conj().T))
 
 
 def maximally_mixed_spectrum(dim: int, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     """Single-cluster spectrum {1/dim} with multiplicity dim."""
+    dim = _integer("dim", dim, 1)
     return make_spectrum([1.0 / dim], [dim], cfg)
 
 
 def pure_spectrum(dim: int, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     """Rank-one spectrum (1, 0) with multiplicities (1, dim - 1)."""
+    dim = _integer("dim", dim, 1)
     if dim == 1:
         return make_spectrum([1.0], [1], cfg)
     return make_spectrum([1.0, 0.0], [1, dim - 1], cfg)
@@ -59,8 +61,10 @@ def random_spectrum(dim: int, rng: np.random.Generator,
     normalization, which keeps every gap far above the clustering tolerance.
     Bounds that no draw can meet raise :class:`ValueError`.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _integer("dim", dim, 1)
+    max_clusters, max_mult = _integer("max_clusters", max_clusters), _integer("max_mult", max_mult)
+    if _real("min_gap", min_gap) < 0:
+        raise ValueError(f"min_gap must be >= 0, got {min_gap}")
     if max_clusters < 1 or max_mult < 1:
         raise ValueError(f"max_clusters and max_mult must be >= 1, got "
                          f"{max_clusters} and {max_mult}")

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import Trajectory
 from .integrability import CheckReport
 from .kahler import KahlerEvaluation
@@ -51,11 +51,7 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
-        n = data["n"]
-        # bool is an int subclass, and int() would truncate 2.9 to 2
-        if isinstance(n, bool) or not float(n).is_integer():
-            raise ValueError(f"n must be an integer, got {n!r}")
-        n = int(n)
+        n = _integer("n", data["n"], 1)
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -82,7 +78,7 @@ def spectrum_to_json(spectrum: Spectrum) -> dict:
 def spectrum_from_json(data: dict, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     try:
         return make_spectrum(data["values"], data["mults"], cfg)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed spectrum JSON: {exc}") from exc
 
 
