@@ -21,9 +21,17 @@ def _is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
 
 
+def _is_finite(value) -> bool:
+    """A number within float range: an int beyond it is no finite float."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_integral(value) -> bool:
-    """An int, a numpy integer or an integral float; never a bool."""
-    return _is_number(value) and float(value).is_integer()
+    """An int, a numpy integer or an integral float, within float range; never a bool."""
+    return _is_finite(value) and float(value).is_integer()
 
 
 def _integer(name: str, value, minimum: int | None = None) -> int:
@@ -39,7 +47,7 @@ def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, > 0 if ``positive``, else a ValueError naming ``name``."""
     if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or positive and not value > 0:
+    if not _is_finite(value) or positive and not value > 0:
         domain = "finite and strictly positive" if positive else "finite"
         raise ValueError(f"{name} must be {domain}, got {value}")
     return float(value)

@@ -28,7 +28,7 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
 from .kahler import _apply_j, _j_factor, _symplectic, apply_J, symplectic_tangent
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _stacked
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum, _stacked
 from .sampling import random_tangent
 from .tangent import TangentVector, _lift, _tangent, tangent_map
 
@@ -60,14 +60,21 @@ class CheckReport:
 
 
 def _case(p: OrbitPoint, index: int, **extra) -> dict:
-    """Worst-case record of one sample at ``p``."""
-    spectrum = {"values": list(p.spectrum.values), "mults": list(p.spectrum.mults)}
-    return {"sample": index, "dim": p.dim, **extra, "spectrum": spectrum}
+    """Worst-case record of one sample at ``p``; :func:`_recorded` reads its spectrum."""
+    return {"sample": index, "dim": p.dim, **extra, "spectrum": p.eigenvalues}
+
+
+def _recorded(case: dict) -> dict:
+    """``case`` with its spectrum read off the eigenvalues that :func:`_case` put there."""
+    if "spectrum" in case:
+        spectrum = _spectrum(case["spectrum"])
+        case = {**case, "spectrum": {"values": list(spectrum.values), "mults": list(spectrum.mults)}}
+    return case
 
 
 def _report_max(name, pairs, samples, tolerance, **extra):
     """Build a report from (residual, worst_case) pairs; ``extra`` entries
-    are appended to the worst case."""
+    are appended to the worst case, whose spectrum alone is read off."""
     max_residual = 0.0
     worst = {}
     for residual, case in pairs:
@@ -75,7 +82,7 @@ def _report_max(name, pairs, samples, tolerance, **extra):
         if residual >= max_residual or math.isnan(residual):
             max_residual = residual
             worst = case
-    return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
+    return CheckReport(name, max_residual, samples, tolerance, {**_recorded(worst), **extra})
 
 
 def involutivity_check(p: OrbitPoint, samples: int, seed,
@@ -85,6 +92,7 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     Structural zero: products of strictly upper block triangular matrices stay
     strictly upper, so the residual is exactly zero even in floating point.
     """
+    _check_dims(p)
     samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     # the +i and -i eigenspaces of the J the library applies, in the frame of p
@@ -199,7 +207,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     floor = cfg.hbar / p.spectrum.span
     max_deficit = 0.0
     smallest_witness = np.inf
-    worst = _case(p, 0, floor=floor)
+    worst = _recorded(_case(p, 0, floor=floor))
     for index in range(samples):
         x = random_tangent(p, rng, cfg)
         squared = x.frobenius ** 2

@@ -20,6 +20,11 @@ the closed block form
 where A, B are the generators in the frame of the base point. The alternative
 packaging g'(X, Y) = omega(X, JY) is negative definite here and is not
 exposed.
+
+:func:`hermitian_product` evaluates h by the definitional chain (lift, twist
+by J, lift, pair); :func:`kahler_evaluation` and :func:`hermitian_product_blocks`
+evaluate the closed block form, one weighted sum in the frame of the base
+point. The ``block_formula`` check compares the two.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .operators import (
     _require,
     _to_frame,
 )
-from .tangent import TangentVector, _lift, _require_same_base, _tangent, tangent_map
+from .tangent import TangentVector, _lift, _require_same_base, _tangent
 
 __all__ = [
     "KahlerEvaluation",
@@ -86,9 +91,9 @@ def _j_factor(p) -> np.ndarray:
 def _j_twist(b: np.ndarray, p, cfg: Config) -> np.ndarray:
     """Generators twisted by :func:`_j_factor` in the frame of a point or stack
     ``p``; ``b`` must be off-block-diagonal."""
-    framed = _to_frame(p.frame, b)
+    framed = _to_frame(p, b)
     _require_offdiag(framed, p, cfg)
-    return _from_frame(p.frame, _j_factor(p) * framed)
+    return _from_frame(p, _j_factor(p) * framed)
 
 
 def _apply_j(lifted: np.ndarray, p, cfg: Config) -> np.ndarray:
@@ -106,6 +111,11 @@ def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndar
     trailing two axes of both."""
     z = (commutator @ rho).trace(axis1=-2, axis2=-1) / (1j * cfg.hbar)
     return _real(z, cfg, "symplectic form")
+
+
+def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> complex:
+    """The closed block form of h from generators ``fa``, ``fb`` in the frame of ``p``."""
+    return complex(2.0 / cfg.hbar * np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj()))
 
 
 def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
@@ -129,8 +139,7 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """The complex structure on tangent vectors: lift, twist blocks, push down."""
-    lifted = _lift(x.ambient, x.base, cfg.hbar)
-    return TangentVector(x.base, _apply_j(lifted, x.base, cfg))
+    return TangentVector(x.base, _apply_j(_lift(x.ambient, x.base, cfg.hbar), x.base, cfg))
 
 
 def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -172,28 +181,20 @@ def hermitian_product(x: TangentVector, y: TangentVector,
 
 def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
                              p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> complex:
-    """Closed block form of the Hermitian product of two generated directions.
-
-    For off-block-diagonal generators at ``p``:
-
-        h = (2/hbar) sum_{i<j} (p_i - p_j) Tr(A_ij B_ij^dag),
-
-    with descending eigenvalues, so every weight p_i - p_j is positive. Agrees
-    with :func:`hermitian_product` of the generated tangent vectors.
-    """
+    """The closed block form of h (module docstring) on the directions
+    generated by off-block-diagonal ``a`` and ``b`` at ``p``; it agrees with
+    :func:`hermitian_product` of the generated tangent vectors."""
     _check_dims(p, a, b)
-    fa = p.to_frame(a.matrix)
+    fa, fb = p.to_frame(a.matrix), p.to_frame(b.matrix)
     _require_offdiag(fa, p, cfg)
-    fb = p.to_frame(b.matrix)
     _require_offdiag(fb, p, cfg)
-    total = np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj())
-    return complex(2.0 / cfg.hbar * total)
+    return _h_blocks(fa, fb, p, cfg)
 
 
 def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                       cfg: Config = DEFAULT_CONFIG) -> KahlerEvaluation:
-    """Evaluate omega, g, and h on the tangent directions generated by a, b."""
-    xa = tangent_map(a, p, cfg)
-    xb = tangent_map(b, p, cfg)
-    h = hermitian_product(xa, xb, cfg)
+    """Evaluate omega, g, and h on the tangent directions generated by a, b,
+    by the closed block form, which gives the diagonal blocks weight 0."""
+    _check_dims(p, a, b)
+    h = _h_blocks(p.to_frame(a.matrix), p.to_frame(b.matrix), p, cfg)
     return KahlerEvaluation(omega=h.imag, metric=h.real, h=h, base=p)

@@ -36,13 +36,12 @@ and raises the error of the last row named, prefixed ``row i:``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG, _integer, _is_integral, _is_number
+from .config import Config, DEFAULT_CONFIG, _integer, _is_finite, _is_integral
 from .errors import (
     DegenerateGapError,
     DimMismatchError,
@@ -168,32 +167,24 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _to_frame(frame: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return _dagger(frame) @ m @ frame
+def _to_frame(p: "OrbitPoint", m: np.ndarray) -> np.ndarray:
+    return p.frame_dagger @ m @ p.frame
 
 
-def _from_frame(frame: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return frame @ m @ _dagger(frame)
-
-
-def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
-    return np.abs(m - _dagger(m)).max(axis=(-2, -1))
-
-
-def _unitarity_defects(m: np.ndarray) -> np.ndarray:
-    return np.abs(m @ _dagger(m) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+def _from_frame(p: "OrbitPoint", m: np.ndarray) -> np.ndarray:
+    return p.frame @ m @ p.frame_dagger
 
 
 def _require_hermitian(m: np.ndarray, cfg: Config):
     """The checks of :func:`make_hermitian` on a matrix or a stack."""
     _require_finite(m, NotHermitianError)
-    defect = _hermiticity_defects(m)
+    defect = np.abs(m - _dagger(m)).max(axis=(-2, -1))
     _require(defect > cfg.tol_hermitian, NotHermitianError,
              lambda i: f"max |M - M^dag| = {defect[i]:.3e} exceeds {cfg.tol_hermitian:.1e}")
 
 
-def _require_unitary(u: np.ndarray, cfg: Config, what: str = "unitarity defect"):
-    defect = _unitarity_defects(u)
+def _require_unitary(u: np.ndarray, u_dagger: np.ndarray, cfg: Config, what="unitarity defect"):
+    defect = np.abs(u @ u_dagger - np.eye(u.shape[-1])).max(axis=(-2, -1))
     _require(defect > cfg.tol_unitary, NotUnitaryError, lambda i: f"{what} {defect[i]:.3e}")
 
 
@@ -273,7 +264,7 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     passes through unchanged.
     """
     values, mults = tuple(values), tuple(mults)
-    if not all(_is_number(v) and math.isfinite(v) for v in values):
+    if not all(_is_finite(v) for v in values):
         raise ValueError(f"eigenvalues must be finite numbers, got {values}")
     values = tuple(float(v) for v in values)
     if not all(_is_integral(m) for m in mults):
@@ -299,19 +290,26 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
     return Spectrum(values=values, mults=mults)
 
 
+def _spectrum(values: np.ndarray) -> Spectrum:
+    """The :class:`Spectrum` of the eigenvalues (d,) of one point."""
+    bounds = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.size]
+    return Spectrum(values=tuple(values[bounds[:-1]].tolist()),
+                    mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
+
+
 @_value_type
 class OrbitPoint:
     """A density operator with a cluster-ordered diagonalizing frame, or a
     stack of N of them of one dimension d.
 
-    ``rho`` and ``frame`` are (d, d), or (N, d, d) for a stack;
-    ``eigenvalues`` (d,) or (N, d) are the cluster values repeated by
-    multiplicity, descending. The rest is derived from them:
-    ``cluster_start`` marks the first index of each cluster, and ``gaps``,
-    ``same_cluster`` and ``inv_gaps`` have the shape of ``rho``. Only a stack
-    has rows: ``p[i]`` is the point that :func:`orbit_point` returns for row
-    i, and ``p[a:b]`` is the stack of those rows. Only a single point has a
-    ``spectrum``.
+    ``rho`` and ``frame`` are (d, d), or (N, d, d) for a stack; ``eigenvalues``
+    (d,) or (N, d) are the cluster values repeated by multiplicity, descending.
+    The rest is derived from them: ``cluster_start`` marks the first index of
+    each cluster, and ``gaps``, ``same_cluster``, ``inv_gaps`` and
+    ``frame_dagger`` (the adjoint of the frame) have the shape of ``rho``.
+    Only a stack has rows: ``p[i]`` is the point that :func:`orbit_point`
+    returns for row i, and ``p[a:b]`` is the stack of those rows. Only a
+    single point has a ``spectrum``.
     """
 
     rho: np.ndarray
@@ -346,9 +344,7 @@ class OrbitPoint:
         """The distinct eigenvalues and their multiplicities (a single point)."""
         if self.rho.ndim != 2:
             raise TypeError("a stack has one spectrum per row: read p[i].spectrum")
-        bounds = self.cluster_start.nonzero()[0].tolist() + [self.dim]
-        return Spectrum(values=tuple(self.eigenvalues[bounds[:-1]].tolist()),
-                        mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
+        return _spectrum(self.eigenvalues)
 
     @cached_property
     def cluster_start(self) -> np.ndarray:
@@ -376,13 +372,18 @@ class OrbitPoint:
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
         return _freeze(out, float)
 
+    @cached_property
+    def frame_dagger(self) -> np.ndarray:
+        """The conjugate transpose of ``frame`` over its last two axes."""
+        return _freeze(self.frame.conj()).swapaxes(-1, -2)
+
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
-        return _to_frame(self.frame, matrix)
+        return _to_frame(self, matrix)
 
     def from_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Map a frame-coordinates matrix back to the ambient basis."""
-        return _from_frame(self.frame, matrix)
+        return _from_frame(self, matrix)
 
 
 def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
@@ -414,12 +415,12 @@ def _cluster_means(w: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.nd
     return out
 
 
-def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
-                   cfg: Config):
+def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray, cfg: Config):
     """Check that ``frame`` is unitary and reduces ``rho`` to diag(values)."""
-    _require_unitary(frame, cfg, "frame unitarity defect")
+    frame_dagger = _dagger(frame)
+    _require_unitary(frame, frame_dagger, cfg, "frame unitarity defect")
     diagonal = values[..., None, :] * np.eye(rho.shape[-1])
-    residual = np.abs(_to_frame(frame, rho) - diagonal).max(axis=(-2, -1))
+    residual = np.abs(frame_dagger @ rho @ frame - diagonal).max(axis=(-2, -1))
     # cluster representatives are means, so merged eigenvalues may sit up to
     # about dim * tol_cluster away from them
     bound = 10 * cfg.tol_hermitian + rho.shape[-1] * cfg.tol_cluster
@@ -509,6 +510,8 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
     arr = np.asarray(rhos, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatchError(f"expected an (N, d, d) stack, got shape {arr.shape}")
+    if not arr.shape[-1]:
+        raise ValueError(f"matrices must be at least 1 x 1, got shape {arr.shape}")
     return _stacked(lambda rows: _orbit_stack(rows, cfg), arr, _prefixed)
 
 
@@ -525,8 +528,9 @@ def conjugate(a: HermitianOperator, unitary: np.ndarray,
     if u.shape != a.matrix.shape:
         raise DimMismatchError(f"operator dim {a.dim} vs unitary shape {u.shape}")
     _require_finite(u, NotUnitaryError)
-    _require_unitary(u, cfg)
-    return HermitianOperator(u @ a.matrix @ u.conj().T)
+    u_dagger = _dagger(u)
+    _require_unitary(u, u_dagger, cfg)
+    return HermitianOperator(u @ a.matrix @ u_dagger)
 
 
 def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
@@ -541,7 +545,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
     if u.shape != p.rho.shape:
         raise DimMismatchError(f"point dim {p.dim} vs unitary shape {u.shape}")
     _require_finite(u, NotUnitaryError)
-    _require_unitary(u, cfg)
+    _require_unitary(u, _dagger(u), cfg)
     return _conjugated(p, u[None], cfg)[0]
 
 

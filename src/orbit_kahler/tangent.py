@@ -94,7 +94,7 @@ def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndar
 def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:
     """Off-block-diagonal generator of the tangent matrices ``x`` at a point or
     stack ``p``: ``-i hbar X * inv_gaps`` in its frame."""
-    return _from_frame(p.frame, -1j * hbar * _to_frame(p.frame, x) * p.inv_gaps)
+    return _from_frame(p, -1j * hbar * _to_frame(p, x) * p.inv_gaps)
 
 
 def tangent_map(h: HermitianOperator, p: OrbitPoint,

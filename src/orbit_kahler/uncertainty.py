@@ -59,15 +59,15 @@ def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
     return _real(_trace(ra), cfg, "expectation")
 
 
-def _std(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> np.ndarray:
-    """Standard deviation from ``ra = rho @ A``; a tiny negative radicand
-    (within ``tol_check``) is clamped to zero, a worse one fails."""
+def _moments(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> tuple:
+    """Mean and standard deviation from ``ra = rho @ A``; a tiny negative
+    radicand (within ``tol_check``) is clamped to zero, a worse one fails."""
     mean = _mean(ra, cfg)
     second = _real(_trace(ra @ a.matrix), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
              lambda i: f"variance radicand {radicand[i]:.3e}")
-    return np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
+    return mean, np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
 def _geometric(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray,
@@ -82,10 +82,9 @@ def _geometric(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray,
     return 0.5 * cfg.hbar * np.hypot(*parts)
 
 
-def _rs(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray, rb: np.ndarray,
-        p, cfg: Config) -> np.ndarray:
-    mean_a = _mean(ra, cfg)
-    mean_b = _mean(rb, cfg)
+def _rs(a: HermitianOperator, b: HermitianOperator, mean_a: np.ndarray,
+        mean_b: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """The Robertson-Schrodinger bound from the means Tr(rho A), Tr(rho B)."""
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
     symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
@@ -111,7 +110,7 @@ def uncertainty(a: HermitianOperator, p: OrbitPoint,
     anything worse raises :class:`NegativeVarianceError`.
     """
     _check_dims(p, a)
-    return float(_std(a, p.rho @ a.matrix, cfg))
+    return float(_moments(a, p.rho @ a.matrix, cfg)[1])
 
 
 def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
@@ -156,7 +155,8 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
         sqrt( (<{A,B}>/2 - <A><B>)^2 + (<[A,B]>/(2i))^2 ).
     """
     _check_dims(p, a, b)
-    return float(_rs(a, b, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
+    mean_a = _mean(p.rho @ a.matrix, cfg)
+    return float(_rs(a, b, mean_a, _mean(p.rho @ b.matrix, cfg), p, cfg))
 
 
 @_value_type
@@ -179,14 +179,14 @@ class UncertaintyReport:
 def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
             parts=None) -> tuple:
     """The :class:`UncertaintyReport` fields at a point (0-d) or stack (N,);
-    rho A and rho B are formed once and shared by the four kernels, and
-    ``parts`` is passed on to :func:`_geometric`."""
+    rho A, rho B and their traces are formed once and shared by the four
+    kernels, and ``parts`` is passed on to :func:`_geometric`."""
     ra = p.rho @ a.matrix
     rb = p.rho @ b.matrix
-    delta_a = _std(a, ra, cfg)
-    delta_b = _std(b, rb, cfg)
+    mean_a, delta_a = _moments(a, ra, cfg)
+    mean_b, delta_b = _moments(b, rb, cfg)
     geometric = _geometric(a, b, ra, rb, p, cfg, parts)
-    robertson = _rs(a, b, ra, rb, p, cfg)
+    robertson = _rs(a, b, mean_a, mean_b, p, cfg)
     product = delta_a * delta_b
     slack_geometric = product - geometric
     slack_rs = product - robertson

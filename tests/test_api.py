@@ -132,6 +132,7 @@ def test_public_arrays_are_read_only():
         "gaps": p.gaps,
         "same_cluster": p.same_cluster,
         "inv_gaps": p.inv_gaps,
+        "frame_dagger": p.frame_dagger,
         "eigenvalues": p.eigenvalues,
         "batch rho": batch.rho,
         "batch frame": batch.frame,
@@ -140,10 +141,11 @@ def test_public_arrays_are_read_only():
         "batch gaps": batch.gaps,
         "batch same_cluster": batch.same_cluster,
         "batch inv_gaps": batch.inv_gaps,
+        "batch frame_dagger": batch.frame_dagger,
         "batch row frame": batch[1].frame,
         **{f"sliced batch {name}": getattr(batch[1:], name)
            for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
-                        "same_cluster", "inv_gaps")},
+                        "same_cluster", "inv_gaps", "frame_dagger")},
         **{f"batch report {name}": value for name, value in vars(report).items()},
         "tangent_map": x.ambient,
         "tangent sum": (x + x).ambient,
@@ -160,6 +162,12 @@ def test_public_arrays_are_read_only():
     }
     writeable = [name for name, arr in arrays.items() if arr.flags.writeable]
     assert writeable == []
+    # the cached adjoint is the one every frame change formed before, bit for
+    # bit and in the same memory layout
+    for q in (p, batch):
+        adjoint = q.frame.conj().swapaxes(-1, -2)
+        assert q.frame_dagger.tobytes() == adjoint.tobytes()
+        assert q.frame_dagger.strides == adjoint.strides
 
 
 def test_values_copy_their_input():

@@ -23,6 +23,7 @@ from orbit_kahler import (
     make_hermitian,
     make_spectrum,
     nondegeneracy_check,
+    orbit_batch,
     orbit_point,
     run_checks,
     trajectory,
@@ -42,11 +43,13 @@ QUBIT = orbit_point(make_hermitian(np.diag([0.7, 0.3])))
 QUTRIT = orbit_point(make_hermitian(np.diag([0.5, 0.3, 0.2])))
 SX = make_hermitian(np.array([[0, 1], [1, 0]]))
 
-# values that no numeric parameter takes: bool is an int subclass, and a
-# numpy bool is no number
-NOT_REAL = [True, False, np.True_, "2", None, math.nan, math.inf, -math.inf]
+# values that no numeric parameter takes: bool is an int subclass, a numpy
+# bool is no number, and an int beyond float range is no finite float (each
+# such int raised OverflowError)
+BEYOND_FLOAT = [10 ** 400, -10 ** 400]
+NOT_REAL = [True, False, np.True_, "2", None, math.nan, math.inf, -math.inf, *BEYOND_FLOAT]
 _not_real = st.one_of(st.booleans(), st.just(np.False_), st.text(), st.none(),
-                      st.sampled_from([math.nan, math.inf, -math.inf]))
+                      st.sampled_from([math.nan, math.inf, -math.inf, *BEYOND_FLOAT]))
 _fractional = st.floats(allow_infinity=False, allow_nan=False).filter(
     lambda x: not x.is_integer())
 _below_one = st.integers(-2 ** 62, 0)
@@ -155,6 +158,13 @@ def test_empty_matrix_rejected():
     # numpy once raised "zero-size array to reduction operation maximum"
     with pytest.raises(ValueError, match="matrix must be at least 1 x 1, got shape"):
         make_hermitian(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (0, 0, 0)])
+def test_empty_stack_rejected(shape):
+    # numpy once raised "zero-size array to reduction operation maximum"
+    with pytest.raises(ValueError, match=r"matrices must be at least 1 x 1, got shape \("):
+        orbit_batch(np.zeros(shape))
 
 
 @pytest.mark.parametrize("command, content, message", [

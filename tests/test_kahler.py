@@ -3,6 +3,7 @@ import pytest
 
 from orbit_kahler import (
     BaseMismatchError,
+    Config,
     HermitianOperator,
     NonRealResultError,
     NotOffDiagonalError,
@@ -17,6 +18,7 @@ from orbit_kahler import (
     lift,
     make_hermitian,
     metric,
+    random_density,
     split_kernel,
     symplectic,
     symplectic_tangent,
@@ -24,7 +26,14 @@ from orbit_kahler import (
     with_gauge,
 )
 from orbit_kahler.dynamics import ehrenfest_check
-from orbit_kahler.sampling import gaussian_hermitian, random_gauge, random_point
+from orbit_kahler.sampling import (
+    gaussian_hermitian,
+    maximally_mixed_spectrum,
+    pure_spectrum,
+    random_gauge,
+    random_point,
+    random_spectrum,
+)
 
 
 def _random_tangent(p, rng, cfg=None):
@@ -300,3 +309,24 @@ class TestInvariance:
     def test_evaluation_consistency(self, sigma_x, sigma_y, qubit_point):
         evaluation = kahler_evaluation(sigma_x, sigma_y, qubit_point)
         assert evaluation.h == complex(evaluation.metric, evaluation.omega)
+
+
+class TestKahlerEvaluation:
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_closed_form_matches_definitional_chain(self, hbar):
+        # kahler_evaluation sums the closed block form over the full generators;
+        # hermitian_product runs lift, J and lift on the generated tangent vectors
+        cfg = Config(hbar=hbar)
+        rng = np.random.default_rng(29)
+        for dim in [*range(1, 13), 16, 32]:
+            spectra = [random_spectrum(dim, rng, max_clusters=8, max_mult=6, cfg=cfg),
+                       pure_spectrum(dim, cfg), maximally_mixed_spectrum(dim, cfg)]
+            for spectrum in spectra:
+                p = random_density(spectrum, rng, cfg)
+                a, b = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+                evaluation = kahler_evaluation(a, b, p, cfg)
+                definitional = hermitian_product(tangent_map(a, p, cfg),
+                                                 tangent_map(b, p, cfg), cfg)
+                scale = max(1.0, np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
+                assert abs(evaluation.h - definitional) <= 1e-12 * scale
+                assert evaluation.h == complex(evaluation.metric, evaluation.omega)
