@@ -97,6 +97,8 @@ DATA = Path(__file__).parent / "data"
     # three finite-difference samples per suite, dims up to 12
     (["--seed", "1", "--samples", "75", "--dims", "2,4,8,12"],
      "checks_seed1_samples75_dims2_4_8_12.jsonl"),
+    # the default run at hbar != 1, where a dropped or squared hbar shows
+    (["--seed", "1", "--hbar", "0.7"], "checks_seed1_hbar0_7.jsonl"),
 ])
 def test_golden_output(args, golden, capsys):
     # the printed residuals and worst cases are pinned, byte for byte

@@ -8,21 +8,35 @@ failing suite must reach the command line as exit code 5.
 import numpy as np
 import pytest
 
-import orbit_kahler.checks as checks_module
-import orbit_kahler.integrability as integrability_module
+import sys
+
 import orbit_kahler.kahler as kahler_module
-from orbit_kahler import TangentVector, run_checks
+import orbit_kahler.tangent as tangent_module
+from orbit_kahler import run_checks
 from orbit_kahler.cli import main
 
 
-def _scaled_j(monkeypatch):
-    """Defect A: J scaled by 1 + 1e-3, so J^2 = -(1 + 2e-3 + 1e-6)."""
-    apply_j = checks_module.apply_J
+def _plant(monkeypatch, original, defect):
+    """Bind ``defect`` in place of ``original`` at every module attribute of
+    the library bound to it, so that no caller keeps the sound function."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbit_kahler"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, defect)
 
-    def scaled(x, cfg=checks_module.DEFAULT_CONFIG):
-        y = apply_j(x, cfg)
-        return TangentVector(y.base, (1.0 + 1e-3) * y.ambient)
-    monkeypatch.setattr(checks_module, "apply_J", scaled)
+
+def _scaled_j(monkeypatch):
+    """Defect A: J's factor scaled by 1 + 1e-3, so J^2 = -(1 + 2e-3 + 1e-6)."""
+    j_factor = kahler_module._j_factor
+    _plant(monkeypatch, j_factor, lambda p: (1.0 + 1e-3) * j_factor(p))
+
+
+def _scaled_lift(monkeypatch):
+    """Defect C: every lift scaled by 1 + 1e-6, so lift no longer inverts
+    the tangent map."""
+    lift = tangent_module._lift
+    _plant(monkeypatch, lift, lambda x, p, hbar: (1.0 + 1e-6) * lift(x, p, hbar))
 
 
 def _flipped_j(monkeypatch):
@@ -38,8 +52,12 @@ def _flipped_j(monkeypatch):
         block = top[..., :, None] & bottom[..., None, :]
         block &= (p.cluster_start.sum(axis=-1) >= 3)[..., None, None]
         return np.where(block | block.swapaxes(-1, -2), -factor, factor)
-    for module in (kahler_module, integrability_module):
-        monkeypatch.setattr(module, "_j_factor", flipped)
+    _plant(monkeypatch, j_factor, flipped)
+
+
+# the suites whose residual runs through a lift
+_LIFT_SUITES = ["j_squared", "compatibility", "block_formula", "tangent_roundtrip",
+                "pure_state_equality", "variance_identity"]
 
 
 def _passed(names, seed):
@@ -50,7 +68,10 @@ def _passed(names, seed):
     (_scaled_j, ["j_squared"], 0),
     (_flipped_j, ["involutivity"], 1),
     (_flipped_j, ["involutivity"], 4),
-], ids=["scaled-j", "flipped-j-seed1", "flipped-j-seed4"])
+    (_scaled_lift, _LIFT_SUITES, 1),
+    (_scaled_lift, _LIFT_SUITES, 4),
+], ids=["scaled-j", "flipped-j-seed1", "flipped-j-seed4", "scaled-lift-seed1",
+        "scaled-lift-seed4"])
 def test_planted_defect_fails_its_suites(plant, names, seed, monkeypatch):
     assert _passed(names, seed) == {name: True for name in names}
     plant(monkeypatch)
