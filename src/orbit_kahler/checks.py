@@ -6,22 +6,20 @@ returns a :class:`CheckReport`. ``run_checks`` executes the ``_CATALOG``
 table; the CLI ``checks`` command is a thin wrapper around it. Passing an
 explicit ``spectra`` pool restricts sampling to those orbits.
 
-A sample runs in three steps: draw, build, evaluate. Its draw function takes
-everything it needs from the stream (spectra and Haar normals of its points,
-observables, unitaries) and yields that list, with each point still pending.
-``run_checks`` runs the draws of every selected suite first, then builds all
-pending points of one dim in one stacked pass (one QR, one frame check),
-then sends each sample its list back, points built, to evaluate in draw
-order. No step after a yield touches the stream (each panel suite is one
-draw, so its checks may), so every suite draws exactly what it drew one
-sample at a time.
+A suite is a row ``(name, draw, residual, count, tolerance)``. Each of its
+``count(samples)`` samples is one ``draw(inst, index)``: the spectrum and the
+Haar normals of a point, then its observables and other arrays. ``run_checks``
+draws, builds the drawn points of one dim in one stacked pass, and runs
+``residual(points, *stacks, cfg)`` once on a suite's samples of one dim, each
+drawn entry stacked along rows. A residual returns one value per row and the
+columns of the rows' worst cases. The first failing sample in draw order
+raises its own error, once the samples drawn before it have passed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import numbers
-from collections import namedtuple
+import itertools
+from collections import defaultdict, namedtuple
 from functools import partial
 
 import numpy as np
@@ -29,59 +27,48 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG, _integer, _is_integral
 from .dynamics import ehrenfest_check, evolve, trajectory
 from .integrability import (
-    _case,
+    CheckReport,
+    _involutivity,
+    _nondegeneracy,
     _report_max,
     closedness_check,
-    involutivity_check,
     nijenhuis_fd,
-    nondegeneracy_check,
 )
-from .kahler import (
-    _h_parts,
-    apply_J,
-    hermitian_product,
-    hermitian_product_blocks,
-    metric,
-    symplectic,
-    symplectic_tangent,
-)
+from .kahler import _h_offdiag, _h_parts, _j, _omega, _symplectic
 from .operators import (
+    HermitianOperator,
+    _BatchFailure,
     _CHUNK_ENTRIES,
+    _conjugate,
+    _conjugated,
+    _gauged,
     _haar_frames,
     _haar_points,
     _normals,
     _passing,
-    conjugate,
-    conjugate_point,
-    haar_unitary,
     make_spectrum,
-    with_gauge,
 )
 from .sampling import (
+    _gaussian,
     _random_gauge,
-    gaussian_hermitian,
     maximally_mixed_spectrum,
     pure_spectrum,
     random_spectrum,
 )
-from .tangent import lift, split_kernel, tangent_map
-from .uncertainty import _report, full_report, uncertainty, variance_decomposition
+from .tangent import _lift, _split, _tangent
+from .uncertainty import _moments, _report, _variance_split, full_report
 
 __all__ = ["CHECK_NAMES", "run_checks"]
 
 
-# a pending Haar point: the normals of its frame and its spectrum
-_Draw = namedtuple("_Draw", "normals spectrum")
-
-
 class _Instances:
-    """Deterministic instance factory shared by all suites.
+    """Deterministic instance factory shared by all samples of a suite.
 
     Points cycle through the requested dimensions with a fresh random spectrum
     each time (every tenth one maximally mixed so the zero-tangent edge case
     stays covered), or through an explicit spectra pool (validated once, here).
-    Points are pending :class:`_Draw` entries; observables are drawn at once,
-    by default in the dim of the last point.
+    A point is drawn as its spectrum and Haar normals, an observable as its
+    matrix, by default in the dim of the last point.
     """
 
     def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None):
@@ -92,7 +79,7 @@ class _Instances:
                      if self.pool else tuple(dims))
         self._count = 0
 
-    def point(self, mixed_every: int = 10) -> _Draw:
+    def point(self, mixed_every: int = 10) -> tuple:
         index = self._count
         self._count += 1
         if self.pool:
@@ -103,10 +90,10 @@ class _Instances:
                 spectrum = maximally_mixed_spectrum(dim, self.cfg)
             else:
                 spectrum = random_spectrum(dim, self.rng, cfg=self.cfg)
-        self.dim = spectrum.total_dim
-        return _Draw(_normals(self.dim, self.rng), spectrum)
+        self.spectrum, self.dim = spectrum, spectrum.total_dim
+        return spectrum, _normals(self.dim, self.rng)
 
-    def multi_cluster_point(self) -> _Draw:
+    def multi_cluster_point(self) -> tuple:
         """A point whose orbit has a nonzero tangent space (k >= 2); the
         rejected draws still take their normals from the stream."""
         # every spectrum of dim 1 is a single cluster
@@ -114,156 +101,31 @@ class _Instances:
             raise ValueError("the spectra pool or dims give only single-cluster "
                              "orbits; this check needs a nonzero tangent space")
         while True:
-            draw = self.point(mixed_every=0)
-            if draw.spectrum.k >= 2:
-                return draw
+            spectrum, normals = self.point(mixed_every=0)
+            if spectrum.k >= 2:
+                return spectrum, normals
 
-    def observable(self, dim: int | None = None):
-        return gaussian_hermitian(dim or self.dim, self.rng)
-
-
-def _sampled(draw, count=None, tolerance=None):
-    """``(draws, report)`` of a suite of ``count(samples)`` draws (default
-    ``samples``) gated at ``tolerance(cfg)`` (default ``tol_check``).
-    ``draw(inst, index)`` yields what it draws, gets it back with each
-    :class:`_Draw` built, and returns one sample's ``(residual, worst_case)``."""
-    def draws(inst, samples):
-        return (draw(inst, index) for index in range(count(samples) if count else samples))
-
-    def report(name, inst, samples, results):
-        gate = tolerance(inst.cfg) if tolerance else inst.cfg.tol_check
-        return _report_max(name, results, len(results), gate)
-    return draws, report
+    def observable(self, dim: int | None = None) -> np.ndarray:
+        return _gaussian(dim or self.dim, self.rng)
 
 
-def _j_squared(inst, index):
-    cfg = inst.cfg
-    p, h = yield [inst.point(), inst.observable()]
-    x = tangent_map(h, p, cfg)
-    twice = apply_J(apply_J(x, cfg), cfg)
-    return float(np.max(np.abs(twice.ambient + x.ambient))), _case(p, index)
+_UNMIXED = partial(_Instances.point, mixed_every=0)
 
 
-def _omega_antisymmetry(inst, index):
-    p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
-    return abs(symplectic(a, b, p, inst.cfg) + symplectic(b, a, p, inst.cfg)), _case(p, index)
+def _draw(observables: int, point=_Instances.point, *extra):
+    """Draw of ``point(inst)`` and ``observables`` observables in its dim,
+    then ``take(inst)`` for each ``take`` of ``extra``."""
+    return lambda inst, index: (*point(inst), *[inst.observable() for _ in range(observables)],
+                                *[take(inst) for take in extra])
 
 
-def _metric_symmetry(inst, index):
-    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
-    x, y = tangent_map(h, p, inst.cfg), tangent_map(k, p, inst.cfg)
-    return abs(metric(x, y, inst.cfg) - metric(y, x, inst.cfg)), _case(p, index)
+def _pure_point(inst, index) -> tuple:
+    dim = inst.dims[index % len(inst.dims)]
+    return pure_spectrum(dim, inst.cfg), _normals(dim, inst.rng), inst.observable(dim)
 
 
-def _metric_positivity(inst, index):
-    p, h = yield [inst.multi_cluster_point(), inst.observable()]
-    x = tangent_map(h, p, inst.cfg)
-    squared = x.frobenius ** 2
-    if squared == 0.0:
-        return None
-    ratio = metric(x, x, inst.cfg) / squared
-    return max(0.0, -ratio), _case(p, index, witness_ratio=float(ratio))
-
-
-def _metric_positivity_report(name, inst, samples, results):
-    pairs = [pair for pair in results if pair is not None]
-    smallest = min((case["witness_ratio"] for _, case in pairs), default=np.inf)
-    return _report_max(name, pairs, samples, inst.cfg.tol_check,
-                       smallest_witness=float(smallest))
-
-
-def _compatibility(inst, index):
-    cfg = inst.cfg
-    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
-    x, y = tangent_map(h, p, cfg), tangent_map(k, p, cfg)
-    residual = abs(symplectic_tangent(apply_J(x, cfg), apply_J(y, cfg), cfg)
-                   - symplectic_tangent(x, y, cfg))
-    return residual, _case(p, index)
-
-
-def _hermitian_symmetry(inst, index):
-    cfg = inst.cfg
-    p, h, k = yield [inst.point(), inst.observable(), inst.observable()]
-    x, y = tangent_map(h, p, cfg), tangent_map(k, p, cfg)
-    residual = abs(hermitian_product(x, y, cfg) - np.conj(hermitian_product(y, x, cfg)))
-    return residual, _case(p, index)
-
-
-def _block_formula(inst, index):
-    cfg = inst.cfg
-    p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
-    a_off = split_kernel(a, p)[1]
-    b_off = split_kernel(b, p)[1]
-    definitional = hermitian_product(tangent_map(a_off, p, cfg),
-                                     tangent_map(b_off, p, cfg), cfg)
-    closed_form = hermitian_product_blocks(a_off, b_off, p, cfg)
-    return abs(closed_form - definitional) / max(1.0, abs(definitional)), _case(p, index)
-
-
-def _tangent_roundtrip(inst, index):
-    cfg = inst.cfg
-    p, h = yield [inst.point(), inst.observable()]
-    x = tangent_map(h, p, cfg)
-    roundtrip = tangent_map(lift(x, cfg), p, cfg)
-    residual = float(np.max(np.abs(roundtrip.ambient - x.ambient)))
-    complement = split_kernel(h, p)[1]
-    lifted_back = lift(tangent_map(complement, p, cfg), cfg)
-    residual = max(residual, float(np.max(np.abs(lifted_back.matrix - complement.matrix))))
-    return residual, _case(p, index)
-
-
-def _split_orthogonality(inst, index):
-    p, h = yield [inst.point(), inst.observable()]
-    kernel_part, complement_part = split_kernel(h, p)
-    residual = abs(complex(np.trace(kernel_part.matrix @ complement_part.matrix)))
-    return residual, _case(p, index)
-
-
-def _scalar_panel(a, b, p, cfg) -> np.ndarray:
-    """All public scalars for one (A, B, rho) triple, as a vector; h(X_A, X_B)
-    is evaluated once, for the product and for the geometric bound."""
-    parts = _h_parts(tangent_map(a, p, cfg).ambient, tangent_map(b, p, cfg).ambient, p, cfg)
-    delta_a, delta_b, _, geometric, robertson, _, _ = _report(a, b, p, cfg, parts)
-    return np.array([symplectic(a, b, p, cfg), *parts, delta_a, delta_b, geometric,
-                     robertson])
-
-
-def _ad_equivariance(inst, index):
-    cfg = inst.cfg
-    p, a, b, u = yield [inst.point(mixed_every=0), inst.observable(), inst.observable(),
-                        haar_unitary(inst.dim, inst.rng)]
-    before = _scalar_panel(a, b, p, cfg)
-    after = _scalar_panel(conjugate(a, u, cfg), conjugate(b, u, cfg),
-                          conjugate_point(p, u, cfg), cfg)
-    return float(np.max(np.abs(after - before))), _case(p, index)
-
-
-def _gauge_invariance(inst, index):
-    cfg = inst.cfg
-    draw = inst.point(mixed_every=0)
-    a, b = inst.observable(), inst.observable()
-    gauge = _random_gauge(draw.spectrum, inst.rng)
-    p, = yield [draw]
-    gauged = with_gauge(p, gauge, cfg)
-    before = _scalar_panel(a, b, p, cfg)
-    after = _scalar_panel(a, b, gauged, cfg)
-    return float(np.max(np.abs(after - before))), _case(p, index)
-
-
-def _panel(inst, samples, check):
-    """Draw running a per-point ``check`` over max(2, 2 * len(dims)) points;
-    it returns the worst point's report and the samples of all points. The
-    checks draw from the stream after the points are built, which keeps its
-    order because the whole suite is this one draw."""
-    points = yield [inst.point(mixed_every=4) for _ in range(max(2, 2 * len(inst.dims)))]
-    per_point = max(1, samples // len(points))
-    reports = [check(p, per_point, inst.rng, inst.cfg) for p in points]
-    return max(reports, key=lambda r: r.max_residual), per_point * len(points)
-
-
-def _panel_report(name, inst, samples, results):
-    (worst, count), = results
-    return dataclasses.replace(worst, samples=count)
+def _fd_count(samples: int) -> int:
+    return max(2, min(10, samples // 25))
 
 
 def _fd_tolerance(cfg: Config) -> float:
@@ -271,129 +133,282 @@ def _fd_tolerance(cfg: Config) -> float:
     return 1e3 * cfg.fd_step ** 2
 
 
-def _fd_count(samples: int) -> int:
-    return max(2, min(10, samples // 25))
+# residuals over (N, d, d) stacks; every check runs in the order one sample alone runs it
+
+def _spectra(p) -> dict:
+    """The worst-case column of the rows' spectra, read off for the worst row alone."""
+    return {"spectrum": p.eigenvalues}
 
 
-def _nijenhuis(inst, index):
-    p, a, b = yield [inst.multi_cluster_point(), inst.observable(), inst.observable()]
-    return nijenhuis_fd(a, b, p, inst.cfg), _case(p, index)
+def _squares(values: np.ndarray) -> np.ndarray:
+    # Python's float ** 2 rounds a few values unlike numpy's x ** 2
+    return np.array([v ** 2 for v in values.tolist()])
 
 
-def _closedness(inst, index):
-    p, a, b, c = yield [inst.multi_cluster_point(), inst.observable(), inst.observable(),
-                        inst.observable()]
-    return closedness_check(a, b, c, p, inst.cfg), _case(p, index)
+def _j_squared(p, h, cfg):
+    x = _tangent(h, p.rho, cfg.hbar)
+    return np.abs(_j(_j(x, p, cfg), p, cfg) + x).max(axis=(-2, -1)), _spectra(p)
+
+
+def _omega_antisymmetry(p, a, b, cfg):
+    ab, ba = a @ b, b @ a
+    return np.abs(_symplectic(ab - ba, p.rho, cfg) + _symplectic(ba - ab, p.rho, cfg)), _spectra(p)
+
+
+def _metric_symmetry(p, h, k, cfg):
+    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    g_xy, g_yx = _omega(_j(x, p, cfg), y, p, cfg), _omega(_j(y, p, cfg), x, p, cfg)
+    return np.abs(g_xy - g_yx), _spectra(p)
+
+
+def _metric_positivity(p, h, cfg):
+    x = _tangent(h, p.rho, cfg.hbar)
+    squared = np.array([float(np.linalg.norm(row)) ** 2 for row in x])
+    # a zero tangent has no ratio: its row reads residual -inf and ratio inf,
+    # so it is neither the worst case nor the smallest witness
+    kept = squared != 0.0
+    g = _omega(_j(x, p, cfg), x, p, cfg)
+    ratio = np.divide(g, squared, out=np.full(len(x), np.inf), where=kept)
+    residual = np.where(kept, np.maximum(0.0, -ratio), -np.inf)
+    return residual, {"witness_ratio": ratio.tolist(), **_spectra(p)}
+
+
+def _compatibility(p, h, k, cfg):
+    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    jx, jy = _j(x, p, cfg), _j(y, p, cfg)
+    return np.abs(_omega(jx, jy, p, cfg) - _omega(x, y, p, cfg)), _spectra(p)
+
+
+def _hermitian_symmetry(p, h, k, cfg):
+    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    (g_xy, omega_xy), (g_yx, omega_yx) = _h_parts(x, y, p, cfg), _h_parts(y, x, p, cfg)
+    # |h(X, Y) - conj h(Y, X)|; np.hypot rounds as abs(complex) does
+    return np.hypot(g_xy - g_yx, omega_xy + omega_yx), _spectra(p)
+
+
+def _block_formula(p, a, b, cfg):
+    # the lift/J/lift chain of hermitian_product against the closed block form
+    a_off, b_off = _split(a, p)[1], _split(b, p)[1]
+    g, omega = _h_parts(_tangent(a_off, p.rho, cfg.hbar), _tangent(b_off, p.rho, cfg.hbar), p, cfg)
+    closed = _h_offdiag(a_off, b_off, p, cfg)
+    error = np.hypot(closed.real - g, closed.imag - omega)
+    return error / np.maximum(1.0, np.hypot(g, omega)), _spectra(p)
+
+
+def _tangent_roundtrip(p, h, cfg):
+    hbar = cfg.hbar
+    x, complement = _tangent(h, p.rho, hbar), _split(h, p)[1]
+    roundtrip = _tangent(_lift(x, p, hbar), p.rho, hbar)
+    lifted_back = _lift(_tangent(complement, p.rho, hbar), p, hbar)
+    residual = np.abs(roundtrip - x).max(axis=(-2, -1))
+    return np.maximum(residual, np.abs(lifted_back - complement).max(axis=(-2, -1))), _spectra(p)
+
+
+def _split_orthogonality(p, h, cfg):
+    overlap = np.matmul(*_split(h, p)).trace(axis1=-2, axis2=-1)
+    return np.hypot(overlap.real, overlap.imag), _spectra(p)
+
+
+def _scalar_panel(a, b, p, cfg) -> np.ndarray:
+    """All public scalars for (A, B, rho) rows, as (N, 7); h(X_A, X_B) is
+    evaluated once, for the product and for the geometric bound."""
+    parts = _h_parts(_tangent(a, p.rho, cfg.hbar), _tangent(b, p.rho, cfg.hbar), p, cfg)
+    delta_a, delta_b, _, geometric, robertson, _, _ = _report(a, b, p, cfg, parts)
+    return np.stack([_symplectic(a @ b - b @ a, p.rho, cfg), *parts, delta_a, delta_b,
+                     geometric, robertson], axis=-1)
+
+
+def _ad_equivariance(p, a, b, normals, cfg):
+    before = _scalar_panel(a, b, p, cfg)
+    u = _haar_frames(normals)
+    moved = _conjugate(a, u, cfg), _conjugate(b, u, cfg), _conjugated(p, u, cfg)
+    return np.abs(_scalar_panel(*moved, cfg) - before).max(axis=-1), _spectra(p)
+
+
+def _gauge_invariance(p, a, b, gauge, cfg):
+    gauged = _gauged(p, gauge, cfg)
+    before = _scalar_panel(a, b, p, cfg)
+    return np.abs(_scalar_panel(a, b, gauged, cfg) - before).max(axis=-1), _spectra(p)
+
+
+def _bound_term(p, a, cfg) -> np.ndarray:
+    """(hbar/2) Re h(X_A, X_A) by the lift/J/lift chain."""
+    x = _tangent(a, p.rho, cfg.hbar)
+    return 0.5 * cfg.hbar * _h_parts(x, x, p, cfg)[0]
+
+
+def _pure_state_equality(p, a, cfg):
+    bound_term = _bound_term(p, a, cfg)
+    return np.abs(_squares(_moments(a, p.rho @ a, cfg)[1]) - bound_term), {}
+
+
+def _variance_identity(p, a, cfg):
+    delta_perp_sq, sum_plus, sum_minus = _variance_split(a, p)
+    variance = _squares(_moments(a, p.rho @ a, cfg)[1])
+    residual = np.maximum(np.abs(variance - (delta_perp_sq + sum_plus)),
+                          np.abs(sum_minus - _bound_term(p, a, cfg)))
+    return np.maximum(residual, np.maximum(0.0, sum_minus - sum_plus)), _spectra(p)
+
+
+def _per_row(fn):
+    """Residual calling the library on each row alone: ``fn(p, *items, cfg)``
+    returns one sample's residual and worst-case columns, and takes rows of
+    observables as :class:`HermitianOperator`. A row fails as a stacked one does."""
+    def residual(points, *stacks):
+        *stacks, cfg = stacks
+        rows = []
+        for i in range(len(points)):
+            items = [HermitianOperator(s[i]) if s.ndim == 3 else s[i] for s in stacks]
+            try:
+                rows.append(fn(points[i], *items, cfg))
+            except Exception as error:
+                raise _BatchFailure(i, error) from error
+        return np.array([r for r, _ in rows]), {key: [c[key] for _, c in rows] for key in rows[0][1]}
+    return residual
 
 
 def _bound_slack(field):
-    """Draw checking one bound of :func:`full_report` by its ``field`` slack."""
-    def draw(inst, index):
-        p, a, b = yield [inst.point(), inst.observable(), inst.observable()]
-        slack = getattr(full_report(a, b, p, inst.cfg), field)
-        return max(0.0, -slack), _case(p, index, slack=slack)
+    """Per-row residual of one bound of :func:`full_report` by its ``field`` slack."""
+    def residual(p, a, b, cfg):
+        slack = getattr(full_report(a, b, p, cfg), field)
+        return max(0.0, -slack), {"slack": slack, **_spectra(p)}
+    return _per_row(residual)
+
+
+def _spectrum_preservation(p, h, cfg):
+    traj = trajectory(p, h, t_max=1.0, steps=5, cfg=cfg)
+    eigenvalues = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
+    return float(np.max(np.abs(eigenvalues - p.eigenvalues))), _spectra(p)
+
+
+def _flow_composition(p, h, times, cfg):
+    s, t = times
+    two_step = evolve(evolve(p, h, s, cfg), h, t, cfg)
+    one_step = evolve(p, h, s + t, cfg)
+    return float(np.max(np.abs(two_step.rho - one_step.rho))), {}
+
+
+def _kept(points, cfg):
+    """Residual that keeps each built point as its worst-case column."""
+    return np.zeros(len(points)), {"point": list(points)}
+
+
+def _panel(kernel):
+    """Draw of a panel suite, its one sample: ``kernel(p, samples, rng, cfg)``
+    on max(2, 2 * len(dims)) points, built as pending samples are. The kernel
+    draws from the stream after the points, so the draw runs it. It returns the
+    report fields of the first point with the largest residual."""
+    def draw(inst, samples):
+        built = []
+        _evaluate([(_kept, index, inst.point(mixed_every=4), built)
+                   for index in range(max(2, 2 * len(inst.dims)))], inst.cfg)
+        points = [case["point"] for _, case in built]
+        per_point = max(1, samples // len(points))
+        residual, _, tolerance, case = max(
+            (kernel(p, per_point, inst.rng, inst.cfg) for p in points), key=lambda r: r[0])
+        return residual, per_point * len(points), tolerance, case
     return draw
 
 
-def _pure_state_equality(inst, index):
-    cfg = inst.cfg
-    dim = inst.dims[index % len(inst.dims)]
-    p, a = yield [_Draw(_normals(dim, inst.rng), pure_spectrum(dim, cfg)), inst.observable(dim)]
-    x = tangent_map(a, p, cfg)
-    bound_term = 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real
-    return abs(uncertainty(a, p, cfg) ** 2 - bound_term), {"sample": index, "dim": dim}
-
-
-def _variance_identity(inst, index):
-    cfg = inst.cfg
-    p, a = yield [inst.point(), inst.observable()]
-    delta_perp_sq, sum_plus, sum_minus = variance_decomposition(a, p, cfg)
-    variance = uncertainty(a, p, cfg) ** 2
-    residual = abs(variance - (delta_perp_sq + sum_plus))
-    x = tangent_map(a, p, cfg)
-    residual = max(residual, abs(
-        sum_minus - 0.5 * cfg.hbar * hermitian_product(x, x, cfg).real))
-    residual = max(residual, max(0.0, sum_minus - sum_plus))
-    return residual, _case(p, index)
-
-
-def _spectrum_preservation(inst, index):
-    p, h = yield [inst.point(mixed_every=0), inst.observable()]
-    traj = trajectory(p, h, t_max=1.0, steps=5, cfg=inst.cfg)
-    eigenvalues = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
-    return float(np.max(np.abs(eigenvalues - p.eigenvalues))), _case(p, index)
-
-
-def _flow_composition(inst, index):
-    p, h, (s, t) = yield [inst.point(mixed_every=0), inst.observable(),
-                          inst.rng.uniform(-1.0, 1.0, size=2)]
-    two_step = evolve(evolve(p, h, s, inst.cfg), h, t, inst.cfg)
-    one_step = evolve(p, h, s + t, inst.cfg)
-    return float(np.max(np.abs(two_step.rho - one_step.rho))), {"sample": index, "dim": p.dim}
-
-
-def _ehrenfest(inst, index):
-    p, a, h = yield [inst.point(mixed_every=0), inst.observable(), inst.observable()]
-    return ehrenfest_check(a, h, p, inst.cfg), {"sample": index, "dim": p.dim}
-
+# a panel suite has no residual: its draw reports (_panel)
+_Suite = namedtuple("_Suite", "name draw residual count tolerance",
+                    defaults=(lambda samples: samples, lambda cfg: cfg.tol_check))
 
 _CATALOG = [
-    ("j_squared", *_sampled(_j_squared)),
-    ("omega_antisymmetry", *_sampled(_omega_antisymmetry)),
-    ("metric_symmetry", *_sampled(_metric_symmetry)),
-    ("metric_positivity", _sampled(_metric_positivity)[0], _metric_positivity_report),
-    ("compatibility", *_sampled(_compatibility)),
-    ("hermitian_symmetry", *_sampled(_hermitian_symmetry)),
-    ("block_formula", *_sampled(_block_formula)),
-    ("tangent_roundtrip", *_sampled(_tangent_roundtrip)),
-    ("split_orthogonality", *_sampled(_split_orthogonality)),
-    ("ad_equivariance", *_sampled(_ad_equivariance)),
-    ("gauge_invariance", *_sampled(_gauge_invariance)),
-    ("involutivity", lambda inst, samples: [_panel(inst, samples, involutivity_check)],
-     _panel_report),
-    ("nondegeneracy", lambda inst, samples: [_panel(inst, samples, nondegeneracy_check)],
-     _panel_report),
-    ("nijenhuis_fd", *_sampled(_nijenhuis, count=_fd_count, tolerance=_fd_tolerance)),
-    ("closedness_fd", *_sampled(_closedness, count=_fd_count, tolerance=_fd_tolerance)),
-    ("uncertainty_bound", *_sampled(_bound_slack("slack_geometric"))),
-    ("rs_baseline", *_sampled(_bound_slack("slack_rs"))),
-    ("pure_state_equality", *_sampled(_pure_state_equality)),
-    ("variance_identity", *_sampled(_variance_identity)),
-    ("spectrum_preservation", *_sampled(_spectrum_preservation, count=_fd_count)),
-    ("flow_composition", *_sampled(_flow_composition, count=_fd_count)),
-    ("ehrenfest", *_sampled(_ehrenfest, count=_fd_count, tolerance=_fd_tolerance)),
+    _Suite("j_squared", _draw(1), _j_squared),
+    _Suite("omega_antisymmetry", _draw(2), _omega_antisymmetry),
+    _Suite("metric_symmetry", _draw(2), _metric_symmetry),
+    _Suite("metric_positivity", _draw(1, _Instances.multi_cluster_point), _metric_positivity),
+    _Suite("compatibility", _draw(2), _compatibility),
+    _Suite("hermitian_symmetry", _draw(2), _hermitian_symmetry),
+    _Suite("block_formula", _draw(2), _block_formula),
+    _Suite("tangent_roundtrip", _draw(1), _tangent_roundtrip),
+    _Suite("split_orthogonality", _draw(1), _split_orthogonality),
+    _Suite("ad_equivariance", _draw(2, _UNMIXED, lambda inst: _normals(inst.dim, inst.rng)),
+           _ad_equivariance),
+    _Suite("gauge_invariance",
+           _draw(2, _UNMIXED, lambda inst: _random_gauge(inst.spectrum, inst.rng)),
+           _gauge_invariance),
+    _Suite("involutivity", _panel(_involutivity), None),
+    _Suite("nondegeneracy", _panel(_nondegeneracy), None),
+    _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point),
+           _per_row(lambda p, a, b, cfg: (nijenhuis_fd(a, b, p, cfg), _spectra(p))),
+           _fd_count, _fd_tolerance),
+    _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point),
+           _per_row(lambda p, a, b, c, cfg: (closedness_check(a, b, c, p, cfg), _spectra(p))),
+           _fd_count, _fd_tolerance),
+    _Suite("uncertainty_bound", _draw(2), _bound_slack("slack_geometric")),
+    _Suite("rs_baseline", _draw(2), _bound_slack("slack_rs")),
+    _Suite("pure_state_equality", _pure_point, _pure_state_equality),
+    _Suite("variance_identity", _draw(1), _variance_identity),
+    _Suite("spectrum_preservation", _draw(1, _UNMIXED), _per_row(_spectrum_preservation),
+           _fd_count),
+    _Suite("flow_composition",
+           _draw(1, _UNMIXED, lambda inst: inst.rng.uniform(-1.0, 1.0, size=2)),
+           _per_row(_flow_composition), _fd_count),
+    _Suite("ehrenfest", _draw(2, _UNMIXED),
+           _per_row(lambda p, a, h, cfg: (ehrenfest_check(a, h, p, cfg), {})),
+           _fd_count, _fd_tolerance),
 ]
 
-CHECK_NAMES = tuple(name for name, _, _ in _CATALOG)
+CHECK_NAMES = tuple(suite.name for suite in _CATALOG)
 
 
 def _evaluate(pending, cfg: Config):
-    """Build the points the pending samples drew, one stacked pass per dim,
-    and send each sample what it drew, points built, in draw order. A point
-    that fails its checks raises its own error once the samples drawn before
-    it are evaluated."""
-    drawn = [item for _, items, _ in pending for item in items]
-    built = list(drawn)
-    draws = [i for i, item in enumerate(drawn) if isinstance(item, _Draw)]
-    for dim in {drawn[i].spectrum.total_dim for i in draws}:
-        rows = [i for i in draws if drawn[i].spectrum.total_dim == dim]
+    """Build the pending samples' points, one stacked pass per dim, and run
+    each suite's residual once per dim; each sample's (residual, worst case)
+    joins its suite's results in draw order. The first failing sample in draw
+    order raises its error, whether its point or its residual failed."""
+    by_dim, suite = defaultdict(list), []
+    for position, (_, _, drawn, results) in enumerate(pending):
+        by_dim[drawn[0].total_dim].append(position)
+        suite.append(id(results))
+    outcomes, failures = {}, []
+    for dim, positions in by_dim.items():
+        drawn = [pending[i][2] for i in positions]
         points, failure = _passing(
-            lambda stack: _haar_points([drawn[i].spectrum for i in rows[:len(stack)]], stack, cfg),
-            _haar_frames(np.stack([drawn[i].normals for i in rows])))
-        # a failing row m is built as its error, and the rows after it not at all
-        for i, point in zip(rows, list(points or ()) + ([failure[1]] if failure else [])):
-            built[i] = point
-    start = 0
-    for sample, items, results in pending:
-        received = built[start:start + len(items)]
-        start += len(items)
-        for item in received:
-            if isinstance(item, Exception):
-                raise item
-        try:
-            sample.send(received)
-        except StopIteration as done:
-            results.append(done.value)
+            lambda frames: _haar_points([d[0] for d in drawn[:len(frames)]], frames, cfg),
+            _haar_frames(np.array([d[1] for d in drawn])))
+        failures += [(positions[failure[0]], failure[1])] if failure else []
+        # the samples of one suite are consecutive
+        start = 0
+        built = positions[:len(points)] if points is not None else []
+        for _, group in itertools.groupby(built, key=suite.__getitem__):
+            group = list(group)
+            part, start = points[start:start + len(group)], start + len(group)
+            residual = pending[group[0]][0]
+            stacks = [np.array(column) for column in zip(*(pending[i][2][2:] for i in group))]
+            done, failed = _passing(
+                lambda rows: residual(rows, *(s[:len(rows)] for s in stacks), cfg), part)
+            if failed:
+                failures.append((group[failed[0]], failed[1]))
+                continue
+            values, columns = done
+            for j, (i, value) in enumerate(zip(group, values.tolist())):
+                case = {key: column[j] for key, column in columns.items()}
+                outcomes[i] = value, {"sample": pending[i][1], "dim": dim, **case}
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for position, (_, _, _, results) in enumerate(pending):
+        results.append(outcomes[position])
+
+
+def _finish(name, results, samples, tolerance):
+    """A suite's report from its samples' (residual, worst case) pairs in draw
+    order; a suite whose cases record witness ratios reports the smallest too."""
+    extra = {}
+    if "witness_ratio" in results[0][1]:
+        extra["smallest_witness"] = min(case["witness_ratio"] for _, case in results)
+    return _report_max(name, results, samples, tolerance, **extra)
+
+
+def _take(draw, pending, cfg: Config, *args):
+    """``draw(*args)``; a failing draw raises after the samples drawn before it."""
+    try:
+        return draw(*args)
+    except Exception:
+        _evaluate(pending, cfg)
+        raise
 
 
 def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
@@ -411,9 +426,6 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be nonempty and >= 1, got {dims}")
-    # unlike a dim, a sample count given as a float is refused, even 2.0
-    if not isinstance(samples, numbers.Integral):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
     samples = _integer("samples", samples, 1)
     if spectra is not None and not len(spectra):
         raise ValueError("the spectra pool is empty")
@@ -424,28 +436,26 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     if spectra is not None:
         spectra = [make_spectrum(s.values, s.mults, cfg) for s in spectra]
     children = np.random.SeedSequence(seed).spawn(len(_CATALOG))
-    # (sample, what it drew, its suite's results), up to _CHUNK_ENTRIES
-    # matrix entries of pending draws at a time; a suite is reported, and its
-    # results let go, at the first evaluation after its last draw
+    # (residual, sample index, what it drew, its suite's results), up to
+    # _CHUNK_ENTRIES matrix entries of pending points at a time; a suite is
+    # reported, and its results let go, at the first evaluation after its last draw
     pending, entries, drawn_suites, reports = [], 0, [], []
-    for (name, draws_of, report), child in zip(_CATALOG, children):
+    for (name, draw, residual, count, tolerance), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
         inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
+        if residual is None:
+            drawn_suites.append(partial(CheckReport, name, *_take(draw, pending, cfg, inst, samples)))
+            continue
         results = []
-        for sample in draws_of(inst, samples):
-            try:
-                drawn = next(sample)
-            except Exception:
-                # a failing draw raises after the samples drawn before it
-                _evaluate(pending, cfg)
-                raise
-            pending.append((sample, drawn, results))
-            entries += sum(item.normals.size for item in drawn if isinstance(item, _Draw))
+        for index in range(count(samples)):
+            drawn = _take(draw, pending, cfg, inst, index)
+            pending.append((residual, index, drawn, results))
+            entries += drawn[1].size
             if entries >= _CHUNK_ENTRIES:
                 _evaluate(pending, cfg)
                 reports += [finish() for finish in drawn_suites]
                 pending, entries, drawn_suites = [], 0, []
-        drawn_suites.append(partial(report, name, inst, samples, results))
+        drawn_suites.append(partial(_finish, name, results, count(samples), tolerance(cfg)))
     _evaluate(pending, cfg)
     return reports + [finish() for finish in drawn_suites]

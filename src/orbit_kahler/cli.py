@@ -200,7 +200,7 @@ def _cmd_sweep(args, cfg: Config) -> int:
         rhos[:, np.arange(dim), np.arange(dim)] = rows
         # deltaA to rs_bound; a failing row is named by its row in the sweep
         table[start:start + chunk, dim:] = np.stack(_stacked(
-            lambda stack: _report(a, b, _orbit_stack(stack, cfg), cfg)[:5], rhos,
+            lambda stack: _report(a.matrix, b.matrix, _orbit_stack(stack, cfg), cfg)[:5], rhos,
             lambda m, error: _prefixed(start + m, error)), axis=1)
     lines = (",".join(map(repr, row)) for start in range(0, len(table), chunk)
              for row in table[start:start + chunk].tolist())

@@ -24,7 +24,7 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG, _integer, _real
 from .errors import DegenerateDriftError
 from .kahler import symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _conjugated, _dagger, _stacked
 
 __all__ = ["Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory"]
 
@@ -59,7 +59,7 @@ def _flows(p: OrbitPoint, h: np.ndarray, times, cfg: Config):
     def drift(m, error):
         return DegenerateDriftError(f"flow for time {times[m % len(times)]} left the "
                                     f"validated orbit neighborhood: {error}")
-    return _conjugated(p, _propagators(h, times, cfg.hbar), cfg, drift)
+    return _stacked(lambda u: _conjugated(p, u, cfg), _propagators(h, times, cfg.hbar), drift)
 
 
 def _differences(values: np.ndarray, cfg: Config) -> np.ndarray:

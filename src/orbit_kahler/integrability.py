@@ -27,10 +27,10 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
-from .kahler import _apply_j, _j_factor, _symplectic, apply_J, symplectic_tangent
+from .kahler import _apply_j, _j, _j_factor, _omega, _symplectic
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum, _stacked
-from .sampling import random_tangent
-from .tangent import TangentVector, _lift, _tangent, tangent_map
+from .sampling import _gaussian
+from .tangent import _lift, _split, _tangent
 
 __all__ = [
     "CheckReport",
@@ -44,7 +44,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one sampled invariant check: it passed when
-    ``max_residual <= tolerance``, so a NaN residual fails."""
+    ``max_residual <= tolerance``, so a NaN residual fails. A worst case made
+    by :func:`_case` has its spectrum read off the eigenvalues it holds."""
 
     check_name: str
     max_residual: float
@@ -57,32 +58,32 @@ class CheckReport:
         for name, kind in (("max_residual", float), ("samples", int), ("tolerance", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "passed", self.max_residual <= self.tolerance)
+        if isinstance(self.worst_case.get("spectrum"), np.ndarray):
+            spectrum = _spectrum(self.worst_case["spectrum"])
+            recorded = {"values": list(spectrum.values), "mults": list(spectrum.mults)}
+            object.__setattr__(self, "worst_case", {**self.worst_case, "spectrum": recorded})
 
 
 def _case(p: OrbitPoint, index: int, **extra) -> dict:
-    """Worst-case record of one sample at ``p``; :func:`_recorded` reads its spectrum."""
+    """Worst-case record of one sample at ``p``, holding its eigenvalues."""
     return {"sample": index, "dim": p.dim, **extra, "spectrum": p.eigenvalues}
 
 
-def _recorded(case: dict) -> dict:
-    """``case`` with its spectrum read off the eigenvalues that :func:`_case` put there."""
-    if "spectrum" in case:
-        spectrum = _spectrum(case["spectrum"])
-        case = {**case, "spectrum": {"values": list(spectrum.values), "mults": list(spectrum.mults)}}
-    return case
+def _worst(pairs) -> tuple:
+    """The (residual, worst_case) pair a report keeps: the last of the largest
+    residuals, or the last NaN, so that a NaN fails the report; (0.0, {}) if none."""
+    worst = (0.0, {})
+    for pair in pairs:
+        if pair[0] >= worst[0] or math.isnan(pair[0]):
+            worst = pair
+    return worst
 
 
 def _report_max(name, pairs, samples, tolerance, **extra):
     """Build a report from (residual, worst_case) pairs; ``extra`` entries
     are appended to the worst case, whose spectrum alone is read off."""
-    max_residual = 0.0
-    worst = {}
-    for residual, case in pairs:
-        # a NaN residual is kept, so that it fails the report
-        if residual >= max_residual or math.isnan(residual):
-            max_residual = residual
-            worst = case
-    return CheckReport(name, max_residual, samples, tolerance, {**_recorded(worst), **extra})
+    max_residual, worst = _worst(pairs)
+    return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
 def involutivity_check(p: OrbitPoint, samples: int, seed,
@@ -95,6 +96,11 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     _check_dims(p)
     samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
+    return CheckReport("involutivity", *_involutivity(p, samples, rng, cfg))
+
+
+def _involutivity(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
+    """The report fields of :func:`involutivity_check`, its worst case unread."""
     # the +i and -i eigenspaces of the J the library applies, in the frame of p
     factor = _j_factor(p)
     upper, lower = factor == 1j, factor == -1j
@@ -107,19 +113,8 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
         residual = float(np.max(np.abs(commutator), where=lower, initial=0.0))
         scale = max(scale, float(np.linalg.norm(upper_a) * np.linalg.norm(upper_b)))
         pairs.append((residual, _case(p, index)))
-    tolerance = 100.0 * np.finfo(float).eps * scale
-    return _report_max("involutivity", pairs, samples, tolerance)
-
-
-def _project_tangent(ambient: np.ndarray, p: OrbitPoint) -> TangentVector:
-    """Off-block-diagonal part of an ambient matrix, as a tangent vector at p.
-
-    Finite differencing leaves O(step^2) dirt in the diagonal blocks; this is
-    the orthogonal projection back onto the tangent space.
-    """
-    framed = p.to_frame(ambient)
-    framed[p.same_cluster] = 0.0
-    return TangentVector(p, p.from_frame(framed))
+    max_residual, worst = _worst(pairs)
+    return max_residual, samples, 100.0 * np.finfo(float).eps * scale, worst
 
 
 def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -144,11 +139,12 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
         lambda rows: _apply_j(_lift(plain[:len(rows)], rows, hbar), rows, cfg), flowed)
     # D_A B, D_B A, D_JA B, D_JB A and D_A JB, D_B JA, D_JA JB, D_JB JA
     d_plain, d_twisted = _differences(plain, cfg), _differences(twisted_values, cfg)
-    mixed_a = d_plain[2] - d_twisted[1]   # [JA, B]
-    mixed_b = d_twisted[0] - d_plain[3]   # [A, JB]
+    # finite differencing leaves O(step^2) dirt in the diagonal blocks, so the
+    # brackets J acts on are projected back onto the tangent space
+    mixed_a = _split(d_plain[2] - d_twisted[1], p)[1]   # [JA, B]
+    mixed_b = _split(d_twisted[0] - d_plain[3], p)[1]   # [A, JB]
     total = (d_plain[0] - d_plain[1]      # [A, B]
-             + apply_J(_project_tangent(mixed_a, p), cfg).ambient
-             + apply_J(_project_tangent(mixed_b, p), cfg).ambient
+             + _j(mixed_a, p, cfg) + _j(mixed_b, p, cfg)
              - (d_twisted[2] - d_twisted[3]))  # [JA, JB]
     return float(np.max(np.abs(total)))
 
@@ -181,11 +177,12 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     rows = [6, 7, 8, 9, 8, 9, 10, 11, 10, 11, 6, 7]
     fields = np.stack([ops[i] for i in (1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2)])
     derivatives = _differences(_tangent(fields, flowed.rho[rows], hbar), cfg)
+    # projected back onto the tangent space, as in nijenhuis_fd
     bracket_ab, bracket_bc, bracket_ca = (
-        _project_tangent(bracket, p) for bracket in derivatives[0::2] - derivatives[1::2])
-    bracket_terms = (symplectic_tangent(bracket_ab, tangent_map(c, p, cfg), cfg)
-                     + symplectic_tangent(bracket_bc, tangent_map(a, p, cfg), cfg)
-                     + symplectic_tangent(bracket_ca, tangent_map(b, p, cfg), cfg))
+        _split(bracket, p)[1] for bracket in derivatives[0::2] - derivatives[1::2])
+    x_a, x_b, x_c = (_tangent(x, p.rho, hbar) for x in ops)
+    bracket_terms = (_omega(bracket_ab, x_c, p, cfg) + _omega(bracket_bc, x_a, p, cfg)
+                     + _omega(bracket_ca, x_b, p, cfg))
 
     return float(abs((derivative_terms + bracket_terms) / 3.0))
 
@@ -201,23 +198,29 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     """
     samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
+    return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, rng, cfg))
+
+
+def _nondegeneracy(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
+    """The report fields of :func:`nondegeneracy_check`, its worst case unread."""
     if p.spectrum.k == 1:
-        worst = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}
-        return CheckReport("nondegeneracy", 0.0, samples, cfg.tol_check, worst)
+        note = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}
+        return 0.0, samples, cfg.tol_check, note
     floor = cfg.hbar / p.spectrum.span
     max_deficit = 0.0
     smallest_witness = np.inf
-    worst = _recorded(_case(p, 0, floor=floor))
+    worst = _case(p, 0, floor=floor)
     for index in range(samples):
-        x = random_tangent(p, rng, cfg)
-        squared = x.frobenius ** 2
+        # the tangent vector random_tangent draws
+        x = _tangent(_gaussian(p.dim, rng), p.rho, cfg.hbar)
+        squared = float(np.linalg.norm(x)) ** 2
         if squared == 0.0:
             continue
-        witness = abs(symplectic_tangent(x, apply_J(x, cfg), cfg)) / squared
+        witness = abs(float(_omega(x, _j(x, p, cfg), p, cfg))) / squared
         deficit = max(0.0, floor - witness)
         if witness < smallest_witness:
             smallest_witness = witness
             worst["sample"] = index
             worst["smallest_witness"] = witness
         max_deficit = max(max_deficit, deficit)
-    return CheckReport("nondegeneracy", max_deficit, samples, cfg.tol_check, worst)
+    return max_deficit, samples, cfg.tol_check, worst

@@ -106,6 +106,16 @@ def _pairing(lifted: np.ndarray, y: np.ndarray, cfg: Config) -> np.ndarray:
     return _real((lifted @ y).trace(axis1=-2, axis2=-1), cfg, "symplectic form")
 
 
+def _j(x: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """J of the tangent matrices ``x`` at a point or stack ``p``: lift, twist, push down."""
+    return _apply_j(_lift(x, p, cfg.hbar), p, cfg)
+
+
+def _omega(x: np.ndarray, y: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """omega(X, Y) of tangent matrices ``x``, ``y`` at ``p``, by the lift of X."""
+    return _pairing(_lift(x, p, cfg.hbar), y, cfg)
+
+
 def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndarray:
     """(1/(i hbar)) Tr([A, B] rho) from ``commutator = [A, B]``, over the
     trailing two axes of both."""
@@ -113,9 +123,18 @@ def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndar
     return _real(z, cfg, "symplectic form")
 
 
-def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> complex:
-    """The closed block form of h from generators ``fa``, ``fb`` in the frame of ``p``."""
-    return complex(2.0 / cfg.hbar * np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj()))
+def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """The closed block form of h from generators ``fa``, ``fb`` in the frame of
+    a point or stack ``p``."""
+    return 2.0 / cfg.hbar * np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj(), axis=(-2, -1))
+
+
+def _h_offdiag(a: np.ndarray, b: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """:func:`_h_blocks` of off-block-diagonal generators ``a``, ``b``, checked to be so."""
+    fa, fb = _to_frame(p, a), _to_frame(p, b)
+    _require_offdiag(fa, p, cfg)
+    _require_offdiag(fb, p, cfg)
+    return _h_blocks(fa, fb, p, cfg)
 
 
 def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
@@ -139,7 +158,7 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """The complex structure on tangent vectors: lift, twist blocks, push down."""
-    return TangentVector(x.base, _apply_j(_lift(x.ambient, x.base, cfg.hbar), x.base, cfg))
+    return TangentVector(x.base, _j(x.ambient, x.base, cfg))
 
 
 def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -162,8 +181,7 @@ def symplectic_tangent(x: TangentVector, y: TangentVector,
     which equals the commutator form on the lifted generators.
     """
     _require_same_base(x.base, y.base)
-    lifted = _lift(x.ambient, x.base, cfg.hbar)
-    return float(_pairing(lifted, y.ambient, cfg))
+    return float(_omega(x.ambient, y.ambient, x.base, cfg))
 
 
 def metric(x: TangentVector, y: TangentVector,
@@ -185,10 +203,7 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
     generated by off-block-diagonal ``a`` and ``b`` at ``p``; it agrees with
     :func:`hermitian_product` of the generated tangent vectors."""
     _check_dims(p, a, b)
-    fa, fb = p.to_frame(a.matrix), p.to_frame(b.matrix)
-    _require_offdiag(fa, p, cfg)
-    _require_offdiag(fb, p, cfg)
-    return _h_blocks(fa, fb, p, cfg)
+    return complex(_h_offdiag(a.matrix, b.matrix, p, cfg))
 
 
 def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -196,5 +211,5 @@ def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     """Evaluate omega, g, and h on the tangent directions generated by a, b,
     by the closed block form, which gives the diagonal blocks weight 0."""
     _check_dims(p, a, b)
-    h = _h_blocks(p.to_frame(a.matrix), p.to_frame(b.matrix), p, cfg)
+    h = complex(_h_blocks(p.to_frame(a.matrix), p.to_frame(b.matrix), p, cfg))
     return KahlerEvaluation(omega=h.imag, metric=h.real, h=h, base=p)

@@ -441,13 +441,11 @@ def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
     return OrbitPoint(rho, frame, values)
 
 
-def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
-                rename=None) -> OrbitPoint:
-    """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d)
-    stack ``u``, checked in one stacked pass, failing as :func:`_stacked`."""
-    return _stacked(lambda u: _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
-                                           np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg),
-                    u, rename)
+def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
+    """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d) stack
+    ``u`` and a point or an N-stack ``p``; a failing row raises :class:`_BatchFailure`."""
+    return _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
+                        np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg)
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
@@ -527,10 +525,15 @@ def conjugate(a: HermitianOperator, unitary: np.ndarray,
     u = np.asarray(unitary, dtype=np.complex128)
     if u.shape != a.matrix.shape:
         raise DimMismatchError(f"operator dim {a.dim} vs unitary shape {u.shape}")
+    return HermitianOperator(_conjugate(a.matrix, u, cfg))
+
+
+def _conjugate(a: np.ndarray, u: np.ndarray, cfg: Config) -> np.ndarray:
+    """``U A U^dag`` over the trailing two axes, ``u`` checked finite and unitary."""
     _require_finite(u, NotUnitaryError)
     u_dagger = _dagger(u)
     _require_unitary(u, u_dagger, cfg)
-    return HermitianOperator(u @ a.matrix @ u_dagger)
+    return u @ a @ u_dagger
 
 
 def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
@@ -546,7 +549,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
         raise DimMismatchError(f"point dim {p.dim} vs unitary shape {u.shape}")
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, _dagger(u), cfg)
-    return _conjugated(p, u[None], cfg)[0]
+    return _stacked(lambda u: _conjugated(p, u, cfg), u[None])[0]
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
@@ -561,8 +564,14 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     v = np.asarray(block_unitary, dtype=np.complex128)
     if v.shape != (p.dim, p.dim):
         raise DimMismatchError(f"gauge shape {v.shape} vs dim {p.dim}")
-    if np.max(np.abs(v), where=~p.same_cluster, initial=0.0) > cfg.tol_unitary:
-        raise NotUnitaryError("gauge matrix is not block diagonal for this point")
+    return _gauged(p, v, cfg)
+
+
+def _gauged(p: OrbitPoint, v: np.ndarray, cfg: Config) -> OrbitPoint:
+    """The checks and the point of :func:`with_gauge` at a point or a stack."""
+    outside = np.abs(v).max(axis=(-2, -1), where=~p.same_cluster, initial=0.0)
+    _require(outside > cfg.tol_unitary, NotUnitaryError,
+             lambda i: "gauge matrix is not block diagonal for this point")
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
     _require_frame(p.rho, frame, p.eigenvalues, cfg)

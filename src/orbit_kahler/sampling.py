@@ -33,8 +33,13 @@ __all__ = [
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian-ensemble Hermitian matrix drawn from ``rng``."""
-    z = _normals(_integer("dim", dim, 1), rng)
-    return HermitianOperator(0.5 * (z + z.conj().T))
+    return HermitianOperator(_gaussian(_integer("dim", dim, 1), rng))
+
+
+def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrix of :func:`gaussian_hermitian`."""
+    z = _normals(dim, rng)
+    return 0.5 * (z + z.conj().T)
 
 
 def maximally_mixed_spectrum(dim: int, cfg: Config = DEFAULT_CONFIG) -> Spectrum:

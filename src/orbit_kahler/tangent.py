@@ -129,10 +129,14 @@ def split_kernel(h: HermitianOperator, p: OrbitPoint):
     second is purely off-block-diagonal; they sum to ``h``.
     """
     _check_dims(p, h)
-    framed = p.to_frame(h.matrix)
+    return tuple(HermitianOperator(part) for part in _split(h.matrix, p))
+
+
+def _split(h: np.ndarray, p) -> tuple:
+    """The parts of :func:`split_kernel` at a point or stack ``p``."""
+    framed = _to_frame(p, h)
     kernel = np.where(p.same_cluster, framed, 0.0)
-    return (HermitianOperator(p.from_frame(kernel)),
-            HermitianOperator(p.from_frame(framed - kernel)))
+    return _from_frame(p, kernel), _from_frame(p, framed - kernel)
 
 
 def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:

@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 # The kernels below take a point or a stack (gap-mask and stack conventions in
-# :mod:`orbit_kahler.operators`) and raise each check where it fails.
+# :mod:`orbit_kahler.operators`) with matrices of observables that broadcast
+# against it, and raise each check where it fails.
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
@@ -59,34 +60,34 @@ def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
     return _real(_trace(ra), cfg, "expectation")
 
 
-def _moments(a: HermitianOperator, ra: np.ndarray, cfg: Config) -> tuple:
+def _moments(a: np.ndarray, ra: np.ndarray, cfg: Config) -> tuple:
     """Mean and standard deviation from ``ra = rho @ A``; a tiny negative
     radicand (within ``tol_check``) is clamped to zero, a worse one fails."""
     mean = _mean(ra, cfg)
-    second = _real(_trace(ra @ a.matrix), cfg, "second moment")
+    second = _real(_trace(ra @ a), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
              lambda i: f"variance radicand {radicand[i]:.3e}")
     return mean, np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
 
 
-def _geometric(a: HermitianOperator, b: HermitianOperator, ra: np.ndarray,
-               rb: np.ndarray, p, cfg: Config, parts=None) -> np.ndarray:
+def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
+               cfg: Config, parts=None) -> np.ndarray:
     """(hbar/2) |h(X_A, X_B)|; ``parts`` is ``(g, omega)`` of X_A, X_B when the
     caller has evaluated it already."""
     if parts is None:
-        parts = _h_parts(_tangent(a.matrix, p.rho, cfg.hbar, ra),
-                         _tangent(b.matrix, p.rho, cfg.hbar, rb), p, cfg)
+        parts = _h_parts(_tangent(a, p.rho, cfg.hbar, ra), _tangent(b, p.rho, cfg.hbar, rb),
+                         p, cfg)
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(*parts)
 
 
-def _rs(a: HermitianOperator, b: HermitianOperator, mean_a: np.ndarray,
-        mean_b: np.ndarray, p, cfg: Config) -> np.ndarray:
+def _rs(a: np.ndarray, b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray, p,
+        cfg: Config) -> np.ndarray:
     """The Robertson-Schrodinger bound from the means Tr(rho A), Tr(rho B)."""
-    ab = a.matrix @ b.matrix
-    ba = b.matrix @ a.matrix
+    ab = a @ b
+    ba = b @ a
     symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
     commutator_mean = _trace(p.rho @ (ab - ba))
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
@@ -110,7 +111,7 @@ def uncertainty(a: HermitianOperator, p: OrbitPoint,
     anything worse raises :class:`NegativeVarianceError`.
     """
     _check_dims(p, a)
-    return float(_moments(a, p.rho @ a.matrix, cfg)[1])
+    return float(_moments(a.matrix, p.rho @ a.matrix, cfg)[1])
 
 
 def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
@@ -129,14 +130,21 @@ def variance_decomposition(a: HermitianOperator, p: OrbitPoint,
     over ``same_cluster`` and over the upper triangle gaps > 0.
     """
     _check_dims(p, a)
-    framed = p.to_frame(a.matrix)
+    return tuple(float(v) for v in _variance_split(a.matrix, p))
+
+
+def _variance_split(a: np.ndarray, p) -> tuple:
+    """The terms of :func:`variance_decomposition` at a point or stack ``p``."""
+    framed = p.to_frame(a)
     values = p.eigenvalues
     weight = np.abs(framed) ** 2
     upper = p.gaps > 0
-    first = float(np.dot(values, framed.diagonal().real))
-    second = float(np.sum(values[:, None] * weight, where=p.same_cluster))
-    sum_plus = float(np.sum((values[:, None] + values[None, :]) * weight, where=upper))
-    sum_minus = float(np.sum(p.gaps * weight, where=upper))
+    # a (1, d) @ (d, 1) product, which rounds as np.dot of the two vectors
+    first = (values[..., None, :] @ framed.diagonal(axis1=-2, axis2=-1).real[..., None])[..., 0, 0]
+    second = np.sum(values[..., :, None] * weight, axis=(-2, -1), where=p.same_cluster)
+    sum_plus = np.sum((values[..., :, None] + values[..., None, :]) * weight, axis=(-2, -1),
+                      where=upper)
+    sum_minus = np.sum(p.gaps * weight, axis=(-2, -1), where=upper)
     return second - first * first, sum_plus, sum_minus
 
 
@@ -144,7 +152,7 @@ def geometric_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
                     cfg: Config = DEFAULT_CONFIG) -> float:
     """(hbar/2) |h(X_A, X_B)|, the geometric lower bound on dA * dB."""
     _check_dims(p, a, b)
-    return float(_geometric(a, b, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
+    return float(_geometric(a.matrix, b.matrix, p.rho @ a.matrix, p.rho @ b.matrix, p, cfg))
 
 
 def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -156,7 +164,7 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     """
     _check_dims(p, a, b)
     mean_a = _mean(p.rho @ a.matrix, cfg)
-    return float(_rs(a, b, mean_a, _mean(p.rho @ b.matrix, cfg), p, cfg))
+    return float(_rs(a.matrix, b.matrix, mean_a, _mean(p.rho @ b.matrix, cfg), p, cfg))
 
 
 @_value_type
@@ -176,13 +184,12 @@ class UncertaintyReport:
     slack_rs: float
 
 
-def _report(a: HermitianOperator, b: HermitianOperator, p, cfg: Config,
-            parts=None) -> tuple:
+def _report(a: np.ndarray, b: np.ndarray, p, cfg: Config, parts=None) -> tuple:
     """The :class:`UncertaintyReport` fields at a point (0-d) or stack (N,);
     rho A, rho B and their traces are formed once and shared by the four
     kernels, and ``parts`` is passed on to :func:`_geometric`."""
-    ra = p.rho @ a.matrix
-    rb = p.rho @ b.matrix
+    ra = p.rho @ a
+    rb = p.rho @ b
     mean_a, delta_a = _moments(a, ra, cfg)
     mean_b, delta_b = _moments(b, rb, cfg)
     geometric = _geometric(a, b, ra, rb, p, cfg, parts)
@@ -205,7 +212,7 @@ def full_report(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     beyond ``tol_check``; that can only happen through a library defect.
     """
     _check_dims(p, a, b)
-    return UncertaintyReport(*(float(v) for v in _report(a, b, p, cfg)))
+    return UncertaintyReport(*(float(v) for v in _report(a.matrix, b.matrix, p, cfg)))
 
 
 def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitPoint,
@@ -220,5 +227,5 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitPo
     if batch.rho.ndim != 3:
         raise TypeError(f"expected a stack of points, got rho of shape {batch.rho.shape}")
     _check_operand_dims(batch, a, b)
-    fields = _stacked(lambda rows: _report(a, b, rows, cfg), batch, _prefixed)
+    fields = _stacked(lambda rows: _report(a.matrix, b.matrix, rows, cfg), batch, _prefixed)
     return UncertaintyReport(*(_freeze(v, float) for v in fields))

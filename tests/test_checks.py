@@ -71,11 +71,16 @@ class TestRunChecks:
                 for dims in ((2, 3), (2.0, np.int64(3)))]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("samples", [2.5, 2.0, True])
+    @pytest.mark.parametrize("samples", [2.5, True, math.nan])
     def test_non_integer_samples_rejected(self, samples):
         # range() once raised a bare TypeError on 2.5
         with pytest.raises(ValueError, match="samples must be an integer"):
             _suite(samples=samples, names=["j_squared"])
+
+    @pytest.mark.parametrize("samples", [2.0, np.int64(2)])
+    def test_integral_samples_accepted(self, samples):
+        # a count follows the rule of every other count: integral values pass
+        assert _suite(samples=samples, names=["j_squared"]) == _suite(samples=2, names=["j_squared"])
 
     def test_single_cluster_dims_rejected(self):
         # every dim-1 spectrum is a single cluster, so drawing a point with a

@@ -69,10 +69,6 @@ COUNT = Domain(
     st.one_of(_not_real, _fractional, _below_one, _fractional.map(np.float64),
               _below_one.map(np.int64)),
     (3, 3.0, np.int64(3)))
-# a sample count of run_checks refuses floats, even integral ones
-INT_COUNT = Domain(COUNT.fixed + (3.0, np.float64(3.0)),
-                   st.one_of(COUNT.drawn, st.integers(1, 100).map(float)),
-                   (3, np.int64(3)))
 REAL = Domain(tuple(NOT_REAL), _not_real, (1, 1.0, np.int64(1)))
 POSITIVE = Domain(tuple(NOT_REAL) + (0, 0.0, -1, -2.5, np.int64(-3)),
                   st.one_of(_not_real, _negative, st.just(0.0)), (1, 1.0, np.int64(1)))
@@ -115,7 +111,7 @@ ROWS = [
     ("nondegeneracy_check", "samples", COUNT, lambda v: nondegeneracy_check(QUTRIT, v, 0)),
     ("run_checks", "dims", COUNT,
      lambda v: run_checks(dims=(2, v), samples=1, names=["j_squared"])),
-    ("run_checks", "samples", INT_COUNT, lambda v: run_checks(samples=v, names=["j_squared"])),
+    ("run_checks", "samples", COUNT, lambda v: run_checks(samples=v, names=["j_squared"])),
     ("Config", "fd_step", FD_STEP, lambda v: Config(fd_step=v)),
 ] + [("Config", field.name, POSITIVE, lambda v, name=field.name: Config(**{name: v}))
      for field in dataclasses.fields(Config) if field.name != "fd_step"]
