@@ -7,13 +7,12 @@ table; the CLI ``checks`` command is a thin wrapper around it. Passing an
 explicit ``spectra`` pool restricts sampling to those orbits.
 
 A suite is a row ``(name, draw, residual, count, tolerance)``. Each of its
-``count(samples)`` samples is one ``draw(inst, index)``: the spectrum and the
-Haar normals of a point, then its observables and other arrays. ``run_checks``
+``count(samples)`` samples is one ``draw(inst, index)``: the spectrum and Haar
+normals of a point, then its observables and other arrays. ``run_checks``
 draws, builds the drawn points of one dim in one stacked pass, and runs
 ``residual(points, *stacks, cfg)`` once on a suite's samples of one dim, each
-drawn entry stacked along rows. A residual returns one value per row and the
-columns of the rows' worst cases. The first failing sample in draw order
-raises its own error, once the samples drawn before it have passed.
+drawn entry stacked along rows: it returns their residuals and worst-case
+columns. The first failing sample in draw order raises its own error.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG, _integer, _is_integral
 from .dynamics import ehrenfest_check, evolve, trajectory
+from .errors import OrbitKahlerError
 from .integrability import (
     CheckReport,
     _involutivity,
@@ -41,11 +41,11 @@ from .operators import (
     _CHUNK_ENTRIES,
     _conjugate,
     _conjugated,
-    _gauged,
     _haar_frames,
     _haar_points,
     _normals,
     _passing,
+    _point_stack,
     make_spectrum,
 )
 from .sampling import (
@@ -62,13 +62,11 @@ __all__ = ["CHECK_NAMES", "run_checks"]
 
 
 class _Instances:
-    """Deterministic instance factory shared by all samples of a suite.
+    """Deterministic point draws, as spectrum and Haar normals, shared by all samples of a suite.
 
     Points cycle through the requested dimensions with a fresh random spectrum
     each time (every tenth one maximally mixed so the zero-tangent edge case
     stays covered), or through an explicit spectra pool (validated once, here).
-    A point is drawn as its spectrum and Haar normals, an observable as its
-    matrix, by default in the dim of the last point.
     """
 
     def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None):
@@ -105,23 +103,21 @@ class _Instances:
             if spectrum.k >= 2:
                 return spectrum, normals
 
-    def observable(self, dim: int | None = None) -> np.ndarray:
-        return _gaussian(dim or self.dim, self.rng)
-
 
 _UNMIXED = partial(_Instances.point, mixed_every=0)
 
 
 def _draw(observables: int, point=_Instances.point, *extra):
-    """Draw of ``point(inst)`` and ``observables`` observables in its dim,
-    then ``take(inst)`` for each ``take`` of ``extra``."""
-    return lambda inst, index: (*point(inst), *[inst.observable() for _ in range(observables)],
-                                *[take(inst) for take in extra])
+    """Draw of ``point(inst)`` and ``observables`` observable matrices in its
+    dim, then ``take(inst)`` for each ``take`` of ``extra``."""
+    return lambda inst, index: (
+        *point(inst), *[_gaussian(inst.dim, inst.rng) for _ in range(observables)],
+        *[take(inst) for take in extra])
 
 
 def _pure_point(inst, index) -> tuple:
     dim = inst.dims[index % len(inst.dims)]
-    return pure_spectrum(dim, inst.cfg), _normals(dim, inst.rng), inst.observable(dim)
+    return pure_spectrum(dim, inst.cfg), _normals(dim, inst.rng), _gaussian(dim, inst.rng)
 
 
 def _fd_count(samples: int) -> int:
@@ -164,8 +160,7 @@ def _metric_symmetry(p, h, k, cfg):
 def _metric_positivity(p, h, cfg):
     x = _tangent(h, p.rho, cfg.hbar)
     squared = np.array([float(np.linalg.norm(row)) ** 2 for row in x])
-    # a zero tangent has no ratio: its row reads residual -inf and ratio inf,
-    # so it is neither the worst case nor the smallest witness
+    # a zero tangent has no ratio: residual -inf and ratio inf keep it out of the report
     kept = squared != 0.0
     g = _omega(_j(x, p, cfg), x, p, cfg)
     ratio = np.divide(g, squared, out=np.full(len(x), np.inf), where=kept)
@@ -196,10 +191,9 @@ def _block_formula(p, a, b, cfg):
 
 
 def _tangent_roundtrip(p, h, cfg):
-    hbar = cfg.hbar
-    x, complement = _tangent(h, p.rho, hbar), _split(h, p)[1]
-    roundtrip = _tangent(_lift(x, p, hbar), p.rho, hbar)
-    lifted_back = _lift(_tangent(complement, p.rho, hbar), p, hbar)
+    x, complement = _tangent(h, p.rho, cfg.hbar), _split(h, p)[1]
+    roundtrip = _tangent(_lift(x, p, cfg.hbar), p.rho, cfg.hbar)
+    lifted_back = _lift(_tangent(complement, p.rho, cfg.hbar), p, cfg.hbar)
     residual = np.abs(roundtrip - x).max(axis=(-2, -1))
     return np.maximum(residual, np.abs(lifted_back - complement).max(axis=(-2, -1))), _spectra(p)
 
@@ -226,7 +220,8 @@ def _ad_equivariance(p, a, b, normals, cfg):
 
 
 def _gauge_invariance(p, a, b, gauge, cfg):
-    gauged = _gauged(p, gauge, cfg)
+    # with_gauge's point and frame checks; a drawn gauge is block diagonal
+    gauged = _point_stack(p.rho, p.frame @ gauge, p.eigenvalues, cfg)
     before = _scalar_panel(a, b, p, cfg)
     return np.abs(_scalar_panel(a, b, gauged, cfg) - before).max(axis=-1), _spectra(p)
 
@@ -250,42 +245,44 @@ def _variance_identity(p, a, cfg):
     return np.maximum(residual, np.maximum(0.0, sum_minus - sum_plus)), _spectra(p)
 
 
-def _per_row(fn):
-    """Residual calling the library on each row alone: ``fn(p, *items, cfg)``
-    returns one sample's residual and worst-case columns, and takes rows of
-    observables as :class:`HermitianOperator`. A row fails as a stacked one does."""
+def _per_row(check, recorded: bool = True):
+    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables
+    as :class:`HermitianOperator`, and failing as a stacked row; the worst case
+    records its spectrum if ``recorded``."""
     def residual(points, *stacks):
         *stacks, cfg = stacks
-        rows = []
+        values = []
         for i in range(len(points)):
             items = [HermitianOperator(s[i]) if s.ndim == 3 else s[i] for s in stacks]
             try:
-                rows.append(fn(points[i], *items, cfg))
-            except Exception as error:
+                values.append(check(*items, points[i], cfg))
+            except OrbitKahlerError as error:
                 raise _BatchFailure(i, error) from error
-        return np.array([r for r, _ in rows]), {key: [c[key] for _, c in rows] for key in rows[0][1]}
+        return np.array(values), _spectra(points) if recorded else {}
     return residual
 
 
 def _bound_slack(field):
-    """Per-row residual of one bound of :func:`full_report` by its ``field`` slack."""
-    def residual(p, a, b, cfg):
-        slack = getattr(full_report(a, b, p, cfg), field)
-        return max(0.0, -slack), {"slack": slack, **_spectra(p)}
-    return _per_row(residual)
+    """Residual of one bound of :func:`full_report`, called per row, by its ``field`` slack."""
+    slacks = _per_row(lambda a, b, p, cfg: getattr(full_report(a, b, p, cfg), field))
+
+    def residual(points, *stacks):
+        slack, columns = slacks(points, *stacks)
+        return np.maximum(0.0, -slack), {"slack": slack.tolist(), **columns}
+    return residual
 
 
-def _spectrum_preservation(p, h, cfg):
+def _spectrum_preservation(h, p, cfg):
     traj = trajectory(p, h, t_max=1.0, steps=5, cfg=cfg)
     eigenvalues = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
-    return float(np.max(np.abs(eigenvalues - p.eigenvalues))), _spectra(p)
+    return float(np.max(np.abs(eigenvalues - p.eigenvalues)))
 
 
-def _flow_composition(p, h, times, cfg):
+def _flow_composition(h, times, p, cfg):
     s, t = times
     two_step = evolve(evolve(p, h, s, cfg), h, t, cfg)
     one_step = evolve(p, h, s + t, cfg)
-    return float(np.max(np.abs(two_step.rho - one_step.rho))), {}
+    return float(np.max(np.abs(two_step.rho - one_step.rho)))
 
 
 def _kept(points, cfg):
@@ -295,13 +292,12 @@ def _kept(points, cfg):
 
 def _panel(kernel):
     """Draw of a panel suite, its one sample: ``kernel(p, samples, rng, cfg)``
-    on max(2, 2 * len(dims)) points, built as pending samples are. The kernel
-    draws from the stream after the points, so the draw runs it. It returns the
-    report fields of the first point with the largest residual."""
+    on max(2, 2 * len(dims)) points, which draws after the points, so the draw
+    runs it. It returns the report fields of the first point with the largest residual."""
     def draw(inst, samples):
-        built = []
+        built = [None] * max(2, 2 * len(inst.dims))
         _evaluate([(_kept, index, inst.point(mixed_every=4), built)
-                   for index in range(max(2, 2 * len(inst.dims)))], inst.cfg)
+                   for index in range(len(built))], inst.cfg)
         points = [case["point"] for _, case in built]
         per_point = max(1, samples // len(points))
         residual, _, tolerance, case = max(
@@ -331,11 +327,9 @@ _CATALOG = [
            _gauge_invariance),
     _Suite("involutivity", _panel(_involutivity), None),
     _Suite("nondegeneracy", _panel(_nondegeneracy), None),
-    _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point),
-           _per_row(lambda p, a, b, cfg: (nijenhuis_fd(a, b, p, cfg), _spectra(p))),
+    _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point), _per_row(nijenhuis_fd),
            _fd_count, _fd_tolerance),
-    _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point),
-           _per_row(lambda p, a, b, c, cfg: (closedness_check(a, b, c, p, cfg), _spectra(p))),
+    _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point), _per_row(closedness_check),
            _fd_count, _fd_tolerance),
     _Suite("uncertainty_bound", _draw(2), _bound_slack("slack_geometric")),
     _Suite("rs_baseline", _draw(2), _bound_slack("slack_rs")),
@@ -345,9 +339,8 @@ _CATALOG = [
            _fd_count),
     _Suite("flow_composition",
            _draw(1, _UNMIXED, lambda inst: inst.rng.uniform(-1.0, 1.0, size=2)),
-           _per_row(_flow_composition), _fd_count),
-    _Suite("ehrenfest", _draw(2, _UNMIXED),
-           _per_row(lambda p, a, h, cfg: (ehrenfest_check(a, h, p, cfg), {})),
+           _per_row(_flow_composition, recorded=False), _fd_count),
+    _Suite("ehrenfest", _draw(2, _UNMIXED), _per_row(ehrenfest_check, recorded=False),
            _fd_count, _fd_tolerance),
 ]
 
@@ -356,14 +349,13 @@ CHECK_NAMES = tuple(suite.name for suite in _CATALOG)
 
 def _evaluate(pending, cfg: Config):
     """Build the pending samples' points, one stacked pass per dim, and run
-    each suite's residual once per dim; each sample's (residual, worst case)
-    joins its suite's results in draw order. The first failing sample in draw
-    order raises its error, whether its point or its residual failed."""
-    by_dim, suite = defaultdict(list), []
-    for position, (_, _, drawn, results) in enumerate(pending):
+    each suite's residual once on its samples of one dim, putting each
+    (residual, worst case) in its suite's results; the first failing sample in
+    draw order raises its error, whether its point or its residual failed."""
+    by_dim, suite = defaultdict(list), [id(results) for *_, results in pending]
+    for position, (_, _, drawn, _) in enumerate(pending):
         by_dim[drawn[0].total_dim].append(position)
-        suite.append(id(results))
-    outcomes, failures = {}, []
+    failures = []
     for dim, positions in by_dim.items():
         drawn = [pending[i][2] for i in positions]
         points, failure = _passing(
@@ -372,34 +364,30 @@ def _evaluate(pending, cfg: Config):
         failures += [(positions[failure[0]], failure[1])] if failure else []
         # the samples of one suite are consecutive
         start = 0
-        built = positions[:len(points)] if points is not None else []
-        for _, group in itertools.groupby(built, key=suite.__getitem__):
+        for _, group in itertools.groupby(positions[:len(points) if points else 0],
+                                          suite.__getitem__):
             group = list(group)
             part, start = points[start:start + len(group)], start + len(group)
             residual = pending[group[0]][0]
             stacks = [np.array(column) for column in zip(*(pending[i][2][2:] for i in group))]
             done, failed = _passing(
                 lambda rows: residual(rows, *(s[:len(rows)] for s in stacks), cfg), part)
-            if failed:
-                failures.append((group[failed[0]], failed[1]))
-                continue
-            values, columns = done
-            for j, (i, value) in enumerate(zip(group, values.tolist())):
-                case = {key: column[j] for key, column in columns.items()}
-                outcomes[i] = value, {"sample": pending[i][1], "dim": dim, **case}
+            failures += [(group[failed[0]], failed[1])] if failed else []
+            for j, value in enumerate(done[0].tolist() if done else ()):
+                _, index, _, results = pending[group[j]]
+                columns = {key: column[j] for key, column in done[1].items()}
+                results[index] = value, {"sample": index, "dim": dim, **columns}
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    for position, (_, _, _, results) in enumerate(pending):
-        results.append(outcomes[position])
 
 
-def _finish(name, results, samples, tolerance):
-    """A suite's report from its samples' (residual, worst case) pairs in draw
-    order; a suite whose cases record witness ratios reports the smallest too."""
+def _finish(name, results, tolerance):
+    """A suite's report from its samples' (residual, worst case) pairs; a
+    suite whose cases record witness ratios reports the smallest too."""
     extra = {}
     if "witness_ratio" in results[0][1]:
         extra["smallest_witness"] = min(case["witness_ratio"] for _, case in results)
-    return _report_max(name, results, samples, tolerance, **extra)
+    return _report_max(name, results, len(results), tolerance, **extra)
 
 
 def _take(draw, pending, cfg: Config, *args):
@@ -445,10 +433,11 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
             continue
         inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
         if residual is None:
-            drawn_suites.append(partial(CheckReport, name, *_take(draw, pending, cfg, inst, samples)))
+            fields = _take(draw, pending, cfg, inst, samples)
+            drawn_suites.append(partial(CheckReport, name, *fields))
             continue
-        results = []
-        for index in range(count(samples)):
+        results = [None] * count(samples)
+        for index in range(len(results)):
             drawn = _take(draw, pending, cfg, inst, index)
             pending.append((residual, index, drawn, results))
             entries += drawn[1].size
@@ -456,6 +445,6 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
                 _evaluate(pending, cfg)
                 reports += [finish() for finish in drawn_suites]
                 pending, entries, drawn_suites = [], 0, []
-        drawn_suites.append(partial(_finish, name, results, count(samples), tolerance(cfg)))
+        drawn_suites.append(partial(_finish, name, results, tolerance(cfg)))
     _evaluate(pending, cfg)
     return reports + [finish() for finish in drawn_suites]

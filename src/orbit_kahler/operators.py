@@ -564,14 +564,8 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     v = np.asarray(block_unitary, dtype=np.complex128)
     if v.shape != (p.dim, p.dim):
         raise DimMismatchError(f"gauge shape {v.shape} vs dim {p.dim}")
-    return _gauged(p, v, cfg)
-
-
-def _gauged(p: OrbitPoint, v: np.ndarray, cfg: Config) -> OrbitPoint:
-    """The checks and the point of :func:`with_gauge` at a point or a stack."""
-    outside = np.abs(v).max(axis=(-2, -1), where=~p.same_cluster, initial=0.0)
-    _require(outside > cfg.tol_unitary, NotUnitaryError,
-             lambda i: "gauge matrix is not block diagonal for this point")
+    if np.max(np.abs(v), where=~p.same_cluster, initial=0.0) > cfg.tol_unitary:
+        raise NotUnitaryError("gauge matrix is not block diagonal for this point")
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
     _require_frame(p.rho, frame, p.eigenvalues, cfg)
