@@ -291,22 +291,18 @@ def _kept(points, cfg):
 
 
 def _panel(kernel):
-    """Draw of a panel suite, its one sample: ``kernel(p, samples, rng, cfg)``
-    on max(2, 2 * len(dims)) points, which draws after the points, so the draw
-    runs it. It returns the report fields of the first point with the largest residual."""
-    def draw(inst, samples):
-        built = [None] * max(2, 2 * len(inst.dims))
-        _evaluate([(_kept, index, inst.point(mixed_every=4), built)
-                   for index in range(len(built))], inst.cfg)
-        points = [case["point"] for _, case in built]
-        per_point = max(1, samples // len(points))
-        residual, _, tolerance, case = max(
-            (kernel(p, per_point, inst.rng, inst.cfg) for p in points), key=lambda r: r[0])
-        return residual, per_point * len(points), tolerance, case
-    return draw
+    """Report of a panel suite, whose samples are its points: ``kernel(p,
+    samples, rng, cfg)`` on each, drawing from the stream after all of them;
+    the first point with the largest residual is reported."""
+    def report(name, inst, samples, results):
+        per_point = max(1, samples // len(results))
+        residual, _, tolerance, case = max((kernel(kept["point"], per_point, inst.rng, inst.cfg)
+                                            for _, kept in results), key=lambda r: r[0])
+        return CheckReport(name, residual, per_point * len(results), tolerance, case)
+    return report
 
 
-# a panel suite has no residual: its draw reports (_panel)
+# a panel suite has no residual: its draw is its report (_panel)
 _Suite = namedtuple("_Suite", "name draw residual count tolerance",
                     defaults=(lambda samples: samples, lambda cfg: cfg.tol_check))
 
@@ -347,11 +343,11 @@ _CATALOG = [
 CHECK_NAMES = tuple(suite.name for suite in _CATALOG)
 
 
-def _evaluate(pending, cfg: Config):
+def _evaluate(pending, finished, cfg: Config) -> list:
     """Build the pending samples' points, one stacked pass per dim, and run
-    each suite's residual once on its samples of one dim, putting each
-    (residual, worst case) in its suite's results; the first failing sample in
-    draw order raises its error, whether its point or its residual failed."""
+    each suite's residual once on its samples of one dim. Then the suites
+    ``finished`` at a position report, and the first failing sample raises its
+    error (of its point or its residual), in draw order."""
     by_dim, suite = defaultdict(list), [id(results) for *_, results in pending]
     for position, (_, _, drawn, _) in enumerate(pending):
         by_dim[drawn[0].total_dim].append(position)
@@ -377,8 +373,12 @@ def _evaluate(pending, cfg: Config):
                 _, index, _, results = pending[group[j]]
                 columns = {key: column[j] for key, column in done[1].items()}
                 results[index] = value, {"sample": index, "dim": dim, **columns}
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    # a panel's report runs its checks, which fail before any later sample
+    first = min(failures, key=lambda failure: failure[0], default=(len(pending), None))
+    reports = [report() for position, report in finished if position <= first[0]]
+    if first[1] is not None:
+        raise first[1]
+    return reports
 
 
 def _finish(name, results, tolerance):
@@ -390,12 +390,12 @@ def _finish(name, results, tolerance):
     return _report_max(name, results, len(results), tolerance, **extra)
 
 
-def _take(draw, pending, cfg: Config, *args):
+def _take(draw, pending, finished, cfg: Config, *args):
     """``draw(*args)``; a failing draw raises after the samples drawn before it."""
     try:
         return draw(*args)
     except Exception:
-        _evaluate(pending, cfg)
+        _evaluate(pending, finished, cfg)
         raise
 
 
@@ -427,24 +427,24 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     # (residual, sample index, what it drew, its suite's results), up to
     # _CHUNK_ENTRIES matrix entries of pending points at a time; a suite is
     # reported, and its results let go, at the first evaluation after its last draw
-    pending, entries, drawn_suites, reports = [], 0, [], []
+    pending, entries, finished, reports = [], 0, [], []
     for (name, draw, residual, count, tolerance), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
         inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
         if residual is None:
-            fields = _take(draw, pending, cfg, inst, samples)
-            drawn_suites.append(partial(CheckReport, name, *fields))
-            continue
-        results = [None] * count(samples)
+            results = [None] * max(2, 2 * len(inst.dims))
+            report = partial(draw, name, inst, samples, results)
+            draw, residual = _draw(0, partial(_Instances.point, mixed_every=4)), _kept
+        else:
+            results = [None] * count(samples)
+            report = partial(_finish, name, results, tolerance(cfg))
         for index in range(len(results)):
-            drawn = _take(draw, pending, cfg, inst, index)
+            drawn = _take(draw, pending, finished, cfg, inst, index)
             pending.append((residual, index, drawn, results))
             entries += drawn[1].size
             if entries >= _CHUNK_ENTRIES:
-                _evaluate(pending, cfg)
-                reports += [finish() for finish in drawn_suites]
-                pending, entries, drawn_suites = [], 0, []
-        drawn_suites.append(partial(_finish, name, results, tolerance(cfg)))
-    _evaluate(pending, cfg)
-    return reports + [finish() for finish in drawn_suites]
+                reports += _evaluate(pending, finished, cfg)
+                pending, entries, finished = [], 0, []
+        finished.append((len(pending), report))
+    return reports + _evaluate(pending, finished, cfg)
