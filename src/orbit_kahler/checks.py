@@ -345,9 +345,9 @@ CHECK_NAMES = tuple(suite.name for suite in _CATALOG)
 
 def _evaluate(pending, finished, cfg: Config) -> list:
     """Build the pending samples' points, one stacked pass per dim, and run
-    each suite's residual once on its samples of one dim. Then the suites
-    ``finished`` at a position report, and the first failing sample raises its
-    error (of its point or its residual), in draw order."""
+    each suite's residual once on its samples of one dim. Then, in draw order,
+    the ``(position after its last sample, report)`` suites report and the
+    first failing sample raises its error, of its point or of its residual."""
     by_dim, suite = defaultdict(list), [id(results) for *_, results in pending]
     for position, (_, _, drawn, _) in enumerate(pending):
         by_dim[drawn[0].total_dim].append(position)

@@ -140,9 +140,7 @@ def _h_offdiag(a: np.ndarray, b: np.ndarray, p, cfg: Config) -> np.ndarray:
 def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
     """``(g, omega)`` of tangent matrices x, y at a point or stack ``p``."""
     lifted = _lift(x, p, cfg.hbar)
-    jx = _apply_j(lifted, p, cfg)
-    return (_pairing(_lift(jx, p, cfg.hbar), y, cfg),
-            _pairing(lifted, y, cfg))
+    return _omega(_apply_j(lifted, p, cfg), y, p, cfg), _pairing(lifted, y, cfg)
 
 
 def j_generator(b: HermitianOperator, p: OrbitPoint,
