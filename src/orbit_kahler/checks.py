@@ -108,8 +108,7 @@ _UNMIXED = partial(_Instances.point, mixed_every=0)
 
 
 def _draw(observables: int, point=_Instances.point, *extra):
-    """Draw of ``point(inst)`` and ``observables`` observable matrices in its
-    dim, then ``take(inst)`` for each ``take`` of ``extra``."""
+    """Draw of ``point(inst)``, ``observables`` observables and ``take(inst)`` of ``extra``."""
     return lambda inst, index: (
         *point(inst), *[_gaussian(inst.dim, inst.rng) for _ in range(observables)],
         *[take(inst) for take in extra])
@@ -141,6 +140,11 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.array([v ** 2 for v in values.tolist()])
 
 
+def _max(a, b) -> np.ndarray:
+    """Python's max(a, b) per row, where np.maximum would give -0.0 or NaN in place of a."""
+    return np.where(b > a, b, a)
+
+
 def _j_squared(p, h, cfg):
     x = _tangent(h, p.rho, cfg.hbar)
     return np.abs(_j(_j(x, p, cfg), p, cfg) + x).max(axis=(-2, -1)), _spectra(p)
@@ -164,7 +168,7 @@ def _metric_positivity(p, h, cfg):
     kept = squared != 0.0
     g = _omega(_j(x, p, cfg), x, p, cfg)
     ratio = np.divide(g, squared, out=np.full(len(x), np.inf), where=kept)
-    residual = np.where(kept, np.maximum(0.0, -ratio), -np.inf)
+    residual = np.where(kept, _max(0.0, -ratio), -np.inf)
     return residual, {"witness_ratio": ratio.tolist(), **_spectra(p)}
 
 
@@ -187,7 +191,7 @@ def _block_formula(p, a, b, cfg):
     g, omega = _h_parts(_tangent(a_off, p.rho, cfg.hbar), _tangent(b_off, p.rho, cfg.hbar), p, cfg)
     closed = _h_offdiag(a_off, b_off, p, cfg)
     error = np.hypot(closed.real - g, closed.imag - omega)
-    return error / np.maximum(1.0, np.hypot(g, omega)), _spectra(p)
+    return error / _max(1.0, np.hypot(g, omega)), _spectra(p)
 
 
 def _tangent_roundtrip(p, h, cfg):
@@ -195,7 +199,7 @@ def _tangent_roundtrip(p, h, cfg):
     roundtrip = _tangent(_lift(x, p, cfg.hbar), p.rho, cfg.hbar)
     lifted_back = _lift(_tangent(complement, p.rho, cfg.hbar), p, cfg.hbar)
     residual = np.abs(roundtrip - x).max(axis=(-2, -1))
-    return np.maximum(residual, np.abs(lifted_back - complement).max(axis=(-2, -1))), _spectra(p)
+    return _max(residual, np.abs(lifted_back - complement).max(axis=(-2, -1))), _spectra(p)
 
 
 def _split_orthogonality(p, h, cfg):
@@ -240,15 +244,14 @@ def _pure_state_equality(p, a, cfg):
 def _variance_identity(p, a, cfg):
     delta_perp_sq, sum_plus, sum_minus = _variance_split(a, p)
     variance = _squares(_moments(a, p.rho @ a, cfg)[1])
-    residual = np.maximum(np.abs(variance - (delta_perp_sq + sum_plus)),
-                          np.abs(sum_minus - _bound_term(p, a, cfg)))
-    return np.maximum(residual, np.maximum(0.0, sum_minus - sum_plus)), _spectra(p)
+    residual = _max(np.abs(variance - (delta_perp_sq + sum_plus)),
+                    np.abs(sum_minus - _bound_term(p, a, cfg)))
+    return _max(residual, _max(0.0, sum_minus - sum_plus)), _spectra(p)
 
 
 def _per_row(check, recorded: bool = True):
-    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables
-    as :class:`HermitianOperator`, and failing as a stacked row; the worst case
-    records its spectrum if ``recorded``."""
+    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables as
+    :class:`HermitianOperator`, failing as a stacked row; ``recorded`` records spectra."""
     def residual(points, *stacks):
         *stacks, cfg = stacks
         values = []
@@ -268,7 +271,7 @@ def _bound_slack(field):
 
     def residual(points, *stacks):
         slack, columns = slacks(points, *stacks)
-        return np.maximum(0.0, -slack), {"slack": slack.tolist(), **columns}
+        return _max(0.0, -slack), {"slack": slack.tolist(), **columns}
     return residual
 
 
@@ -279,9 +282,8 @@ def _spectrum_preservation(h, p, cfg):
 
 
 def _flow_composition(h, times, p, cfg):
-    s, t = times
-    two_step = evolve(evolve(p, h, s, cfg), h, t, cfg)
-    one_step = evolve(p, h, s + t, cfg)
+    two_step = evolve(evolve(p, h, times[0], cfg), h, times[1], cfg)
+    one_step = evolve(p, h, times[0] + times[1], cfg)
     return float(np.max(np.abs(two_step.rho - one_step.rho)))
 
 
@@ -291,9 +293,8 @@ def _kept(points, cfg):
 
 
 def _panel(kernel):
-    """Report of a panel suite, whose samples are its points: ``kernel(p,
-    samples, rng, cfg)`` on each, drawing from the stream after all of them;
-    the first point with the largest residual is reported."""
+    """Report of a panel suite, whose samples are its points: ``kernel(p, samples, rng, cfg)``
+    on each, drawing after all of them, and the first point with the largest residual."""
     def report(name, inst, samples, results):
         per_point = max(1, samples // len(results))
         residual, _, tolerance, case = max((kernel(kept["point"], per_point, inst.rng, inst.cfg)
@@ -384,9 +385,8 @@ def _evaluate(pending, finished, cfg: Config) -> list:
 def _finish(name, results, tolerance):
     """A suite's report from its samples' (residual, worst case) pairs; a
     suite whose cases record witness ratios reports the smallest too."""
-    extra = {}
-    if "witness_ratio" in results[0][1]:
-        extra["smallest_witness"] = min(case["witness_ratio"] for _, case in results)
+    witnesses = [case["witness_ratio"] for _, case in results if "witness_ratio" in case]
+    extra = {"smallest_witness": min(witnesses)} if witnesses else {}
     return _report_max(name, results, len(results), tolerance, **extra)
 
 
