@@ -22,9 +22,11 @@ packaging g'(X, Y) = omega(X, JY) is negative definite here and is not
 exposed.
 
 :func:`hermitian_product` evaluates h by the definitional chain (lift, twist
-by J, lift, pair); :func:`kahler_evaluation` and :func:`hermitian_product_blocks`
-evaluate the closed block form, one weighted sum in the frame of the base
-point. The ``block_formula`` check compares the two.
+by J, lift, pair); :func:`~orbit_kahler.uncertainty.full_report` by the same
+pairing in the frame, without the second lift; :func:`kahler_evaluation` and
+:func:`hermitian_product_blocks` evaluate the closed block form, one weighted
+sum in the frame of the base point. The ``block_formula`` check compares the
+chain and the closed form.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ whose off-diagonal part dominates the bound term
 sum_{i<j} (p_i - p_j) |A_ij|^2 = (hbar/2) Re h(X_A, X_A), with equality when
 rho is pure. The standard Robertson-Schrodinger bound is provided as a
 comparison baseline.
+
+:func:`full_report` reads h(X_A, X_B) as a lift pairing in the frame of rho:
+with B the framed lift of X_A and Y the framed X_B, omega = Tr(B Y) and
+g = omega(JX_A, X_B) = Tr((J B) Y), as the lift of the tangent of B is B.
+The tangents are the ambient [A, rho], so a point whose eigenvalues disagree
+with its rho still fails the theorem guard; the closed block form of
+:mod:`orbit_kahler.kahler` reads only the frame and eigenvalues and would not.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import NegativeVarianceError, NonRealResultError, TheoremViolationError
-from .kahler import _h_parts, _real
+from .kahler import _j_factor, _real
 from .operators import (
     HermitianOperator,
     OrbitPoint,
@@ -51,20 +58,21 @@ __all__ = [
 # against it, and raise each check where it fails.
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    return m.trace(axis1=-2, axis2=-1)
+def _tr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr(x @ y) over the trailing two axes, as an elementwise sum without the product."""
+    return np.sum(x * y.swapaxes(-1, -2), axis=(-2, -1))
 
 
 def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
     """Tr(rho A) from ``ra = rho @ A``."""
-    return _real(_trace(ra), cfg, "expectation")
+    return _real(ra.trace(axis1=-2, axis2=-1), cfg, "expectation")
 
 
 def _moments(a: np.ndarray, ra: np.ndarray, cfg: Config) -> tuple:
     """Mean and standard deviation from ``ra = rho @ A``; a tiny negative
     radicand (within ``tol_check``) is clamped to zero, a worse one fails."""
     mean = _mean(ra, cfg)
-    second = _real(_trace(ra @ a), cfg, "second moment")
+    second = _real((ra @ a).trace(axis1=-2, axis2=-1), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
              lambda i: f"variance radicand {radicand[i]:.3e}")
@@ -73,11 +81,14 @@ def _moments(a: np.ndarray, ra: np.ndarray, cfg: Config) -> tuple:
 
 def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
                cfg: Config, parts=None) -> np.ndarray:
-    """(hbar/2) |h(X_A, X_B)|; ``parts`` is ``(g, omega)`` of X_A, X_B when the
-    caller has evaluated it already."""
+    """(hbar/2) |h(X_A, X_B)| from ``parts = (g, omega)`` when the caller has it,
+    else by the lift pairing of the module docstring: 6 matrix products, where
+    the closed block form would skip the ambient [A, rho] that the guard needs."""
     if parts is None:
-        parts = _h_parts(_tangent(a, p.rho, cfg.hbar, ra), _tangent(b, p.rho, cfg.hbar, rb),
-                         p, cfg)
+        lifted = -1j * cfg.hbar * p.to_frame(_tangent(a, p.rho, cfg.hbar, ra)) * p.inv_gaps
+        y = p.to_frame(_tangent(b, p.rho, cfg.hbar, rb))
+        parts = (_real(_tr(_j_factor(p) * lifted, y), cfg, "symplectic form"),
+                 _real(_tr(lifted, y), cfg, "symplectic form"))
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(*parts)
@@ -88,8 +99,8 @@ def _rs(a: np.ndarray, b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray, p,
     """The Robertson-Schrodinger bound from the means Tr(rho A), Tr(rho B)."""
     ab = a @ b
     ba = b @ a
-    symmetrized = _real(_trace(p.rho @ (ab + ba)) / 2.0, cfg, "symmetrized covariance")
-    commutator_mean = _trace(p.rho @ (ab - ba))
+    symmetrized = _real(_tr(p.rho, ab + ba) / 2.0, cfg, "symmetrized covariance")
+    commutator_mean = _tr(p.rho, ab - ba)
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
              lambda i: "commutator expectation has real part "
                        f"{commutator_mean.real[i]:.3e}")

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from orbit_kahler import (
+    Config,
     DimMismatchError,
     NegativeVarianceError,
     Spectrum,
     TheoremViolationError,
     expectation,
     full_report,
+    full_report_batch,
     geometric_bound,
     hermitian_product,
+    kahler_evaluation,
     make_hermitian,
     make_spectrum,
+    orbit_batch,
     orbit_point,
     random_density,
     rs_bound,
@@ -19,7 +23,12 @@ from orbit_kahler import (
     uncertainty,
     variance_decomposition,
 )
-from orbit_kahler.sampling import gaussian_hermitian, pure_spectrum, random_point
+from orbit_kahler.sampling import (
+    gaussian_hermitian,
+    maximally_mixed_spectrum,
+    pure_spectrum,
+    random_point,
+)
 
 from conftest import labelled_point
 
@@ -120,6 +129,67 @@ class TestGeometricBound:
             p = random_point(dim, rng)
             a = gaussian_hermitian(dim, rng)
             assert geometric_bound(a, a, p) <= uncertainty(a, p) ** 2 + 1e-11
+
+
+def _pure_degenerate_mixed(dim):
+    """The pure and the maximally mixed spectrum, and from dim 3 one with three
+    clusters, two of them degenerate once dim reaches 5."""
+    spectra = [pure_spectrum(dim), maximally_mixed_spectrum(dim)]
+    if dim >= 3:
+        mults = [1, (dim - 1) // 2, dim - 1 - (dim - 1) // 2]
+        levels = np.array([3.0, 2.0, 1.0])
+        spectra.append(make_spectrum(levels / np.dot(mults, levels), mults))
+    return spectra
+
+
+class TestLiftPairing:
+    """full_report's frame pairing against the definitional chain and the
+    closed block form, across dims, spectra, hbar and operand scale."""
+
+    DIMS = [*range(1, 13), 16, 32]
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_chain_and_closed_form(self, dim, hbar):
+        cfg = Config(hbar=hbar)
+        rng = np.random.default_rng(dim)
+        for spectrum in _pure_degenerate_mixed(dim):
+            p = random_density(spectrum, rng, cfg)
+            a, b = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+            bound = full_report(a, b, p, cfg).geometric_bound
+            tol = 1e-12 * max(1.0, np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
+            chain = hermitian_product(tangent_map(a, p, cfg), tangent_map(b, p, cfg), cfg)
+            assert abs(bound - 0.5 * hbar * abs(chain)) <= tol
+            assert abs(bound - 0.5 * hbar * abs(kahler_evaluation(a, b, p, cfg).h)) <= tol
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_batch_rows_equal_full_report(self, dim, hbar):
+        cfg = Config(hbar=hbar)
+        rng = np.random.default_rng(100 + dim)
+        batch = orbit_batch([random_density(s, rng, cfg).rho
+                             for s in _pure_degenerate_mixed(dim)], cfg)
+        a, b = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+        report = full_report_batch(a, b, batch, cfg)
+        for i in range(len(batch)):
+            row = full_report(a, b, batch[i], cfg)
+            assert all(getattr(report, name)[i] == value for name, value in vars(row).items())
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bound_scales_quadratically(self, dim, hbar):
+        # unit Frobenius norm operands: the tolerances are absolute and
+        # calibrated for unit-scale matrices, so c stops at 1e3
+        cfg = Config(hbar=hbar)
+        rng = np.random.default_rng(200 + dim)
+        for spectrum in _pure_degenerate_mixed(dim):
+            p = random_density(spectrum, rng, cfg)
+            a, b = (gaussian_hermitian(dim, rng) for _ in range(2))
+            a, b = (m * (1.0 / np.linalg.norm(m.matrix)) for m in (a, b))
+            bound = full_report(a, b, p, cfg).geometric_bound
+            for c in 10.0 ** np.arange(-6, 4):
+                scaled = full_report(c * a, c * b, p, cfg).geometric_bound
+                assert scaled == pytest.approx(c * c * bound, rel=1e-12, abs=0.0)
 
 
 class TestRsBound:
