@@ -41,6 +41,8 @@ from .operators import (
     _CHUNK_ENTRIES,
     _conjugate,
     _conjugated,
+    _freeze,
+    _frozen_value,
     _haar_frames,
     _haar_points,
     _normals,
@@ -250,13 +252,13 @@ def _variance_identity(p, a, cfg):
 
 
 def _per_row(check, recorded: bool = True):
-    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables as
-    :class:`HermitianOperator`, failing as a stacked row; ``recorded`` records spectra."""
+    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables as uncopied
+    :class:`HermitianOperator` rows, failing as a stacked row; ``recorded`` records spectra."""
     def residual(points, *stacks):
         *stacks, cfg = stacks
         values = []
         for i in range(len(points)):
-            items = [HermitianOperator(s[i]) if s.ndim == 3 else s[i] for s in stacks]
+            items = [_frozen_value(HermitianOperator, s[i]) if s.ndim > 2 else s[i] for s in stacks]
             try:
                 values.append(check(*items, points[i], cfg))
             except OrbitKahlerError as error:
@@ -366,7 +368,7 @@ def _evaluate(pending, finished, cfg: Config) -> list:
             group = list(group)
             part, start = points[start:start + len(group)], start + len(group)
             residual = pending[group[0]][0]
-            stacks = [np.array(column) for column in zip(*(pending[i][2][2:] for i in group))]
+            stacks = [_freeze(column, None) for column in zip(*(pending[i][2][2:] for i in group))]
             done, failed = _passing(
                 lambda rows: residual(rows, *(s[:len(rows)] for s in stacks), cfg), part)
             failures += [(group[failed[0]], failed[1])] if failed else []

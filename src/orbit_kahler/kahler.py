@@ -22,11 +22,9 @@ packaging g'(X, Y) = omega(X, JY) is negative definite here and is not
 exposed.
 
 :func:`hermitian_product` evaluates h by the definitional chain (lift, twist
-by J, lift, pair); :func:`~orbit_kahler.uncertainty.full_report` by the same
-pairing in the frame, without the second lift; :func:`kahler_evaluation` and
-:func:`hermitian_product_blocks` evaluate the closed block form, one weighted
-sum in the frame of the base point. The ``block_formula`` check compares the
-chain and the closed form.
+by J, lift, pair), :func:`~orbit_kahler.uncertainty.full_report` by its pairing
+in the frame, and :func:`kahler_evaluation` and :func:`hermitian_product_blocks`
+by the closed block form; the ``block_formula`` check compares chain and closed form.
 """
 
 from __future__ import annotations

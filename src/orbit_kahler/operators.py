@@ -73,6 +73,15 @@ def _freeze(arr, dtype=np.complex128) -> np.ndarray:
     return out
 
 
+def _frozen_value(cls, *arrays):
+    """A ``cls`` on ``arrays`` made read-only in place, uncopied: views of frozen or new arrays."""
+    value = object.__new__(cls)
+    for field, arr in zip(fields(cls), arrays):
+        arr.setflags(write=False)
+        object.__setattr__(value, field.name, arr)
+    return value
+
+
 def _check_dims(p: "OrbitPoint", *operators):
     """Check that ``p`` is a single point and the operators have its dim."""
     if p.rho.ndim != 2:
@@ -308,8 +317,8 @@ class OrbitPoint:
     each cluster, and ``gaps``, ``same_cluster``, ``inv_gaps`` and
     ``frame_dagger`` (the adjoint of the frame) have the shape of ``rho``.
     Only a stack has rows: ``p[i]`` is the point that :func:`orbit_point`
-    returns for row i, and ``p[a:b]`` is the stack of those rows. Only a
-    single point has a ``spectrum``.
+    returns for row i, and ``p[a:b]`` is the stack of those rows, both views of
+    this stack (an index array copies). Only a single point has a ``spectrum``.
     """
 
     rho: np.ndarray
@@ -337,7 +346,7 @@ class OrbitPoint:
     def __getitem__(self, i) -> "OrbitPoint":
         if self.rho.ndim == 2:
             raise TypeError("a single OrbitPoint has no rows")
-        return OrbitPoint(self.rho[i], self.frame[i], self.eigenvalues[i])
+        return _frozen_value(OrbitPoint, self.rho[i], self.frame[i], self.eigenvalues[i])
 
     @cached_property
     def spectrum(self) -> Spectrum:

@@ -12,14 +12,10 @@ frame decomposition of the variance,
 whose off-diagonal part dominates the bound term
 sum_{i<j} (p_i - p_j) |A_ij|^2 = (hbar/2) Re h(X_A, X_A), with equality when
 rho is pure. The standard Robertson-Schrodinger bound is provided as a
-comparison baseline.
-
-:func:`full_report` reads h(X_A, X_B) as a lift pairing in the frame of rho:
-with B the framed lift of X_A and Y the framed X_B, omega = Tr(B Y) and
-g = omega(JX_A, X_B) = Tr((J B) Y), as the lift of the tangent of B is B.
-The tangents are the ambient [A, rho], so a point whose eigenvalues disagree
-with its rho still fails the theorem guard; the closed block form of
-:mod:`orbit_kahler.kahler` reads only the frame and eigenvalues and would not.
+comparison baseline. :func:`full_report` reads h(X_A, X_B) as the lift pairing
+Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A and Y the framed X_B: it keeps
+the ambient [A, rho], which the closed block form skips, so the guard still sees
+a point whose eigenvalues disagree with its rho.
 """
 
 from __future__ import annotations
@@ -81,14 +77,12 @@ def _moments(a: np.ndarray, ra: np.ndarray, cfg: Config) -> tuple:
 
 def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
                cfg: Config, parts=None) -> np.ndarray:
-    """(hbar/2) |h(X_A, X_B)| from ``parts = (g, omega)`` when the caller has it,
-    else by the lift pairing of the module docstring: 6 matrix products, where
-    the closed block form would skip the ambient [A, rho] that the guard needs."""
+    """(hbar/2) |h(X_A, X_B)| from ``parts = (g, omega)`` when the caller has it, else by
+    the lift pairing of the module docstring in 6 matrix products, not the closed form."""
     if parts is None:
         lifted = -1j * cfg.hbar * p.to_frame(_tangent(a, p.rho, cfg.hbar, ra)) * p.inv_gaps
         y = p.to_frame(_tangent(b, p.rho, cfg.hbar, rb))
-        parts = (_real(_tr(_j_factor(p) * lifted, y), cfg, "symplectic form"),
-                 _real(_tr(lifted, y), cfg, "symplectic form"))
+        parts = [_real(_tr(m, y), cfg, "symplectic form") for m in (_j_factor(p) * lifted, lifted)]
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(*parts)
@@ -97,13 +91,11 @@ def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
 def _rs(a: np.ndarray, b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray, p,
         cfg: Config) -> np.ndarray:
     """The Robertson-Schrodinger bound from the means Tr(rho A), Tr(rho B)."""
-    ab = a @ b
-    ba = b @ a
+    ab, ba = a @ b, b @ a
     symmetrized = _real(_tr(p.rho, ab + ba) / 2.0, cfg, "symmetrized covariance")
     commutator_mean = _tr(p.rho, ab - ba)
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
-             lambda i: "commutator expectation has real part "
-                       f"{commutator_mean.real[i]:.3e}")
+             lambda i: f"commutator expectation has real part {commutator_mean.real[i]:.3e}")
     return np.hypot(symmetrized - mean_a * mean_b, commutator_mean.imag / 2.0)
 
 

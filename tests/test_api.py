@@ -142,8 +142,9 @@ def test_public_arrays_are_read_only():
         "batch same_cluster": batch.same_cluster,
         "batch inv_gaps": batch.inv_gaps,
         "batch frame_dagger": batch.frame_dagger,
-        "batch row frame": batch[1].frame,
-        **{f"sliced batch {name}": getattr(batch[1:], name)
+        **{f"batch {row} {name}": getattr(batch[index], name)
+           for row, index in (("row", 1), ("numpy row", np.int64(0)), ("slice", slice(1, None)),
+                              ("index array", [1, 0]))
            for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
                         "same_cluster", "inv_gaps", "frame_dagger")},
         **{f"batch report {name}": value for name, value in vars(report).items()},
@@ -162,6 +163,15 @@ def test_public_arrays_are_read_only():
     }
     writeable = [name for name, arr in arrays.items() if arr.flags.writeable]
     assert writeable == []
+    # a row or a slice of a stack is a view of it that cannot be made writeable;
+    # an index array gives a copy
+    for index in (1, np.int64(0), slice(1, None), slice(None, None, -1)):
+        for name in ("rho", "frame", "eigenvalues"):
+            view = getattr(batch[index], name)
+            assert np.shares_memory(view, getattr(batch, name))
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+    assert not np.shares_memory(batch[[1, 0]].rho, batch.rho)
     # the cached adjoint is the one every frame change formed before, bit for
     # bit and in the same memory layout
     for q in (p, batch):
