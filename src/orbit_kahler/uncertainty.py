@@ -13,9 +13,8 @@ whose off-diagonal part dominates the bound term
 sum_{i<j} (p_i - p_j) |A_ij|^2 = (hbar/2) Re h(X_A, X_A), with equality when
 rho is pure. The standard Robertson-Schrodinger bound is provided as a
 comparison baseline. :func:`full_report` reads h(X_A, X_B) as the lift pairing
-Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A and Y the framed X_B: it keeps
-the ambient [A, rho], which the closed block form skips, so the guard still sees
-a point whose eigenvalues disagree with its rho.
+Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A, Y the framed X_B, not as the
+closed block form, so its guard still sees a rho that disagrees with its eigenvalues.
 """
 
 from __future__ import annotations
