@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from orbit_kahler.sampling import (
     maximally_mixed_spectrum,
     pure_spectrum,
     random_point,
+    random_spectrum,
 )
 
 from conftest import labelled_point
@@ -265,3 +268,29 @@ class TestFullReport:
                                qubit_point.frame)
         with pytest.raises(TheoremViolationError):
             full_report(sigma_x, sigma_y, lying)
+
+
+def _single_point_lines(seed=0, repeat=2, dims=(16, 16, 16, 32)):
+    """One line per unit of the benchmark's library loop at large dims: the
+    eigenvalues of orbit_point, the 7 full_report fields and the omega and
+    metric of kahler_evaluation, each as the repr of its Python floats."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(repeat):
+        for dim in dims:
+            spectrum = random_spectrum(dim, rng, max_clusters=8, max_mult=6)
+            rho = make_hermitian(random_density(spectrum, rng).rho)
+            a, b = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+            p = orbit_point(rho)
+            report = full_report(a, b, p)
+            e = kahler_evaluation(a, b, p)
+            lines += [f"d={dim} eigenvalues={p.eigenvalues.tolist()!r}",
+                      f"d={dim} full_report={list(vars(report).values())!r}",
+                      f"d={dim} kahler_evaluation={[e.omega, e.metric]!r}"]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_single_point_golden_large_dims():
+    # the single-point path at d = 16 and 32, degenerate spectra, bit for bit
+    golden = Path(__file__).parent / "data" / "single_point_d16_d32_seed0.txt"
+    assert _single_point_lines() == golden.read_text()
