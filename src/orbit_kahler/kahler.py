@@ -126,7 +126,7 @@ def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndar
 def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> np.ndarray:
     """The closed block form of h from generators ``fa``, ``fb`` in the frame of
     a point or stack ``p``."""
-    return 2.0 / cfg.hbar * np.sum(np.maximum(p.gaps, 0.0) * fa * fb.conj(), axis=(-2, -1))
+    return 2.0 / cfg.hbar * (np.maximum(p.gaps, 0.0) * fa * fb.conj()).sum(axis=(-2, -1))
 
 
 def _h_offdiag(a: np.ndarray, b: np.ndarray, p, cfg: Config) -> np.ndarray:

@@ -32,6 +32,9 @@ check raises where it fails, with the error it builds for its first failing
 row. On a stack, the rows before that row may still fail a later check, so
 the stack function re-runs the stacked pass on them until a prefix passes,
 and raises the error of the last row named, prefixed ``row i:``.
+
+Copies. The public constructors and :func:`orbit_batch` copy the arrays they
+are given; other points, rows and derived arrays freeze new arrays in place.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG, _integer, _is_finite, _is_integral
+from .config import Config, DEFAULT_CONFIG, _integer, _is_finite, _is_integral, _real
 from .errors import (
     DegenerateGapError,
     DimMismatchError,
@@ -67,18 +70,26 @@ __all__ = [
 
 
 def _freeze(arr, dtype=np.complex128) -> np.ndarray:
-    """Read-only copy, so no caller keeps a writeable alias."""
+    """Read-only copy of an array a caller may still hold (else :func:`_frozen`)."""
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-def _frozen_value(cls, *arrays):
-    """A ``cls`` on ``arrays`` made read-only in place, uncopied: views of frozen or new arrays."""
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` and the arrays it views made read-only in place: for arrays no caller holds."""
+    if isinstance(arr.base, np.ndarray):
+        _frozen(arr.base)
+    arr.setflags(False)  # write=False, without the slower keyword
+    return arr
+
+
+def _frozen_value(cls, *arrays, **cached):
+    """A ``cls`` on ``arrays``, views of frozen or new arrays, with the values
+    ``cached`` of its cached properties filled in, all made :func:`_frozen`."""
     value = object.__new__(cls)
-    for field, arr in zip(fields(cls), arrays):
-        arr.setflags(write=False)
-        object.__setattr__(value, field.name, arr)
+    for name, arr in (*zip(cls.__dataclass_fields__, arrays), *cached.items()):
+        value.__dict__[name] = _frozen(arr)
     return value
 
 
@@ -114,7 +125,8 @@ class _BatchFailure(Exception):
 
 
 def _require(bad, error, message):
-    """Raise ``error(message(i))`` where a check fails, i the failing row.
+    """Raise ``error(message(i))`` where a check fails, i the failing row; a
+    check written ``~(x <= bound)`` fails a NaN.
 
     ``bad`` is 0-d for a point (i is ``()``) and has one entry per row for a
     stack; a failing stack raises :class:`_BatchFailure` with its first
@@ -184,6 +196,15 @@ def _from_frame(p: "OrbitPoint", m: np.ndarray) -> np.ndarray:
     return p.frame @ m @ p.frame_dagger
 
 
+def _require_diagonal(product: np.ndarray, diagonal, bound: float, error, what: str):
+    """Check max |product - diagonal * I| <= bound over the trailing two axes, subtracted
+    in place on the diagonal of the fresh ``product``, bit for bit; d * d sizes (0, d, d)."""
+    d = product.shape[-1]
+    product.reshape(product.shape[:-2] + (d * d,))[..., ::d + 1] -= diagonal
+    defect = np.abs(product).max(axis=(-2, -1))
+    _require(~(defect <= bound), error, lambda i: f"{what} {defect[i]:.3e}")
+
+
 def _require_hermitian(m: np.ndarray, cfg: Config):
     """The checks of :func:`make_hermitian` on a matrix or a stack."""
     _require_finite(m, NotHermitianError)
@@ -193,8 +214,7 @@ def _require_hermitian(m: np.ndarray, cfg: Config):
 
 
 def _require_unitary(u: np.ndarray, u_dagger: np.ndarray, cfg: Config, what="unitarity defect"):
-    defect = np.abs(u @ u_dagger - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    _require(defect > cfg.tol_unitary, NotUnitaryError, lambda i: f"{what} {defect[i]:.3e}")
+    _require_diagonal(u @ u_dagger, 1.0, cfg.tol_unitary, NotUnitaryError, what)
 
 
 @_value_type
@@ -230,9 +250,9 @@ class HermitianOperator:
         return HermitianOperator(-self.matrix)
 
     def __mul__(self, scalar) -> "HermitianOperator":
-        if not np.isrealobj(np.asarray(scalar)) or np.ndim(scalar) != 0:
+        if np.ndim(scalar) != 0 or np.iscomplexobj(scalar):
             return NotImplemented
-        return HermitianOperator(float(scalar) * self.matrix)
+        return HermitianOperator(_real("scalar", np.asarray(scalar).item()) * self.matrix)
 
     __rmul__ = __mul__
 
@@ -361,30 +381,30 @@ class OrbitPoint:
         values = self.eigenvalues
         starts = np.ones(values.shape, bool)
         starts[..., 1:] = values[..., 1:] != values[..., :-1]
-        return _freeze(starts, bool)
+        return _frozen(starts)
 
     @cached_property
     def gaps(self) -> np.ndarray:
         """``gaps[a, b] = lambda_a - lambda_b``; exactly 0 inside a cluster."""
         values = self.eigenvalues
-        return _freeze(values[..., :, None] - values[..., None, :], float)
+        return _frozen(values[..., :, None] - values[..., None, :])
 
     @cached_property
     def same_cluster(self) -> np.ndarray:
         """Mask of the diagonal cluster blocks (``gaps == 0``)."""
-        return _freeze(self.gaps == 0, bool)
+        return _frozen(self.gaps == 0)
 
     @cached_property
     def inv_gaps(self) -> np.ndarray:
         """``1 / gaps`` off the diagonal cluster blocks, 0 on them."""
         out = np.zeros_like(self.gaps)
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
-        return _freeze(out, float)
+        return _frozen(out)
 
     @cached_property
     def frame_dagger(self) -> np.ndarray:
         """The conjugate transpose of ``frame`` over its last two axes."""
-        return _freeze(self.frame.conj()).swapaxes(-1, -2)
+        return _frozen(_dagger(self.frame))
 
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
@@ -425,29 +445,27 @@ def _cluster_means(w: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.nd
 
 
 def _require_frame(rho: np.ndarray, frame: np.ndarray, values: np.ndarray, cfg: Config):
-    """Check that ``frame`` is unitary and reduces ``rho`` to diag(values)."""
+    """The point or stack on arrays no caller holds, frozen in place, once ``frame``
+    is checked to be unitary and to reduce ``rho`` to diag(values)."""
     frame_dagger = _dagger(frame)
     _require_unitary(frame, frame_dagger, cfg, "frame unitarity defect")
-    diagonal = values[..., None, :] * np.eye(rho.shape[-1])
-    residual = np.abs(frame_dagger @ rho @ frame - diagonal).max(axis=(-2, -1))
     # cluster representatives are means, so merged eigenvalues may sit up to
     # about dim * tol_cluster away from them
     bound = 10 * cfg.tol_hermitian + rho.shape[-1] * cfg.tol_cluster
-    _require(residual > bound, NotHermitianError,
-             lambda i: "frame does not reduce rho to block-diagonal form: "
-                       f"residual {residual[i]:.3e}")
+    _require_diagonal(frame_dagger @ rho @ frame, values, bound, NotHermitianError,
+                      "frame does not reduce rho to block-diagonal form: residual")
+    return _frozen_value(OrbitPoint, rho, frame, values, frame_dagger=frame_dagger)
 
 
 def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
                  cfg: Config) -> OrbitPoint:
     """The stack of the Hermitian parts of ``rho``, checked to be reduced to
-    diag(values) by ``frame``, which must be finite and unitary."""
+    diag(values) by ``frame``, which must be finite and unitary; frozen in place."""
     rho = 0.5 * (rho + _dagger(rho))
     # a frame built from outside input may be non-finite, which the products
     # in the checks would only warn about
     _require_finite(frame, NotUnitaryError)
-    _require_frame(rho, frame, values, cfg)
-    return OrbitPoint(rho, frame, values)
+    return _require_frame(rho, frame, values, cfg)
 
 
 def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
@@ -458,9 +476,9 @@ def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
-    """Eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack, grouped by cluster.
+    """The point on the cluster-grouped eigenframes of a Hermitian (d, d) matrix or (N, d, d) stack.
 
-    Returns ``(frame, eigenvalues)``. Eigenvalues are sorted descending and
+    Eigenvalues are sorted descending and
     merged by single linkage within ``cfg.tol_cluster`` (a gap between
     clusters under twice that is ambiguous, a :class:`DegenerateGapError`),
     each cluster is represented by its mean, and the density conditions of
@@ -477,23 +495,21 @@ def _diagonalize(rho: np.ndarray, cfg: Config):
     split_start[..., 1:] = split
     bounds = np.concatenate((split_start.ravel(), [True])).nonzero()[0]
     first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    means = _cluster_means(w.reshape(-1), first, sizes)
+    means = _cluster_means(w.reshape(-1), first, sizes).reshape(w.shape)
     values = np.where(means < 0.0, 0.0, means)
-    terms = np.zeros_like(values)
-    terms[first] = sizes * values[first]
+    terms = np.zeros(values.size)
+    terms[first] = sizes * values.reshape(-1)[first]
     # summed left to right over clusters, as make_spectrum sums them
     trace = terms.reshape(w.shape).cumsum(axis=-1)[..., -1]
-    lowest = means.reshape(w.shape)[..., -1]
-    values = values.reshape(w.shape)
+    lowest = means[..., -1]
     _require(ambiguous.any(axis=-1), DegenerateGapError,
              lambda i: f"cluster gap {step[i][ambiguous[i]][0]:.3e} falls in the "
                        f"ambiguous band ({cfg.tol_cluster:.1e}, {2 * cfg.tol_cluster:.1e})")
-    _require(lowest < -cfg.tol_trace, NotDensityError,
+    _require(~(lowest >= -cfg.tol_trace), NotDensityError,
              lambda i: f"negative eigenvalue {float(lowest[i])}")
-    _require(np.abs(trace - 1.0) > cfg.tol_trace, NotDensityError,
+    _require(~(np.abs(trace - 1.0) <= cfg.tol_trace), NotDensityError,
              lambda i: f"trace {float(trace[i])} differs from 1 beyond {cfg.tol_trace}")
-    _require_frame(rho, v, values, cfg)
-    return v, values
+    return _require_frame(rho, v, values, cfg)
 
 
 def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -502,9 +518,15 @@ def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPo
     Eigenvalues are sorted descending and clustered with tolerance
     ``cfg.tol_cluster``; the frame columns are grouped accordingly. Raises
     :class:`NotDensityError` for negative eigenvalues (beyond ``tol_trace``)
-    or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering.
+    or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering,
+    and :class:`NotHermitianError` for non-finite entries.
     """
-    return OrbitPoint(rho.matrix, *_diagonalize(rho.matrix, cfg))
+    try:
+        return _diagonalize(rho.matrix, cfg)
+    except Exception:
+        # non-finite entries fail eigh or a gate; named as make_hermitian names them
+        _require_finite(rho.matrix, NotHermitianError)
+        raise
 
 
 def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
@@ -525,7 +547,7 @@ def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
 def _orbit_stack(arr: np.ndarray, cfg: Config) -> OrbitPoint:
     """The stacked pass of :func:`orbit_batch`: a failing row raises :class:`_BatchFailure`."""
     _require_hermitian(arr, cfg)
-    return OrbitPoint(arr, *_diagonalize(arr, cfg))
+    return _diagonalize(_freeze(arr), cfg)
 
 
 def conjugate(a: HermitianOperator, unitary: np.ndarray,
@@ -577,8 +599,7 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
         raise NotUnitaryError("gauge matrix is not block diagonal for this point")
     frame = p.frame @ v
     _require_finite(frame, NotUnitaryError)
-    _require_frame(p.rho, frame, p.eigenvalues, cfg)
-    return OrbitPoint(p.rho, frame, p.eigenvalues)
+    return _require_frame(p.rho, frame, p.eigenvalues, cfg)
 
 
 def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _real
 from .errors import BaseMismatchError, DimMismatchError, NotHermitianError
 from .operators import (
     HermitianOperator,
@@ -78,9 +78,9 @@ class TangentVector:
         return TangentVector(self.base, -self.ambient)
 
     def __mul__(self, scalar) -> "TangentVector":
-        if np.ndim(scalar) != 0 or np.iscomplexobj(np.asarray(scalar)):
+        if np.ndim(scalar) != 0 or np.iscomplexobj(scalar):
             return NotImplemented
-        return TangentVector(self.base, float(scalar) * self.ambient)
+        return TangentVector(self.base, _real("scalar", np.asarray(scalar).item()) * self.ambient)
 
     __rmul__ = __mul__
 

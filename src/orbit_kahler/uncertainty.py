@@ -29,7 +29,7 @@ from .operators import (
     OrbitPoint,
     _check_dims,
     _check_operand_dims,
-    _freeze,
+    _frozen,
     _prefixed,
     _require,
     _stacked,
@@ -55,7 +55,7 @@ __all__ = [
 
 def _tr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tr(x @ y) over the trailing two axes, as an elementwise sum without the product."""
-    return np.sum(x * y.swapaxes(-1, -2), axis=(-2, -1))
+    return (x * y.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
@@ -143,10 +143,10 @@ def _variance_split(a: np.ndarray, p) -> tuple:
     upper = p.gaps > 0
     # a (1, d) @ (d, 1) product, which rounds as np.dot of the two vectors
     first = (values[..., None, :] @ framed.diagonal(axis1=-2, axis2=-1).real[..., None])[..., 0, 0]
-    second = np.sum(values[..., :, None] * weight, axis=(-2, -1), where=p.same_cluster)
-    sum_plus = np.sum((values[..., :, None] + values[..., None, :]) * weight, axis=(-2, -1),
-                      where=upper)
-    sum_minus = np.sum(p.gaps * weight, axis=(-2, -1), where=upper)
+    second = (values[..., :, None] * weight).sum(axis=(-2, -1), where=p.same_cluster)
+    sum_plus = ((values[..., :, None] + values[..., None, :]) * weight).sum(axis=(-2, -1),
+                                                                          where=upper)
+    sum_minus = (p.gaps * weight).sum(axis=(-2, -1), where=upper)
     return second - first * first, sum_plus, sum_minus
 
 
@@ -230,4 +230,4 @@ def full_report_batch(a: HermitianOperator, b: HermitianOperator, batch: OrbitPo
         raise TypeError(f"expected a stack of points, got rho of shape {batch.rho.shape}")
     _check_operand_dims(batch, a, b)
     fields = _stacked(lambda rows: _report(a.matrix, b.matrix, rows, cfg), batch, _prefixed)
-    return UncertaintyReport(*(_freeze(v, float) for v in fields))
+    return UncertaintyReport(*(_frozen(v) for v in fields))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import orbit_kahler
+import orbit_kahler.operators as operators
 from orbit_kahler import (
     CheckReport,
     HermitianOperator,
@@ -118,8 +119,14 @@ def test_public_arrays_are_read_only():
     x = tangent_map(a, p)
     kernel, complement = split_kernel(a, p)
     u = np.linalg.qr(a.matrix + 1j * np.eye(5))[0]
-    batch = orbit_batch([p.rho, conjugate_point(p, u).rho])
+    source = np.array([p.rho, conjugate_point(p, u).rho])
+    batch = orbit_batch(source)
     report = full_report_batch(a, b, batch)
+    # orbit_point freezes the arrays it made in place; at d = 1 its frame is a
+    # view of the array eigh returned
+    points = {"orbit_point": orbit_point(make_hermitian(p.rho)),
+              "orbit_point d=1": orbit_point(make_hermitian([[1.0]])),
+              "with_gauge": with_gauge(p, random_gauge(p, rng)), "batch row": batch[1]}
     arrays = {
         "gaussian_hermitian": a.matrix,
         "make_hermitian": b.matrix,
@@ -160,9 +167,26 @@ def test_public_arrays_are_read_only():
         "conjugate_point rho": conjugate_point(p, u).rho,
         "with_gauge frame": with_gauge(p, random_gauge(p, rng)).frame,
         "evolve rho": evolve(p, a, 0.1).rho,
+        **{f"{point} {name}": getattr(q, name) for point, q in points.items()
+           for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
+                        "same_cluster", "inv_gaps", "frame_dagger")},
     }
     writeable = [name for name, arr in arrays.items() if arr.flags.writeable]
     assert writeable == []
+    # nor is any array they view, through which they could be written
+    def viewed(arr):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+            yield arr
+    writeable = [name for name, arr in arrays.items()
+                 if any(base.flags.writeable for base in viewed(arr))]
+    assert writeable == []
+    # orbit_batch and the public constructors copy the arrays a caller holds
+    assert source.flags.writeable and not np.shares_memory(batch.rho, source)
+    held = [np.array(p.rho), np.array(p.frame), np.array(p.eigenvalues)]
+    copied = OrbitPoint(*held)
+    for arr, name in zip(held, ("rho", "frame", "eigenvalues")):
+        assert arr.flags.writeable and not np.shares_memory(arr, getattr(copied, name))
     # a row or a slice of a stack is a view of it that cannot be made writeable;
     # an index array gives a copy
     for index in (1, np.int64(0), slice(1, None), slice(None, None, -1)):
@@ -174,10 +198,27 @@ def test_public_arrays_are_read_only():
     assert not np.shares_memory(batch[[1, 0]].rho, batch.rho)
     # the cached adjoint is the one every frame change formed before, bit for
     # bit and in the same memory layout
-    for q in (p, batch):
+    for q in (p, batch, batch[1:], *points.values()):
         adjoint = q.frame.conj().swapaxes(-1, -2)
         assert q.frame_dagger.tobytes() == adjoint.tobytes()
         assert q.frame_dagger.strides == adjoint.strides
+    # the frame checks subtract on the diagonal, with the defects that
+    # subtracting the identity gives, bit for bit, on stacks of 0, 1 and N
+    # rows: each row passes at its defect as the bound and fails just under it
+    for rows in (batch[:0], batch[:1], batch):
+        eye = np.eye(rows.dim)
+        for product, diagonal, subtracted in (
+                (rows.frame @ rows.frame_dagger, 1.0, eye),
+                (rows.frame_dagger @ rows.rho @ rows.frame, rows.eigenvalues,
+                 rows.eigenvalues[..., None, :] * eye)):
+            defect = np.abs(product - subtracted).max(axis=(-2, -1))
+            operators._require_diagonal(product.copy(), diagonal, defect, ValueError, "")
+            for i in range(len(rows)):
+                bound = defect.copy()
+                bound[i] = np.nextafter(bound[i], -np.inf)
+                with pytest.raises(operators._BatchFailure) as failure:
+                    operators._require_diagonal(product.copy(), diagonal, bound, ValueError, "")
+                assert failure.value.args[0] == i
 
 
 def test_values_copy_their_input():

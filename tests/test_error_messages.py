@@ -129,6 +129,15 @@ SINGLE = {
                             NotDensityError, "negative eigenvalue -0.1"),
     "trace": (lambda: orbit_point(make_hermitian(OVER_TRACE)), NotDensityError,
               "trace 1.2 differs from 1 beyond 1e-08"),
+    # an unvalidated operator: eigh reads the lower triangle, so a NaN there
+    # gives NaN eigenvalues, which passed every gate written x > bound, and a
+    # NaN above the diagonal gives finite ones
+    **{f"orbit_point non-finite {where}": (lambda m=m: orbit_point(_raw(m)), NotHermitianError,
+                                           "non-finite entries")
+       for where, m in (("everywhere", np.full((2, 2), np.nan)),
+                        ("diagonal", NON_FINITE),
+                        ("upper", [[0.6, np.nan], [0.0, 0.4]]),
+                        ("lower infinite", [[0.6, 0.0], [np.inf, 0.4]]))},
     "j_generator off-diagonal": (lambda: j_generator(make_hermitian(SZ), QUBIT),
                                  NotOffDiagonalError,
                                  "diagonal blocks reach 1.000e+00; "
@@ -179,6 +188,19 @@ QUBIT_OP = make_hermitian(SZ)
 QUBIT_X = tangent_map(make_hermitian(SX), QUBIT)
 
 
+class _TiedLevels:
+    """A seeded Generator whose level draw is two levels 1e-12 apart."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, low, high, size):
+        return np.array([0.5, 0.5 + 1e-12])
+
+
 def _unsupported(symbol, left, right):
     return f"unsupported operand type(s) for {symbol}: '{left}' and '{right}'"
 
@@ -216,6 +238,16 @@ ARGUMENTS = {
                           _unsupported("*", "TangentVector", "complex")),
     "unsplittable dim": (lambda: random_spectrum(16, np.random.default_rng(0)), ValueError,
                          "dim 16 cannot be split into <= 4 clusters of multiplicity <= 3"),
+    "tied levels": (lambda: random_spectrum(2, _TiedLevels(), max_clusters=2, max_mult=1,
+                                            min_gap=0.0),
+                    DegenerateGapError, "values not strictly descending with gap > 1e-09: "
+                                        "0.5000000000004999 vs 0.49999999999949996"),
+    # a factor goes through the domain rule of every other real argument
+    **{f"{name} * {factor!r}": (lambda v=value, f=factor: v * f, ValueError,
+                                f"scalar must be {domain}, got {factor!r}")
+       for name, value in (("operator", QUBIT_OP), ("tangent", QUBIT_X))
+       for factor, domain in ((np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+                              (True, "a number"))},
 }
 
 ORBIT_ROWS = {
