@@ -92,7 +92,10 @@ def random_spectrum(dim: int, rng: np.random.Generator,
         top = levels.tolist()
         if all(a - b >= min_gap for a, b in zip(top, top[1:])):
             break
-    values = levels / float(np.dot(mults, levels))
+    values = (levels / float(np.dot(mults, levels))).tolist()
+    # of make_spectrum's checks, only a gap can fail here, after a tiny min_gap
+    if all(a - b > cfg.tol_cluster for a, b in zip(values, values[1:])):
+        return Spectrum(values=tuple(values), mults=tuple(mults.tolist()))
     return make_spectrum(values, mults, cfg)
 
 
