@@ -100,10 +100,10 @@ class TestNijenhuis:
         original = operators._require_frame
 
         def require_frame(rho, frame, values, cfg):
-            frame_dagger = original(rho, frame, values, cfg)
+            point = original(rho, frame, values, cfg)
             if frame.ndim == 3 and len(frame) > row:
                 raise operators._BatchFailure(row, NotUnitaryError("injected"))
-            return frame_dagger
+            return point
 
         monkeypatch.setattr(operators, "_require_frame", require_frame)
         step = Config().fd_step
