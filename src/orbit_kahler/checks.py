@@ -34,7 +34,7 @@ from .integrability import (
     closedness_check,
     nijenhuis_fd,
 )
-from .kahler import _h_offdiag, _h_parts, _j, _omega, _symplectic
+from .kahler import _h_blocks, _h_parts, _j, _omega, _symplectic, _tr
 from .operators import (
     HermitianOperator,
     _BatchFailure,
@@ -57,7 +57,7 @@ from .sampling import (
     pure_spectrum,
     random_spectrum,
 )
-from .tangent import _lift, _split, _tangent
+from .tangent import _framed_tangent, _lift, _split
 from .uncertainty import _moments, _report, _variance_split, full_report
 
 __all__ = ["CHECK_NAMES", "run_checks"]
@@ -148,7 +148,7 @@ def _max(a, b) -> np.ndarray:
 
 
 def _j_squared(p, h, cfg):
-    x = _tangent(h, p.rho, cfg.hbar)
+    x = _framed_tangent(h, p, cfg.hbar)
     return np.abs(_j(_j(x, p, cfg), p, cfg) + x).max(axis=(-2, -1)), _spectra(p)
 
 
@@ -158,13 +158,13 @@ def _omega_antisymmetry(p, a, b, cfg):
 
 
 def _metric_symmetry(p, h, k, cfg):
-    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    x, y = _framed_tangent(h, p, cfg.hbar), _framed_tangent(k, p, cfg.hbar)
     g_xy, g_yx = _omega(_j(x, p, cfg), y, p, cfg), _omega(_j(y, p, cfg), x, p, cfg)
     return np.abs(g_xy - g_yx), _spectra(p)
 
 
 def _metric_positivity(p, h, cfg):
-    x = _tangent(h, p.rho, cfg.hbar)
+    x = _framed_tangent(h, p, cfg.hbar)
     squared = np.array([float(np.linalg.norm(row)) ** 2 for row in x])
     # a zero tangent has no ratio: residual -inf and ratio inf keep it out of the report
     kept = squared != 0.0
@@ -175,44 +175,45 @@ def _metric_positivity(p, h, cfg):
 
 
 def _compatibility(p, h, k, cfg):
-    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    x, y = _framed_tangent(h, p, cfg.hbar), _framed_tangent(k, p, cfg.hbar)
     jx, jy = _j(x, p, cfg), _j(y, p, cfg)
     return np.abs(_omega(jx, jy, p, cfg) - _omega(x, y, p, cfg)), _spectra(p)
 
 
 def _hermitian_symmetry(p, h, k, cfg):
-    x, y = _tangent(h, p.rho, cfg.hbar), _tangent(k, p.rho, cfg.hbar)
+    x, y = _framed_tangent(h, p, cfg.hbar), _framed_tangent(k, p, cfg.hbar)
     (g_xy, omega_xy), (g_yx, omega_yx) = _h_parts(x, y, p, cfg), _h_parts(y, x, p, cfg)
     # |h(X, Y) - conj h(Y, X)|; np.hypot rounds as abs(complex) does
     return np.hypot(g_xy - g_yx, omega_xy + omega_yx), _spectra(p)
 
 
 def _block_formula(p, a, b, cfg):
-    # the lift/J/lift chain of hermitian_product against the closed block form
-    a_off, b_off = _split(a, p)[1], _split(b, p)[1]
-    g, omega = _h_parts(_tangent(a_off, p.rho, cfg.hbar), _tangent(b_off, p.rho, cfg.hbar), p, cfg)
-    closed = _h_offdiag(a_off, b_off, p, cfg)
+    # the lift pairing of the tangents against the closed form on the frame entries
+    x, y = _framed_tangent(a, p, cfg.hbar), _framed_tangent(b, p, cfg.hbar)
+    g, omega = _h_parts(x, y, p, cfg)
+    closed = _h_blocks(p.to_frame(a), p.to_frame(b), p, cfg)
     error = np.hypot(closed.real - g, closed.imag - omega)
     return error / _max(1.0, np.hypot(g, omega)), _spectra(p)
 
 
 def _tangent_roundtrip(p, h, cfg):
-    x, complement = _tangent(h, p.rho, cfg.hbar), _split(h, p)[1]
-    roundtrip = _tangent(_lift(x, p, cfg.hbar), p.rho, cfg.hbar)
-    lifted_back = _lift(_tangent(complement, p.rho, cfg.hbar), p, cfg.hbar)
-    residual = np.abs(roundtrip - x).max(axis=(-2, -1))
-    return _max(residual, np.abs(lifted_back - complement).max(axis=(-2, -1))), _spectra(p)
+    x = _framed_tangent(h, p, cfg.hbar)
+    lifted = _lift(x, p, cfg.hbar)
+    # the ambient tangent map undoes the lift, which gives back h off the blocks
+    roundtrip = np.abs(_framed_tangent(p.from_frame(lifted), p, cfg.hbar) - x).max(axis=(-2, -1))
+    back = np.abs(lifted - np.where(p.same_cluster, 0.0, p.to_frame(h))).max(axis=(-2, -1))
+    return _max(roundtrip, back), _spectra(p)
 
 
 def _split_orthogonality(p, h, cfg):
-    overlap = np.matmul(*_split(h, p)).trace(axis1=-2, axis2=-1)
+    overlap = _tr(*_split(h, p))
     return np.hypot(overlap.real, overlap.imag), _spectra(p)
 
 
 def _scalar_panel(a, b, p, cfg) -> np.ndarray:
     """All public scalars for (A, B, rho) rows, as (N, 7); h(X_A, X_B) is
     evaluated once, for the product and for the geometric bound."""
-    parts = _h_parts(_tangent(a, p.rho, cfg.hbar), _tangent(b, p.rho, cfg.hbar), p, cfg)
+    parts = _h_parts(_framed_tangent(a, p, cfg.hbar), _framed_tangent(b, p, cfg.hbar), p, cfg)
     delta_a, delta_b, _, geometric, robertson, _, _ = _report(a, b, p, cfg, parts)
     return np.stack([_symplectic(a @ b - b @ a, p.rho, cfg), *parts, delta_a, delta_b,
                      geometric, robertson], axis=-1)
@@ -233,8 +234,8 @@ def _gauge_invariance(p, a, b, gauge, cfg):
 
 
 def _bound_term(p, a, cfg) -> np.ndarray:
-    """(hbar/2) Re h(X_A, X_A) by the lift/J/lift chain."""
-    x = _tangent(a, p.rho, cfg.hbar)
+    """(hbar/2) Re h(X_A, X_A) by the framed lift pairing."""
+    x = _framed_tangent(a, p, cfg.hbar)
     return 0.5 * cfg.hbar * _h_parts(x, x, p, cfg)[0]
 
 

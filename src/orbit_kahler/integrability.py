@@ -27,10 +27,10 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
-from .kahler import _apply_j, _j, _j_factor, _omega, _symplectic
+from .kahler import _j, _j_factor, _omega, _symplectic
 from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum, _stacked
 from .sampling import _gaussian
-from .tangent import _lift, _split, _tangent
+from .tangent import _framed_tangent, _lift, _tangent
 
 __all__ = [
     "CheckReport",
@@ -129,22 +129,20 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     hbar = cfg.hbar
     # the fields X_A, X_B and their pointwise J, each flowed along the lift
     # of its value at p
-    lifted = [_lift(_tangent(x.matrix, p.rho, hbar), p, hbar) for x in (a, b)]
-    lifted += [_lift(_apply_j(lift_x, p, cfg), p, hbar) for lift_x in lifted]
-    flowed = _flows(p, np.stack(lifted), (cfg.fd_step, -cfg.fd_step), cfg)
+    x = _framed_tangent(np.stack([a.matrix, b.matrix]), p, hbar)
+    lifted = p.from_frame(_lift(np.concatenate([x, _j(x, p, cfg)]), p, hbar))
+    flowed = _flows(p, lifted, (cfg.fd_step, -cfg.fd_step), cfg)
     # along the flows of A and JA the fields of B and JB, along B and JB those of A and JA
     other = np.stack([b.matrix, b.matrix, a.matrix, a.matrix] * 2)
     plain = _tangent(other, flowed.rho, hbar)
-    twisted_values = _stacked(
-        lambda rows: _apply_j(_lift(plain[:len(rows)], rows, hbar), rows, cfg), flowed)
+    twisted = flowed.from_frame(_j(flowed.to_frame(plain), flowed, cfg))
     # D_A B, D_B A, D_JA B, D_JB A and D_A JB, D_B JA, D_JA JB, D_JB JA
-    d_plain, d_twisted = _differences(plain, cfg), _differences(twisted_values, cfg)
-    # finite differencing leaves O(step^2) dirt in the diagonal blocks, so the
-    # brackets J acts on are projected back onto the tangent space
-    mixed_a = _split(d_plain[2] - d_twisted[1], p)[1]   # [JA, B]
-    mixed_b = _split(d_twisted[0] - d_plain[3], p)[1]   # [A, JB]
+    d_plain, d_twisted = _differences(plain, cfg), _differences(twisted, cfg)
+    # J runs on [JA, B] + [A, JB]; its lift drops the O(step^2) dirt that
+    # finite differencing leaves in the diagonal blocks
+    mixed = p.to_frame(d_plain[2] - d_twisted[1] + d_twisted[0] - d_plain[3])
     total = (d_plain[0] - d_plain[1]      # [A, B]
-             + _j(mixed_a, p, cfg) + _j(mixed_b, p, cfg)
+             + p.from_frame(_j(mixed, p, cfg))
              - (d_twisted[2] - d_twisted[3]))  # [JA, JB]
     return float(np.max(np.abs(total)))
 
@@ -160,10 +158,11 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     """
     _check_dims(p, a, b, c)
     hbar = cfg.hbar
-    ops = (a.matrix, b.matrix, c.matrix)
-    lifted = [_lift(_tangent(x, p.rho, hbar), p, hbar) for x in ops]
+    ops = np.stack([a.matrix, b.matrix, c.matrix])
+    x = _framed_tangent(ops, p, hbar)
     # rows 0-5 flow along A, B, C; rows 6-11 along the lifts of X_A, X_B, X_C
-    flowed = _flows(p, np.stack(list(ops) + lifted), (cfg.fd_step, -cfg.fd_step), cfg)
+    lifted = p.from_frame(_lift(x, p, hbar))
+    flowed = _flows(p, np.concatenate([ops, lifted]), (cfg.fd_step, -cfg.fd_step), cfg)
 
     # omega(X_B, X_C), omega(X_A, X_C), omega(X_A, X_B) along the flows of A, B, C
     commutators = np.repeat([ops[i] @ ops[j] - ops[j] @ ops[i]
@@ -175,14 +174,13 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
 
     # D_A B, D_B A, D_B C, D_C B, D_C A, D_A C for [A, B], [B, C], [C, A]
     rows = [6, 7, 8, 9, 8, 9, 10, 11, 10, 11, 6, 7]
-    fields = np.stack([ops[i] for i in (1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2)])
+    fields = ops[[1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 2, 2]]
     derivatives = _differences(_tangent(fields, flowed.rho[rows], hbar), cfg)
-    # projected back onto the tangent space, as in nijenhuis_fd
-    bracket_ab, bracket_bc, bracket_ca = (
-        _split(bracket, p)[1] for bracket in derivatives[0::2] - derivatives[1::2])
-    x_a, x_b, x_c = (_tangent(x, p.rho, hbar) for x in ops)
-    bracket_terms = (_omega(bracket_ab, x_c, p, cfg) + _omega(bracket_bc, x_a, p, cfg)
-                     + _omega(bracket_ca, x_b, p, cfg))
+    # omega([A, B], X_C), omega([B, C], X_A), omega([C, A], X_B); the lift
+    # drops the diagonal-block dirt, as in nijenhuis_fd
+    brackets = p.to_frame(derivatives[0::2] - derivatives[1::2])
+    bracket_terms = _stacked(lambda rows: _omega(brackets[:len(rows)], rows, p, cfg),
+                             x[[2, 0, 1]]).sum()
 
     return float(abs((derivative_terms + bracket_terms) / 3.0))
 
@@ -212,7 +210,7 @@ def _nondegeneracy(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
     worst = _case(p, 0, floor=floor)
     for index in range(samples):
         # the tangent vector random_tangent draws
-        x = _tangent(_gaussian(p.dim, rng), p.rho, cfg.hbar)
+        x = _framed_tangent(_gaussian(p.dim, rng), p, cfg.hbar)
         squared = float(np.linalg.norm(x)) ** 2
         if squared == 0.0:
             continue

@@ -21,10 +21,12 @@ where A, B are the generators in the frame of the base point. The alternative
 packaging g'(X, Y) = omega(X, JY) is negative definite here and is not
 exposed.
 
-:func:`hermitian_product` evaluates h by the definitional chain (lift, twist
-by J, lift, pair), :func:`~orbit_kahler.uncertainty.full_report` by its pairing
-in the frame, and :func:`kahler_evaluation` and :func:`hermitian_product_blocks`
-by the closed block form; the ``block_formula`` check compares chain and closed form.
+In the frame of the base point each map is elementwise on the lift
+B = -i hbar X * inv_gaps of a tangent matrix X: JX = (i gaps / hbar)(i sign(gaps) B),
+omega(X, Y) = Tr(B Y) and g(X, Y) = Tr((i sign(gaps) B) Y), traces read as
+elementwise sums. :func:`symplectic` reads the ambient commutator trace instead,
+and :func:`kahler_evaluation` and :func:`hermitian_product_blocks` the closed
+block form; the ``block_formula`` check compares it with the lift pairing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .operators import (
     _require,
     _to_frame,
 )
-from .tangent import TangentVector, _lift, _require_same_base, _tangent
+from .tangent import TangentVector, _lift, _require_same_base
 
 __all__ = [
     "KahlerEvaluation",
@@ -88,39 +90,26 @@ def _j_factor(p) -> np.ndarray:
     return 1j * np.sign(p.gaps)
 
 
-def _j_twist(b: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """Generators twisted by :func:`_j_factor` in the frame of a point or stack
-    ``p``; ``b`` must be off-block-diagonal."""
-    framed = _to_frame(p, b)
-    _require_offdiag(framed, p, cfg)
-    return _from_frame(p, _j_factor(p) * framed)
-
-
-def _apply_j(lifted: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """J of the tangent matrices whose lifts are ``lifted``."""
-    return _tangent(_j_twist(lifted, p, cfg), p.rho, cfg.hbar)
-
-
-def _pairing(lifted: np.ndarray, y: np.ndarray, cfg: Config) -> np.ndarray:
-    """omega(X, Y) = Tr(B_X Y) from the lift ``B_X`` of X."""
-    return _real((lifted @ y).trace(axis1=-2, axis2=-1), cfg, "symplectic form")
+def _tr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr(x @ y) over the trailing two axes, as an elementwise sum without the product."""
+    return (x * y.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def _j(x: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """J of the tangent matrices ``x`` at a point or stack ``p``: lift, twist, push down."""
-    return _apply_j(_lift(x, p, cfg.hbar), p, cfg)
+    """J of the tangent matrices ``x`` in the frame of a point or stack ``p``:
+    the tangent of the twisted lift, ``i gaps / hbar`` times it."""
+    return 1j / cfg.hbar * p.gaps * (_j_factor(p) * _lift(x, p, cfg.hbar))
 
 
 def _omega(x: np.ndarray, y: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """omega(X, Y) of tangent matrices ``x``, ``y`` at ``p``, by the lift of X."""
-    return _pairing(_lift(x, p, cfg.hbar), y, cfg)
+    """omega(X, Y) = Tr(B_X Y) of tangent matrices ``x``, ``y`` in the frame of ``p``."""
+    return _real(_tr(_lift(x, p, cfg.hbar), y), cfg, "symplectic form")
 
 
 def _symplectic(commutator: np.ndarray, rho: np.ndarray, cfg: Config) -> np.ndarray:
     """(1/(i hbar)) Tr([A, B] rho) from ``commutator = [A, B]``, over the
     trailing two axes of both."""
-    z = (commutator @ rho).trace(axis1=-2, axis2=-1) / (1j * cfg.hbar)
-    return _real(z, cfg, "symplectic form")
+    return _real(_tr(commutator, rho) / (1j * cfg.hbar), cfg, "symplectic form")
 
 
 def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> np.ndarray:
@@ -129,18 +118,11 @@ def _h_blocks(fa: np.ndarray, fb: np.ndarray, p, cfg: Config) -> np.ndarray:
     return 2.0 / cfg.hbar * (np.maximum(p.gaps, 0.0) * fa * fb.conj()).sum(axis=(-2, -1))
 
 
-def _h_offdiag(a: np.ndarray, b: np.ndarray, p, cfg: Config) -> np.ndarray:
-    """:func:`_h_blocks` of off-block-diagonal generators ``a``, ``b``, checked to be so."""
-    fa, fb = _to_frame(p, a), _to_frame(p, b)
-    _require_offdiag(fa, p, cfg)
-    _require_offdiag(fb, p, cfg)
-    return _h_blocks(fa, fb, p, cfg)
-
-
-def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config):
-    """``(g, omega)`` of tangent matrices x, y at a point or stack ``p``."""
+def _h_parts(x: np.ndarray, y: np.ndarray, p, cfg: Config) -> list:
+    """``[g, omega]`` of tangent matrices ``x``, ``y`` in the frame of a point or
+    stack ``p``: Tr((J B) Y) and Tr(B Y), B the lift of X."""
     lifted = _lift(x, p, cfg.hbar)
-    return _omega(_apply_j(lifted, p, cfg), y, p, cfg), _pairing(lifted, y, cfg)
+    return [_real(_tr(m, y), cfg, "symplectic form") for m in (_j_factor(p) * lifted, lifted)]
 
 
 def j_generator(b: HermitianOperator, p: OrbitPoint,
@@ -151,12 +133,15 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
     and the blocks below by -i. Requires ``b`` purely off-block-diagonal.
     """
     _check_dims(p, b)
-    return HermitianOperator(_j_twist(b.matrix, p, cfg))
+    framed = _to_frame(p, b.matrix)
+    _require_offdiag(framed, p, cfg)
+    return HermitianOperator(_from_frame(p, _j_factor(p) * framed))
 
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
-    """The complex structure on tangent vectors: lift, twist blocks, push down."""
-    return TangentVector(x.base, _j(x.ambient, x.base, cfg))
+    """The complex structure on tangent vectors, in the frame of the base."""
+    p = x.base
+    return TangentVector(p, _from_frame(p, _j(_to_frame(p, x.ambient), p, cfg)))
 
 
 def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -179,20 +164,20 @@ def symplectic_tangent(x: TangentVector, y: TangentVector,
     which equals the commutator form on the lifted generators.
     """
     _require_same_base(x.base, y.base)
-    return float(_omega(x.ambient, y.ambient, x.base, cfg))
+    return float(_omega(x.base.to_frame(x.ambient), x.base.to_frame(y.ambient), x.base, cfg))
 
 
 def metric(x: TangentVector, y: TangentVector,
            cfg: Config = DEFAULT_CONFIG) -> float:
     """Riemannian metric g(X, Y) = omega(JX, Y); positive definite."""
-    return symplectic_tangent(apply_J(x, cfg), y, cfg)
+    return hermitian_product(x, y, cfg).real
 
 
 def hermitian_product(x: TangentVector, y: TangentVector,
                       cfg: Config = DEFAULT_CONFIG) -> complex:
     """Hermitian product h(X, Y) = g(X, Y) + i omega(X, Y)."""
     _require_same_base(x.base, y.base)
-    return complex(*_h_parts(x.ambient, y.ambient, x.base, cfg))
+    return complex(*_h_parts(x.base.to_frame(x.ambient), x.base.to_frame(y.ambient), x.base, cfg))
 
 
 def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
@@ -201,7 +186,10 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
     generated by off-block-diagonal ``a`` and ``b`` at ``p``; it agrees with
     :func:`hermitian_product` of the generated tangent vectors."""
     _check_dims(p, a, b)
-    return complex(_h_offdiag(a.matrix, b.matrix, p, cfg))
+    fa, fb = _to_frame(p, a.matrix), _to_frame(p, b.matrix)
+    _require_offdiag(fa, p, cfg)
+    _require_offdiag(fb, p, cfg)
+    return complex(_h_blocks(fa, fb, p, cfg))
 
 
 def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,

@@ -6,6 +6,9 @@ tangent space at rho. In the frame of rho it multiplies entry (a, b) by
 so its kernel is the operators on the diagonal cluster blocks, and on the
 off-cluster entries it is inverted by ``B = -i hbar X * inv_gaps``.
 
+That inverse, ``_lift``, takes and returns matrices in the frame of rho; it is
+the one kernel of :mod:`orbit_kahler.kahler`, fed by ambient tangents framed once.
+
 Tangent vectors remember their base point. Operations mixing vectors at
 different points raise :class:`BaseMismatchError` rather than re-basing.
 """
@@ -91,10 +94,15 @@ def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndar
     return (h @ rho - (rho @ h if rho_h is None else rho_h)) / (1j * hbar)
 
 
+def _framed_tangent(h: np.ndarray, p, hbar: float, rho_h=None) -> np.ndarray:
+    """:func:`_tangent` at a point or stack ``p``, expressed in its frame."""
+    return _to_frame(p, _tangent(h, p.rho, hbar, rho_h))
+
+
 def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:
     """Off-block-diagonal generator of the tangent matrices ``x`` at a point or
-    stack ``p``: ``-i hbar X * inv_gaps`` in its frame."""
-    return _from_frame(p, -1j * hbar * _to_frame(p, x) * p.inv_gaps)
+    stack ``p``, both in its frame: ``-i hbar X * inv_gaps``."""
+    return -1j * hbar * x * p.inv_gaps
 
 
 def tangent_map(h: HermitianOperator, p: OrbitPoint,
@@ -145,4 +153,5 @@ def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     Inverts the tangent map on its complement: in the frame of the base,
     ``B = -i hbar X * inv_gaps``, which vanishes on the diagonal blocks.
     """
-    return HermitianOperator(_lift(x.ambient, x.base, cfg.hbar))
+    p = x.base
+    return HermitianOperator(_from_frame(p, _lift(_to_frame(p, x.ambient), p, cfg.hbar)))

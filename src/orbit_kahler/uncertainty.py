@@ -12,8 +12,9 @@ frame decomposition of the variance,
 whose off-diagonal part dominates the bound term
 sum_{i<j} (p_i - p_j) |A_ij|^2 = (hbar/2) Re h(X_A, X_A), with equality when
 rho is pure. The standard Robertson-Schrodinger bound is provided as a
-comparison baseline. :func:`full_report` reads h(X_A, X_B) as the lift pairing
-Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A, Y the framed X_B, not as the
+comparison baseline. :func:`full_report` reads h(X_A, X_B) through the kernel
+of :func:`~orbit_kahler.kahler.hermitian_product`, the lift pairing
+Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A, Y the framed X_B, not the
 closed block form, so its guard still sees a rho that disagrees with its eigenvalues.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import NegativeVarianceError, NonRealResultError, TheoremViolationError
-from .kahler import _j_factor, _real
+from .kahler import _h_parts, _real, _tr
 from .operators import (
     HermitianOperator,
     OrbitPoint,
@@ -35,7 +36,7 @@ from .operators import (
     _stacked,
     _value_type,
 )
-from .tangent import _tangent
+from .tangent import _framed_tangent
 
 __all__ = [
     "UncertaintyReport",
@@ -51,11 +52,6 @@ __all__ = [
 # The kernels below take a point or a stack (gap-mask and stack conventions in
 # :mod:`orbit_kahler.operators`) with matrices of observables that broadcast
 # against it, and raise each check where it fails.
-
-
-def _tr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tr(x @ y) over the trailing two axes, as an elementwise sum without the product."""
-    return (x * y.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def _mean(ra: np.ndarray, cfg: Config) -> np.ndarray:
@@ -79,9 +75,8 @@ def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
     """(hbar/2) |h(X_A, X_B)| from ``parts = (g, omega)`` when the caller has it, else by
     the lift pairing of the module docstring in 6 matrix products, not the closed form."""
     if parts is None:
-        lifted = -1j * cfg.hbar * p.to_frame(_tangent(a, p.rho, cfg.hbar, ra)) * p.inv_gaps
-        y = p.to_frame(_tangent(b, p.rho, cfg.hbar, rb))
-        parts = [_real(_tr(m, y), cfg, "symplectic form") for m in (_j_factor(p) * lifted, lifted)]
+        parts = _h_parts(_framed_tangent(a, p, cfg.hbar, ra),
+                         _framed_tangent(b, p, cfg.hbar, rb), p, cfg)
     # np.hypot rounds |h| as abs(complex) does; np.abs of a complex array
     # may differ from both in the last bit
     return 0.5 * cfg.hbar * np.hypot(*parts)

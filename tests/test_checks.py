@@ -115,9 +115,10 @@ def test_golden_output(args, golden, capsys):
     # every point of the catalog fails the frame check; the first one drawn
     # (j_squared, sample 0) is named, with no row prefix
     ({"tol_unitary": 1e-18}, "error: frame unitarity defect 2.221e-16\n"),
-    # the points pass, and J fails at j_squared's first sample
-    ({"tol_hermitian": 1e-30}, "error: diagonal blocks reach 2.826e-16; "
-                               "split off the commuting part first\n"),
+    # the points pass, and the real check of omega fails at metric_symmetry's
+    # first sample
+    ({"tol_check": 1e-30}, "error: symplectic form has imaginary part -1.110e-16; "
+                           "inputs are likely not Hermitian\n"),
 ])
 def test_first_failing_sample_named(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"

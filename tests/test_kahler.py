@@ -330,3 +330,43 @@ class TestKahlerEvaluation:
                 scale = max(1.0, np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
                 assert abs(evaluation.h - definitional) <= 1e-12 * scale
                 assert evaluation.h == complex(evaluation.metric, evaluation.omega)
+
+
+def _eigh_lift(x, rho, hbar):
+    """The lift of the tangent matrix ``x`` solved from [B, rho] = i hbar X entry by
+    entry in np.linalg.eigh's frame ``v`` of rho, zero inside each cluster; returns
+    B in that frame, J's factor there, and ``v``."""
+    w, v = np.linalg.eigh(rho)
+    gap = w[None, :] - w[:, None]  # [B, rho] has entries B_ab (w_b - w_a) in this frame
+    off = np.abs(gap) > 1e-9
+    framed = np.zeros(x.shape, complex)
+    framed[off] = 1j * hbar * (v.conj().T @ x @ v)[off] / gap[off]
+    return framed, -1j * np.sign(gap) * off, v
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("dim", [*range(2, 9), 16, 32])
+def test_framed_kernels_match_commutator_reference(dim, hbar):
+    # the chain J was once evaluated by: lift, twist by J's factor, push down
+    # by the ambient commutator with rho; omega = Tr([B_X, B_Y] rho) / (i hbar)
+    cfg = Config(hbar=hbar)
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        spectrum = random_spectrum(dim, rng, max_clusters=8, max_mult=6, cfg=cfg)
+        p = random_density(spectrum, rng, cfg)
+        x, y = _random_tangent(p, rng, cfg), _random_tangent(p, rng, cfg)
+        rho = p.rho
+        (bx, factor, v), by = _eigh_lift(x.ambient, rho, hbar), _eigh_lift(y.ambient, rho, hbar)[0]
+        ambient = [v @ m @ v.conj().T for m in (bx, factor * bx, by)]
+        lift_x, twisted, lift_y = ambient
+        j_x = (twisted @ rho - rho @ twisted) / (1j * hbar)
+        omega, g = (np.trace((b @ lift_y - lift_y @ b) @ rho) / (1j * hbar)
+                    for b in (lift_x, twisted))
+        # the lift amplifies by 1 / gap and omega pairs two lifts
+        min_gap = min(-np.diff(spectrum.values), default=1.0)
+        scale = np.linalg.norm(x.ambient) / min_gap
+        np.testing.assert_allclose(lift(x, cfg).matrix, lift_x, rtol=0, atol=1e-12 * hbar * scale)
+        np.testing.assert_allclose(apply_J(x, cfg).ambient, j_x, rtol=0, atol=1e-12 * scale)
+        tol = 1e-12 * hbar * scale * np.linalg.norm(y.ambient) / min_gap
+        assert abs(symplectic_tangent(x, y, cfg) - omega) <= tol
+        assert abs(hermitian_product(x, y, cfg) - (g.real + 1j * omega.real)) <= tol

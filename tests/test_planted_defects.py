@@ -39,6 +39,12 @@ def _scaled_lift(monkeypatch):
     _plant(monkeypatch, lift, lambda x, p, hbar: (1.0 + 1e-6) * lift(x, p, hbar))
 
 
+def _transposed_trace(monkeypatch):
+    """Defect D: the shared trace Tr(x @ y) summed without its transpose, as
+    sum x_ab y_ab."""
+    _plant(monkeypatch, kahler_module._tr, lambda x, y: (x * y).sum(axis=(-2, -1)))
+
+
 def _flipped_j(monkeypatch):
     """Defect B: J's sign flipped on the block between the top and the bottom
     cluster of every point with k >= 3 clusters. J^2 = -1 still holds, but
@@ -60,6 +66,14 @@ _LIFT_SUITES = ["j_squared", "compatibility", "block_formula", "tangent_roundtri
                 "pure_state_equality", "variance_identity"]
 
 
+# the suites whose residual reads a pairing through the shared trace and fail
+# with it transposed; ad_equivariance, gauge_invariance and a bound suite
+# raise a theorem violation instead
+_TRACE_SUITES = ["metric_positivity", "compatibility", "hermitian_symmetry", "block_formula",
+                 "split_orthogonality", "nondegeneracy", "closedness_fd",
+                 "pure_state_equality", "variance_identity", "ehrenfest"]
+
+
 def _passed(names, seed):
     return {r.check_name: r.passed for r in run_checks(names=names, seed=seed)}
 
@@ -70,8 +84,10 @@ def _passed(names, seed):
     (_flipped_j, ["involutivity"], 4),
     (_scaled_lift, _LIFT_SUITES, 1),
     (_scaled_lift, _LIFT_SUITES, 4),
+    (_transposed_trace, _TRACE_SUITES, 1),
+    (_transposed_trace, _TRACE_SUITES, 4),
 ], ids=["scaled-j", "flipped-j-seed1", "flipped-j-seed4", "scaled-lift-seed1",
-        "scaled-lift-seed4"])
+        "scaled-lift-seed4", "transposed-trace-seed1", "transposed-trace-seed4"])
 def test_planted_defect_fails_its_suites(plant, names, seed, monkeypatch):
     assert _passed(names, seed) == {name: True for name in names}
     plant(monkeypatch)
