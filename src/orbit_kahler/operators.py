@@ -521,12 +521,11 @@ def orbit_point(rho: HermitianOperator, cfg: Config = DEFAULT_CONFIG) -> OrbitPo
     or non-unit trace, :class:`DegenerateGapError` for ambiguous clustering,
     and :class:`NotHermitianError` for non-finite entries.
     """
-    try:
-        return _diagonalize(rho.matrix, cfg)
-    except Exception:
-        # non-finite entries fail eigh or a gate; named as make_hermitian names them
-        _require_finite(rho.matrix, NotHermitianError)
-        raise
+    # named as make_hermitian names them, before eigh, which reads only the lower
+    # triangle: an inf above it would meet the frame check as inf * 0 and warn
+    if not np.isfinite(rho.matrix).all():
+        raise NotHermitianError("non-finite entries")
+    return _diagonalize(rho.matrix, cfg)
 
 
 def orbit_batch(rhos, cfg: Config = DEFAULT_CONFIG) -> OrbitPoint:
