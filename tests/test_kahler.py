@@ -347,8 +347,8 @@ def _eigh_lift(x, rho, hbar):
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("dim", [*range(2, 9), 16, 32])
 def test_framed_kernels_match_commutator_reference(dim, hbar):
-    # the chain J was once evaluated by: lift, twist by J's factor, push down
-    # by the ambient commutator with rho; omega = Tr([B_X, B_Y] rho) / (i hbar)
+    # the reference chain: lift, twist by J's factor, push down by the ambient
+    # commutator with rho; omega = Tr([B_X, B_Y] rho) / (i hbar)
     cfg = Config(hbar=hbar)
     rng = np.random.default_rng(dim)
     for _ in range(5):
@@ -357,8 +357,7 @@ def test_framed_kernels_match_commutator_reference(dim, hbar):
         x, y = _random_tangent(p, rng, cfg), _random_tangent(p, rng, cfg)
         rho = p.rho
         (bx, factor, v), by = _eigh_lift(x.ambient, rho, hbar), _eigh_lift(y.ambient, rho, hbar)[0]
-        ambient = [v @ m @ v.conj().T for m in (bx, factor * bx, by)]
-        lift_x, twisted, lift_y = ambient
+        lift_x, twisted, lift_y = (v @ m @ v.conj().T for m in (bx, factor * bx, by))
         j_x = (twisted @ rho - rho @ twisted) / (1j * hbar)
         omega, g = (np.trace((b @ lift_y - lift_y @ b) @ rho) / (1j * hbar)
                     for b in (lift_x, twisted))
