@@ -420,6 +420,8 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     samples = _integer("samples", samples, 1)
     if spectra is not None and not len(spectra):
         raise ValueError("the spectra pool is empty")
+    if isinstance(names, str):
+        raise ValueError(f"names must be a list of check names, got the string {names!r}")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(CHECK_NAMES)
     if unknown:

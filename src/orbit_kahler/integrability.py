@@ -209,7 +209,7 @@ def _nondegeneracy(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
     smallest_witness = np.inf
     worst = _case(p, 0, floor=floor)
     for index in range(samples):
-        # the tangent vector random_tangent draws
+        # a tangent generated by a Gaussian Hermitian matrix
         x = _framed_tangent(_gaussian(p.dim, rng), p, cfg.hbar)
         squared = float(np.linalg.norm(x)) ** 2
         if squared == 0.0:

@@ -41,9 +41,7 @@ from .operators import (
     HermitianOperator,
     OrbitPoint,
     _check_dims,
-    _from_frame,
     _require,
-    _to_frame,
 )
 from .tangent import TangentVector, _lift, _require_same_base
 
@@ -133,15 +131,15 @@ def j_generator(b: HermitianOperator, p: OrbitPoint,
     and the blocks below by -i. Requires ``b`` purely off-block-diagonal.
     """
     _check_dims(p, b)
-    framed = _to_frame(p, b.matrix)
+    framed = p.to_frame(b.matrix)
     _require_offdiag(framed, p, cfg)
-    return HermitianOperator(_from_frame(p, _j_factor(p) * framed))
+    return HermitianOperator(p.from_frame(_j_factor(p) * framed))
 
 
 def apply_J(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> TangentVector:
     """The complex structure on tangent vectors, in the frame of the base."""
     p = x.base
-    return TangentVector(p, _from_frame(p, _j(_to_frame(p, x.ambient), p, cfg)))
+    return TangentVector(p, p.from_frame(_j(p.to_frame(x.ambient), p, cfg)))
 
 
 def symplectic(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -186,7 +184,7 @@ def hermitian_product_blocks(a: HermitianOperator, b: HermitianOperator,
     generated by off-block-diagonal ``a`` and ``b`` at ``p``; it agrees with
     :func:`hermitian_product` of the generated tangent vectors."""
     _check_dims(p, a, b)
-    fa, fb = _to_frame(p, a.matrix), _to_frame(p, b.matrix)
+    fa, fb = p.to_frame(a.matrix), p.to_frame(b.matrix)
     _require_offdiag(fa, p, cfg)
     _require_offdiag(fb, p, cfg)
     return complex(_h_blocks(fa, fb, p, cfg))

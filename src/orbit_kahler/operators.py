@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG, _integer, _is_finite, _is_integral, _real
+from .config import Config, DEFAULT_CONFIG, _integer, _is_finite, _is_integral
 from .errors import (
     DegenerateGapError,
     DimMismatchError,
@@ -188,14 +188,6 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _to_frame(p: "OrbitPoint", m: np.ndarray) -> np.ndarray:
-    return p.frame_dagger @ m @ p.frame
-
-
-def _from_frame(p: "OrbitPoint", m: np.ndarray) -> np.ndarray:
-    return p.frame @ m @ p.frame_dagger
-
-
 def _require_diagonal(product: np.ndarray, diagonal, bound: float, error, what: str):
     """Check max |product - diagonal * I| <= bound over the trailing two axes, subtracted
     in place on the diagonal of the fresh ``product``, bit for bit; d * d sizes (0, d, d)."""
@@ -221,8 +213,7 @@ def _require_unitary(u: np.ndarray, u_dagger: np.ndarray, cfg: Config, what="uni
 class HermitianOperator:
     """A validated n x n complex matrix equal to its conjugate transpose.
 
-    Construct through :func:`make_hermitian`; arithmetic with real scalars and
-    other Hermitian operators stays inside the class.
+    Construct through :func:`make_hermitian`.
     """
 
     matrix: np.ndarray
@@ -233,28 +224,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimMismatchError(f"dims {self.dim} and {other.dim}")
-        return HermitianOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.matrix)
-
-    def __mul__(self, scalar) -> "HermitianOperator":
-        if np.ndim(scalar) != 0 or np.iscomplexobj(scalar):
-            return NotImplemented
-        return HermitianOperator(_real("scalar", np.asarray(scalar).item()) * self.matrix)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -408,11 +377,11 @@ class OrbitPoint:
 
     def to_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Express an ambient matrix in the frame of this point."""
-        return _to_frame(self, matrix)
+        return self.frame_dagger @ matrix @ self.frame
 
     def from_frame(self, matrix: np.ndarray) -> np.ndarray:
         """Map a frame-coordinates matrix back to the ambient basis."""
-        return _from_frame(self, matrix)
+        return self.frame @ matrix @ self.frame_dagger
 
 
 def make_hermitian(matrix, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:

@@ -18,7 +18,6 @@ from .operators import (
     make_spectrum,
     random_density,
 )
-from .tangent import TangentVector, tangent_map
 
 __all__ = [
     "gaussian_hermitian",
@@ -26,7 +25,6 @@ __all__ = [
     "maximally_mixed_spectrum",
     "pure_spectrum",
     "random_point",
-    "random_tangent",
     "random_gauge",
 ]
 
@@ -103,12 +101,6 @@ def random_point(dim: int, rng: np.random.Generator,
                  cfg: Config = DEFAULT_CONFIG, **spectrum_kwargs) -> OrbitPoint:
     """Haar-random orbit point with a random spectrum in dimension ``dim``."""
     return random_density(random_spectrum(dim, rng, cfg=cfg, **spectrum_kwargs), rng, cfg)
-
-
-def random_tangent(p: OrbitPoint, rng: np.random.Generator,
-                   cfg: Config = DEFAULT_CONFIG) -> TangentVector:
-    """Tangent vector generated by a Gaussian Hermitian matrix."""
-    return tangent_map(gaussian_hermitian(p.dim, rng), p, cfg)
 
 
 def random_gauge(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:

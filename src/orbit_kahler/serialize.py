@@ -25,7 +25,6 @@ __all__ = [
     "matrix_from_json",
     "spectrum_to_json",
     "spectrum_from_json",
-    "hermitian_to_json",
     "hermitian_from_json",
     "check_report_to_json",
     "uncertainty_report_to_json",
@@ -60,10 +59,6 @@ def matrix_from_json(data: dict) -> np.ndarray:
         raise ValueError(
             f"matrix JSON shape mismatch: n={n}, re {re.shape}, im {im.shape}")
     return re + 1j * im
-
-
-def hermitian_to_json(op: HermitianOperator) -> dict:
-    return matrix_to_json(op.matrix)
 
 
 def hermitian_from_json(data: dict, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG, _real
+from .config import Config, DEFAULT_CONFIG
 from .errors import BaseMismatchError, DimMismatchError, NotHermitianError
 from .operators import (
     HermitianOperator,
     OrbitPoint,
     _check_dims,
     _freeze,
-    _from_frame,
     _require_hermitian,
-    _to_frame,
     _value_type,
 )
 
@@ -56,36 +54,10 @@ class TangentVector:
 
     def __post_init__(self):
         _check_dims(self.base)
-        object.__setattr__(self, "ambient", _freeze(self.ambient))
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.ambient)))
-
-    @property
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.ambient))
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        if not isinstance(other, TangentVector):
-            return NotImplemented
-        _require_same_base(self.base, other.base)
-        return TangentVector(self.base, self.ambient + other.ambient)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        if not isinstance(other, TangentVector):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.ambient)
-
-    def __mul__(self, scalar) -> "TangentVector":
-        if np.ndim(scalar) != 0 or np.iscomplexobj(scalar):
-            return NotImplemented
-        return TangentVector(self.base, _real("scalar", np.asarray(scalar).item()) * self.ambient)
-
-    __rmul__ = __mul__
+        ambient = _freeze(self.ambient)
+        if ambient.shape != self.base.rho.shape:
+            raise DimMismatchError(f"shape {ambient.shape} vs point dim {self.base.dim}")
+        object.__setattr__(self, "ambient", ambient)
 
 
 def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndarray:
@@ -96,7 +68,7 @@ def _tangent(h: np.ndarray, rho: np.ndarray, hbar: float, rho_h=None) -> np.ndar
 
 def _framed_tangent(h: np.ndarray, p, hbar: float, rho_h=None) -> np.ndarray:
     """:func:`_tangent` at a point or stack ``p``, expressed in its frame."""
-    return _to_frame(p, _tangent(h, p.rho, hbar, rho_h))
+    return p.to_frame(_tangent(h, p.rho, hbar, rho_h))
 
 
 def _lift(x: np.ndarray, p, hbar: float) -> np.ndarray:
@@ -117,16 +89,13 @@ def make_tangent(ambient, p: OrbitPoint, cfg: Config = DEFAULT_CONFIG) -> Tangen
 
     Requires hermiticity and vanishing diagonal blocks in the frame of ``p``.
     """
-    _check_dims(p)
-    arr = np.asarray(ambient, dtype=np.complex128)
-    if arr.shape != (p.dim, p.dim):
-        raise DimMismatchError(f"shape {arr.shape} vs point dim {p.dim}")
-    _require_hermitian(arr, cfg)
-    worst = float(np.max(np.abs(p.to_frame(arr)), where=p.same_cluster, initial=0.0))
+    x = TangentVector(p, ambient)
+    _require_hermitian(x.ambient, cfg)
+    worst = float(np.max(np.abs(p.to_frame(x.ambient)), where=p.same_cluster, initial=0.0))
     if worst > cfg.tol_hermitian:
         raise NotHermitianError(
             f"diagonal blocks do not vanish: max entry {worst:.3e}")
-    return TangentVector(p, arr)
+    return x
 
 
 def split_kernel(h: HermitianOperator, p: OrbitPoint):
@@ -142,9 +111,9 @@ def split_kernel(h: HermitianOperator, p: OrbitPoint):
 
 def _split(h: np.ndarray, p) -> tuple:
     """The parts of :func:`split_kernel` at a point or stack ``p``."""
-    framed = _to_frame(p, h)
+    framed = p.to_frame(h)
     kernel = np.where(p.same_cluster, framed, 0.0)
-    return _from_frame(p, kernel), _from_frame(p, framed - kernel)
+    return p.from_frame(kernel), p.from_frame(framed - kernel)
 
 
 def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
@@ -154,4 +123,4 @@ def lift(x: TangentVector, cfg: Config = DEFAULT_CONFIG) -> HermitianOperator:
     ``B = -i hbar X * inv_gaps``, which vanishes on the diagonal blocks.
     """
     p = x.base
-    return HermitianOperator(_from_frame(p, _lift(_to_frame(p, x.ambient), p, cfg.hbar)))
+    return HermitianOperator(p.from_frame(_lift(p.to_frame(x.ambient), p, cfg.hbar)))

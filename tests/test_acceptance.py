@@ -124,7 +124,7 @@ def test_criterion_2_kahler_compatibility(tangent_samples):
         h_xy = hermitian_product(x, y, CFG)
         herm = max(herm, abs(h_xy - np.conj(hermitian_product(y, x, CFG))))
         im_h = max(im_h, abs(h_xy.imag - omega_xy))
-        squared = x.frobenius ** 2
+        squared = float(np.linalg.norm(x.ambient)) ** 2
         if squared > 1e-16:
             witness = min(witness, metric(x, x, CFG) / squared)
     passed = (antisym <= 1e-10 and asym_g <= 1e-10 and herm <= 1e-10

@@ -130,9 +130,6 @@ def test_public_arrays_are_read_only():
     arrays = {
         "gaussian_hermitian": a.matrix,
         "make_hermitian": b.matrix,
-        "operator sum": (a + b).matrix,
-        "operator scaled": (2.0 * a).matrix,
-        "operator negated": (-a).matrix,
         "conjugate": conjugate(a, u).matrix,
         "rho": p.rho,
         "frame": p.frame,
@@ -156,10 +153,6 @@ def test_public_arrays_are_read_only():
                         "same_cluster", "inv_gaps", "frame_dagger")},
         **{f"batch report {name}": value for name, value in vars(report).items()},
         "tangent_map": x.ambient,
-        "tangent sum": (x + x).ambient,
-        "tangent difference": (x - x).ambient,
-        "tangent scaled": (3.0 * x).ambient,
-        "tangent negated": (-x).ambient,
         "lift": lift(x).matrix,
         "j_generator": j_generator(complement, p).matrix,
         "kernel part": kernel.matrix,
@@ -264,7 +257,6 @@ def test_vectors_at_equal_points_combine():
     p, q = orbit_point(rho), orbit_point(rho)
     a, b = make_hermitian([[0, 1], [1, 0]]), make_hermitian([[0, -1j], [1j, 0]])
     x, y = tangent_map(a, p), tangent_map(b, q)
-    assert (x + y).base is p and (x - y).ambient.shape == (2, 2)
     assert symplectic_tangent(x, y) == symplectic_tangent(x, tangent_map(b, p))
     assert metric(x, y) == metric(tangent_map(a, p), tangent_map(b, p))
     assert hermitian_product(x, y) == hermitian_product(x, tangent_map(b, p))

@@ -32,7 +32,6 @@ from orbit_kahler.sampling import (
     gaussian_hermitian,
     random_gauge,
     random_spectrum,
-    random_tangent,
 )
 
 FIELDS = [field.name for field in dataclasses.fields(UncertaintyReport)]
@@ -259,7 +258,6 @@ def _single_point_calls():
         "evolve": lambda p: ok.evolve(p, a, 0.1),
         "ehrenfest_check": lambda p: ok.ehrenfest_check(a, b, p),
         "trajectory": lambda p: ok.trajectory(p, a, 1.0, 3),
-        "random_tangent": lambda p: random_tangent(p, rng),
         "random_gauge": lambda p: random_gauge(p, rng),
     }
 

@@ -225,8 +225,11 @@ ARGUMENTS = {
                     "gauge shape (3, 3) vs dim 2"),
     "tangent shape": (lambda: make_tangent(np.eye(3), QUBIT), DimMismatchError,
                       "shape (3, 3) vs point dim 2"),
-    "operator dims": (lambda: QUBIT_OP + make_hermitian(np.eye(3)), DimMismatchError,
-                      "dims 2 and 3"),
+    "tangent vector shape": (lambda: TangentVector(QUBIT, np.zeros((3, 3))), DimMismatchError,
+                             "shape (3, 3) vs point dim 2"),
+    "run_checks names string": (lambda: run_checks(names="j_squared"), ValueError,
+                                "names must be a list of check names, "
+                                "got the string 'j_squared'"),
     "operator + int": (lambda: QUBIT_OP + 1, TypeError,
                        _unsupported("+", "HermitianOperator", "int")),
     "operator - int": (lambda: QUBIT_OP - 1, TypeError,
@@ -245,12 +248,6 @@ ARGUMENTS = {
                                             min_gap=0.0),
                     DegenerateGapError, "values not strictly descending with gap > 1e-09: "
                                         "0.5000000000004999 vs 0.49999999999949996"),
-    # a factor goes through the domain rule of every other real argument
-    **{f"{name} * {factor!r}": (lambda v=value, f=factor: v * f, ValueError,
-                                f"scalar must be {domain}, got {factor!r}")
-       for name, value in (("operator", QUBIT_OP), ("tangent", QUBIT_X))
-       for factor, domain in ((np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
-                              (True, "a number"))},
 }
 
 ORBIT_ROWS = {

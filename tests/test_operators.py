@@ -54,10 +54,6 @@ class TestMakeHermitian:
         op = make_hermitian(almost)
         assert op.matrix[1, 0] == 0.0
 
-    def test_arithmetic_stays_hermitian(self, sigma_x, sigma_z):
-        combo = 2.0 * sigma_x - sigma_z
-        assert np.allclose(combo.matrix, combo.matrix.conj().T)
-
 
 class TestSpectrum:
     def test_valid_density(self, cfg):

@@ -10,6 +10,7 @@ from orbit_kahler import (
     conjugate,
     conjugate_point,
     haar_unitary,
+    hermitian_product,
     lift,
     make_hermitian,
     make_tangent,
@@ -23,7 +24,7 @@ from orbit_kahler.sampling import gaussian_hermitian, random_point, random_spect
 class TestTangentMap:
     def test_kernel_gives_zero(self, qubit_point):
         x = tangent_map(make_hermitian(qubit_point.rho), qubit_point)
-        assert x.max_norm == 0.0
+        assert np.abs(x.ambient).max() == 0.0
 
     def test_qubit_value(self, sigma_x, qubit_point):
         # direct 2x2 evaluation of (1/i)[sigma_x, diag(0.7, 0.3)]
@@ -42,9 +43,9 @@ class TestTangentMap:
         p = random_point(4, rng)
         h1 = gaussian_hermitian(4, rng)
         h2 = gaussian_hermitian(4, rng)
-        combined = tangent_map(a * h1 + b * h2, p)
-        separate = a * tangent_map(h1, p) + b * tangent_map(h2, p)
-        np.testing.assert_allclose(combined.ambient, separate.ambient, atol=1e-12)
+        combined = tangent_map(make_hermitian(a * h1.matrix + b * h2.matrix), p)
+        separate = a * tangent_map(h1, p).ambient + b * tangent_map(h2, p).ambient
+        np.testing.assert_allclose(combined.ambient, separate, atol=1e-12)
 
     def test_diagonal_blocks_vanish(self):
         rng = np.random.default_rng(0)
@@ -85,7 +86,7 @@ class TestSplitKernel:
             kernel, complement = split_kernel(h, p)
             np.testing.assert_allclose(kernel.matrix + complement.matrix,
                                        h.matrix, atol=1e-13)
-            assert tangent_map(kernel, p).max_norm < 1e-13
+            assert np.abs(tangent_map(kernel, p).ambient).max() < 1e-13
             np.testing.assert_allclose(tangent_map(h, p).ambient,
                                        tangent_map(complement, p).ambient,
                                        atol=1e-13)
@@ -120,8 +121,8 @@ class TestBlocks:
             p = random_point(dim, rng)
             h = gaussian_hermitian(dim, rng)
             kernel, complement = split_kernel(h, p)
-            rebuilt = kernel + complement
-            np.testing.assert_allclose(rebuilt.matrix, h.matrix, atol=1e-12)
+            rebuilt = kernel.matrix + complement.matrix
+            np.testing.assert_allclose(rebuilt, h.matrix, atol=1e-12)
             values = p.spectrum.full_values()
             np.testing.assert_array_equal(p.same_cluster,
                                           values[:, None] == values[None, :])
@@ -181,7 +182,7 @@ class TestTangentVector:
         x = tangent_map(gaussian_hermitian(2, rng), qubit_point)
         y = tangent_map(gaussian_hermitian(2, rng), other)
         with pytest.raises(BaseMismatchError):
-            _ = x + y
+            hermitian_product(x, y)
 
     def test_make_tangent_validates_hermiticity(self, qubit_point):
         with pytest.raises(NotHermitianError):
@@ -197,10 +198,4 @@ class TestTangentVector:
 
     def test_make_tangent_accepts_valid(self, qubit_point):
         x = make_tangent([[0.0, 0.4j], [-0.4j, 0.0]], qubit_point)
-        assert x.max_norm == pytest.approx(0.4)
-
-    def test_scalar_arithmetic(self, sigma_x, qubit_point):
-        x = tangent_map(sigma_x, qubit_point)
-        doubled = 2.0 * x
-        np.testing.assert_allclose(doubled.ambient, 2.0 * x.ambient)
-        np.testing.assert_allclose((doubled - x).ambient, x.ambient)
+        assert np.abs(x.ambient).max() == pytest.approx(0.4)

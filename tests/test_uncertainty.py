@@ -188,10 +188,11 @@ class TestLiftPairing:
         for spectrum in _pure_degenerate_mixed(dim):
             p = random_density(spectrum, rng, cfg)
             a, b = (gaussian_hermitian(dim, rng) for _ in range(2))
-            a, b = (m * (1.0 / np.linalg.norm(m.matrix)) for m in (a, b))
+            a, b = (make_hermitian((1.0 / np.linalg.norm(m.matrix)) * m.matrix) for m in (a, b))
             bound = full_report(a, b, p, cfg).geometric_bound
             for c in 10.0 ** np.arange(-6, 4):
-                scaled = full_report(c * a, c * b, p, cfg).geometric_bound
+                scaled = full_report(make_hermitian(c * a.matrix), make_hermitian(c * b.matrix),
+                                     p, cfg).geometric_bound
                 assert scaled == pytest.approx(c * c * bound, rel=1e-12, abs=0.0)
 
 
@@ -253,7 +254,7 @@ class TestFullReport:
         p = random_point(4, rng)
         a = gaussian_hermitian(4, rng)
         b = gaussian_hermitian(4, rng)
-        shifted = a + 3.7 * make_hermitian(np.eye(4))
+        shifted = make_hermitian(a.matrix + 3.7 * np.eye(4))
         before = full_report(a, b, p)
         after = full_report(shifted, b, p)
         assert after.deltaA == pytest.approx(before.deltaA, abs=1e-11)
