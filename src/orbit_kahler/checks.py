@@ -422,6 +422,12 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
         raise ValueError("the spectra pool is empty")
     if isinstance(names, str):
         raise ValueError(f"names must be a list of check names, got the string {names!r}")
+    if names is not None:
+        if isinstance(names, bytes) or not np.iterable(names):
+            raise ValueError(f"names must be a list of check names, got {names!r}")
+        names = list(names)
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError(f"names must be strings, got {names!r}")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(CHECK_NAMES)
     if unknown:

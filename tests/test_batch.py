@@ -8,6 +8,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbit_kahler as ok
 from orbit_kahler import (
@@ -22,6 +24,7 @@ from orbit_kahler import (
     UncertaintyReport,
     full_report,
     full_report_batch,
+    haar_unitary,
     make_hermitian,
     make_spectrum,
     orbit_batch,
@@ -118,12 +121,14 @@ def _reference_spectrum(rho, cfg=Config()):
 
 @pytest.mark.parametrize("dim", [3, 9, 16])
 def test_cluster_values_are_np_mean(dim):
-    # clusters of 3 to 16 near-equal eigenvalues, summed as np.mean sums them
+    # clusters of 3 to 16 near-equal eigenvalues, summed as np.mean sums them;
+    # from 8 entries on, np.mean sums pairwise
     rhos = _stack(dim, np.random.default_rng(100 + dim))
     batch = orbit_batch(rhos)
     for i, rho in enumerate(rhos):
-        spectrum = batch[i].spectrum
-        assert (spectrum.values, spectrum.mults) == _reference_spectrum(rho)
+        expected = _reference_spectrum(rho)
+        for point in (batch[i], orbit_point(make_hermitian(rho))):
+            assert (point.spectrum.values, point.spectrum.mults) == expected
 
 
 def test_empty_batch():
@@ -170,6 +175,56 @@ def test_orbit_batch_raises_first_failing_row(rows, error, row):
         orbit_batch(rows)
     assert (type(caught.value), str(caught.value)) == expected
     assert str(caught.value).startswith(f"row {row}: ")
+
+
+TOL = Config().tol_cluster
+
+
+@st.composite
+def _degenerate_densities(draw):
+    """Densities with clusters of up to 9 near-ties inside ``tol_cluster`` (np.mean
+    sums pairwise from 8), up to two top gaps in the ambiguous band and two
+    clusters that clamp to 0.0 (or are -0.0), diagonal or Haar-rotated; some have a negative eigenvalue
+    or a trace off 1."""
+    mults = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    levels = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(mults),
+                                    max_size=len(mults))))
+    levels *= draw(st.sampled_from([1.0, 1.0, 1.0, 1.5])) / np.dot(mults, levels)
+    near_tie = st.sampled_from([0.0, 0.3 * TOL, -0.3 * TOL, 0.45 * TOL])
+    values = [level + draw(near_tie) for level, m in zip(levels, mults) for _ in range(m)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        values.append(max(values) + draw(st.floats(1.05 * TOL, 1.95 * TOL)))
+    if draw(st.booleans()):
+        for zero in (draw(st.sampled_from([0.0, -0.0, -0.4 * TOL])),
+                     draw(st.sampled_from([-3 * TOL] * 3 + [-30 * TOL]))):
+            values += [zero] * draw(st.integers(1, 3))
+    values = np.array(values)
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    if seed is None:
+        return np.diag(values).astype(complex)
+    u = haar_unitary(values.size, seed)
+    return (u * values) @ u.conj().T
+
+
+@given(_degenerate_densities())
+@example(np.diag([1.0, -0.0]).astype(complex))             # -0.0 reads 0.0
+@example(np.diag([1.0, -0.0, -0.0]).astype(complex))
+@example(np.diag([1.5, -3 * TOL, -3 * TOL]).astype(complex))  # the trace is of clamped values
+@settings(max_examples=100, deadline=None)
+def test_point_labels_equal_row_labels(rho):
+    # a single point is labelled in Python floats, a stack row in one
+    # vectorized pass; the two agree bit for bit, errors included
+    try:
+        single = orbit_point(make_hermitian(rho))
+    except OrbitKahlerError as exc:
+        with pytest.raises(OrbitKahlerError) as caught:
+            orbit_batch([rho])
+        assert (type(caught.value), str(caught.value)) == (type(exc), f"row 0: {exc}")
+        return
+    row = orbit_batch([rho])[0]
+    assert row.spectrum == single.spectrum
+    for name in ("eigenvalues", "frame"):
+        assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
 
 
 def test_full_report_batch_raises_first_failing_row():

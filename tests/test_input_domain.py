@@ -176,3 +176,11 @@ def test_cli_input_outside_domain_exits_2(command, content, message, tmp_path, c
     path.write_text(json.dumps(content))
     assert main(command + [str(path)]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("names", [5, [5, "x"], b"j_squared"],
+                         ids=["int", "mixed-types", "bytes"])
+def test_run_checks_names_outside_domain(names):
+    # an int and unknown names of mixed types raised TypeError, and bytes
+    # were iterated and reported as "unknown checks: [95, 97, ...]"
+    _rejected("names", lambda v: run_checks(samples=1, names=v), names)
