@@ -184,8 +184,8 @@ TOL = Config().tol_cluster
 def _degenerate_densities(draw):
     """Densities with clusters of up to 9 near-ties inside ``tol_cluster`` (np.mean
     sums pairwise from 8), up to two top gaps in the ambiguous band and two
-    clusters that clamp to 0.0 (or are -0.0), diagonal or Haar-rotated; some have a negative eigenvalue
-    or a trace off 1."""
+    clusters that clamp to 0.0 (or are -0.0), diagonal or Haar-rotated; some
+    have a negative eigenvalue or a trace off 1."""
     mults = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
     levels = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(mults),
                                     max_size=len(mults))))
