@@ -6,13 +6,15 @@ returns a :class:`CheckReport`. ``run_checks`` executes the ``_CATALOG``
 table; the CLI ``checks`` command is a thin wrapper around it. Passing an
 explicit ``spectra`` pool restricts sampling to those orbits.
 
-A suite is a row ``(name, draw, residual, count, tolerance)``. Each of its
-``count(samples)`` samples is one ``draw(inst, index)``: the spectrum and Haar
-normals of a point, then its observables and other arrays. ``run_checks``
+A suite is a row ``(name, draw, residual, count, report)``. Each of its
+``count(samples, dims)`` samples is one ``draw(inst, index)``: the spectrum and
+Haar normals of a point, then its observables and other arrays. ``run_checks``
 draws, builds the drawn points of one dim in one stacked pass, and runs
 ``residual(points, *stacks, cfg)`` once on a suite's samples of one dim, each
 drawn entry stacked along rows: it returns their residuals and worst-case
-columns. The first failing sample in draw order raises its own error.
+columns. ``report(name, inst, samples, results)`` then builds the suite's
+:class:`CheckReport` from the samples' (residual, worst case) pairs. The first
+failing sample in draw order raises its own error.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def _pure_point(inst, index) -> tuple:
     return pure_spectrum(dim, inst.cfg), _normals(dim, inst.rng), _gaussian(dim, inst.rng)
 
 
-def _fd_count(samples: int) -> int:
+def _fd_count(samples: int, dims) -> int:
     return max(2, min(10, samples // 25))
 
 
@@ -295,20 +297,32 @@ def _kept(points, cfg):
     return np.zeros(len(points)), {"point": list(points)}
 
 
+def _finish(tolerance):
+    """Report of a suite from its samples' (residual, worst case) pairs, gated at
+    ``tolerance(cfg)``; a suite whose cases record witness ratios reports the smallest too."""
+    def report(name, inst, samples, results):
+        witnesses = [case["witness_ratio"] for _, case in results if "witness_ratio" in case]
+        extra = {"smallest_witness": min(witnesses)} if witnesses else {}
+        return _report_max(name, results, len(results), tolerance(inst.cfg), **extra)
+    return report
+
+
 def _panel(kernel):
-    """Report of a panel suite, whose samples are its points: ``kernel(p, samples, rng, cfg)``
-    on each, drawing after all of them, and the first point with the largest residual."""
+    """The draw, residual, count and report of a panel suite, whose samples are its
+    points, two per dim: ``kernel(p, samples, rng, cfg)`` on each, drawing after all
+    of them, reports the first point with the largest residual."""
     def report(name, inst, samples, results):
         per_point = max(1, samples // len(results))
         residual, _, tolerance, case = max((kernel(kept["point"], per_point, inst.rng, inst.cfg)
                                             for _, kept in results), key=lambda r: r[0])
         return CheckReport(name, residual, per_point * len(results), tolerance, case)
-    return report
+    return (_draw(0, partial(_Instances.point, mixed_every=4)), _kept,
+            lambda samples, dims: max(2, 2 * len(dims)), report)
 
 
-# a panel suite has no residual: its draw is its report (_panel)
-_Suite = namedtuple("_Suite", "name draw residual count tolerance",
-                    defaults=(lambda samples: samples, lambda cfg: cfg.tol_check))
+_Suite = namedtuple("_Suite", "name draw residual count report",
+                    defaults=(lambda samples, dims: samples,
+                              _finish(lambda cfg: cfg.tol_check)))
 
 _CATALOG = [
     _Suite("j_squared", _draw(1), _j_squared),
@@ -325,12 +339,12 @@ _CATALOG = [
     _Suite("gauge_invariance",
            _draw(2, _UNMIXED, lambda inst: _random_gauge(inst.spectrum, inst.rng)),
            _gauge_invariance),
-    _Suite("involutivity", _panel(_involutivity), None),
-    _Suite("nondegeneracy", _panel(_nondegeneracy), None),
+    _Suite("involutivity", *_panel(_involutivity)),
+    _Suite("nondegeneracy", *_panel(_nondegeneracy)),
     _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point), _per_row(nijenhuis_fd),
-           _fd_count, _fd_tolerance),
+           _fd_count, _finish(_fd_tolerance)),
     _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point), _per_row(closedness_check),
-           _fd_count, _fd_tolerance),
+           _fd_count, _finish(_fd_tolerance)),
     _Suite("uncertainty_bound", _draw(2), _bound_slack("slack_geometric")),
     _Suite("rs_baseline", _draw(2), _bound_slack("slack_rs")),
     _Suite("pure_state_equality", _pure_point, _pure_state_equality),
@@ -341,7 +355,7 @@ _CATALOG = [
            _draw(1, _UNMIXED, lambda inst: inst.rng.uniform(-1.0, 1.0, size=2)),
            _per_row(_flow_composition, recorded=False), _fd_count),
     _Suite("ehrenfest", _draw(2, _UNMIXED), _per_row(ehrenfest_check, recorded=False),
-           _fd_count, _fd_tolerance),
+           _fd_count, _finish(_fd_tolerance)),
 ]
 
 CHECK_NAMES = tuple(suite.name for suite in _CATALOG)
@@ -385,23 +399,6 @@ def _evaluate(pending, finished, cfg: Config) -> list:
     return reports
 
 
-def _finish(name, results, tolerance):
-    """A suite's report from its samples' (residual, worst case) pairs; a
-    suite whose cases record witness ratios reports the smallest too."""
-    witnesses = [case["witness_ratio"] for _, case in results if "witness_ratio" in case]
-    extra = {"smallest_witness": min(witnesses)} if witnesses else {}
-    return _report_max(name, results, len(results), tolerance, **extra)
-
-
-def _take(draw, pending, finished, cfg: Config, *args):
-    """``draw(*args)``; a failing draw raises after the samples drawn before it."""
-    try:
-        return draw(*args)
-    except Exception:
-        _evaluate(pending, finished, cfg)
-        raise
-
-
 def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
                cfg: Config = DEFAULT_CONFIG, names=None, spectra=None) -> list:
     """Run the full invariant catalog (or the named subset).
@@ -434,28 +431,27 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if spectra is not None:
         spectra = [make_spectrum(s.values, s.mults, cfg) for s in spectra]
-    children = np.random.SeedSequence(seed).spawn(len(_CATALOG))
+    children = np.random.SeedSequence(_integer("seed", seed, 0)).spawn(len(_CATALOG))
     # (residual, sample index, what it drew, its suite's results), up to
     # _CHUNK_ENTRIES matrix entries of pending points at a time; a suite is
     # reported, and its results let go, at the first evaluation after its last draw
     pending, entries, finished, reports = [], 0, [], []
-    for (name, draw, residual, count, tolerance), child in zip(_CATALOG, children):
+    for (name, draw, residual, count, report), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
         inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
-        if residual is None:
-            results = [None] * max(2, 2 * len(inst.dims))
-            report = partial(draw, name, inst, samples, results)
-            draw, residual = _draw(0, partial(_Instances.point, mixed_every=4)), _kept
-        else:
-            results = [None] * count(samples)
-            report = partial(_finish, name, results, tolerance(cfg))
+        results = [None] * count(samples, inst.dims)
         for index in range(len(results)):
-            drawn = _take(draw, pending, finished, cfg, inst, index)
+            try:
+                drawn = draw(inst, index)
+            except Exception:
+                # a failing draw raises after the samples drawn before it
+                _evaluate(pending, finished, cfg)
+                raise
             pending.append((residual, index, drawn, results))
             entries += drawn[1].size
             if entries >= _CHUNK_ENTRIES:
                 reports += _evaluate(pending, finished, cfg)
                 pending, entries, finished = [], 0, []
-        finished.append((len(pending), report))
+        finished.append((len(pending), partial(report, name, inst, samples, results)))
     return reports + _evaluate(pending, finished, cfg)

@@ -86,7 +86,6 @@ class Trajectory:
 
     times: tuple
     points: tuple
-    generator: HermitianOperator
 
 
 def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
@@ -97,4 +96,4 @@ def trajectory(p: OrbitPoint, h: HermitianOperator, t_max: float, steps: int,
     times = np.linspace(0.0, t_max, steps)
     flowed = iter(_flows(p, h.matrix[None], [float(t) for t in times if t != 0.0], cfg))
     points = tuple(p if t == 0.0 else next(flowed) for t in times)
-    return Trajectory(times=tuple(float(t) for t in times), points=points, generator=h)
+    return Trajectory(times=tuple(float(t) for t in times), points=points)

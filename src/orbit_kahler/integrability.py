@@ -194,6 +194,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     weight in the block sum). Reports the deficit against that floor and the
     smallest observed witness ratio.
     """
+    _check_dims(p)
     samples = _integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, rng, cfg))

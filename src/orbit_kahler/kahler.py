@@ -65,7 +65,6 @@ class KahlerEvaluation:
     omega: float
     metric: float
     h: complex
-    base: OrbitPoint
 
 
 def _real(z: np.ndarray, cfg: Config, what: str) -> np.ndarray:
@@ -196,4 +195,4 @@ def kahler_evaluation(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     by the closed block form, which gives the diagonal blocks weight 0."""
     _check_dims(p, a, b)
     h = complex(_h_blocks(p.to_frame(a.matrix), p.to_frame(b.matrix), p, cfg))
-    return KahlerEvaluation(omega=h.imag, metric=h.real, h=h, base=p)
+    return KahlerEvaluation(omega=h.imag, metric=h.real, h=h)

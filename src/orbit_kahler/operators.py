@@ -15,12 +15,12 @@ diagonal blocks, ``OrbitPoint.same_cluster``); gaps > 0 is the upper triangle
 of off-diagonal blocks, gaps < 0 the lower one.
 
 A point stores ``rho``, its frame and its eigenvalues; its cluster label
-(``cluster_start``, ``spectrum``) and gap masks are functions of the
-eigenvalues. Eigenvalues whose gaps are at most ``tol_cluster`` are merged
-into one cluster, and so are the density eigenvalues clamped to 0.0. Gaps
-between clusters that are larger than ``tol_cluster`` but smaller than twice
-it are ambiguous and raise :class:`DegenerateGapError` rather than silently
-committing to a block structure.
+(``spectrum``) and gap masks are functions of the eigenvalues. Eigenvalues
+whose gaps are at most ``tol_cluster`` are merged into one cluster, and so
+are the density eigenvalues clamped to 0.0. Gaps between clusters that are
+larger than ``tol_cluster`` but smaller than twice it are ambiguous and raise
+:class:`DegenerateGapError` rather than silently committing to a block
+structure.
 
 Stacks. An :class:`OrbitPoint` also holds N points of one dimension, stacked
 along a leading axis. The kernels here and in the modules above take a point
@@ -306,8 +306,7 @@ class OrbitPoint:
 
     ``rho`` and ``frame`` are (d, d), or (N, d, d) for a stack; ``eigenvalues``
     (d,) or (N, d) are the cluster values repeated by multiplicity, descending.
-    The rest is derived from them: ``cluster_start`` marks the first index of
-    each cluster, and ``gaps``, ``same_cluster``, ``inv_gaps`` and
+    The rest is derived from them: ``gaps``, ``same_cluster``, ``inv_gaps`` and
     ``frame_dagger`` (the adjoint of the frame) have the shape of ``rho``.
     Only a stack has rows: ``p[i]`` is the point that :func:`orbit_point`
     returns for row i, and ``p[a:b]`` is the stack of those rows, both views of
@@ -347,14 +346,6 @@ class OrbitPoint:
         if self.rho.ndim != 2:
             raise TypeError("a stack has one spectrum per row: read p[i].spectrum")
         return _spectrum(self.eigenvalues)
-
-    @cached_property
-    def cluster_start(self) -> np.ndarray:
-        """Mask of the first index of each cluster: a value unlike the one before."""
-        values = self.eigenvalues
-        starts = np.ones(values.shape, bool)
-        starts[..., 1:] = values[..., 1:] != values[..., :-1]
-        return _frozen(starts)
 
     @cached_property
     def gaps(self) -> np.ndarray:

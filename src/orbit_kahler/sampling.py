@@ -13,6 +13,7 @@ from .operators import (
     HermitianOperator,
     OrbitPoint,
     Spectrum,
+    _check_dims,
     _normals,
     haar_unitary,
     make_spectrum,
@@ -105,6 +106,7 @@ def random_point(dim: int, rng: np.random.Generator,
 
 def random_gauge(p: OrbitPoint, rng: np.random.Generator) -> np.ndarray:
     """Haar-random intra-cluster gauge: block-diagonal unitary for ``p``."""
+    _check_dims(p)
     return _random_gauge(p.spectrum, rng)
 
 

@@ -40,7 +40,6 @@ from .tangent import _framed_tangent
 
 __all__ = [
     "UncertaintyReport",
-    "expectation",
     "uncertainty",
     "variance_decomposition",
     "geometric_bound",
@@ -91,13 +90,6 @@ def _rs(a: np.ndarray, b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray, p,
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
              lambda i: f"commutator expectation has real part {commutator_mean.real[i]:.3e}")
     return np.hypot(symmetrized - mean_a * mean_b, commutator_mean.imag / 2.0)
-
-
-def expectation(a: HermitianOperator, p: OrbitPoint,
-                cfg: Config = DEFAULT_CONFIG) -> float:
-    """Expectation value Tr(rho A)."""
-    _check_dims(p, a)
-    return float(_mean(p.rho @ a.matrix, cfg))
 
 
 def uncertainty(a: HermitianOperator, p: OrbitPoint,

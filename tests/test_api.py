@@ -51,7 +51,7 @@ PUBLIC = {
     "metric", "hermitian_product", "hermitian_product_blocks", "kahler_evaluation",
     "CheckReport", "involutivity_check", "nijenhuis_fd", "closedness_check",
     "nondegeneracy_check",
-    "UncertaintyReport", "expectation", "uncertainty", "variance_decomposition",
+    "UncertaintyReport", "uncertainty", "variance_decomposition",
     "geometric_bound", "rs_bound", "full_report", "full_report_batch",
     "Trajectory", "unitary_propagator", "evolve", "ehrenfest_check", "trajectory",
     "CHECK_NAMES", "run_checks",
@@ -76,7 +76,7 @@ def test_package_reexports_each_module_api(name):
 
 
 def test_package_api_is_unchanged():
-    assert len(orbit_kahler.__all__) == len(PUBLIC) == 60
+    assert len(orbit_kahler.__all__) == len(PUBLIC) == 59
     assert set(orbit_kahler.__all__) == PUBLIC
     # besides the API, only the submodules are public attributes
     public = {name for name in dir(orbit_kahler) if not name.startswith("_")}
@@ -89,15 +89,16 @@ def test_orbit_point_label_is_derived():
     with pytest.raises(TypeError):
         OrbitPoint(np.eye(2) / 2, np.eye(2), [0.5, 0.5], [True, True])
     mixed = OrbitPoint(np.eye(2) / 2, np.eye(2), [0.5, 0.5])
-    assert mixed.cluster_start.tolist() == [True, False]
     assert mixed.spectrum == make_spectrum([0.5], [2]) and mixed.same_cluster.all()
     rho = random_density(make_spectrum([0.5, 0.25], [1, 2]), 4).rho
     batch = orbit_batch([rho, np.diag([0.6, 0.3, 0.1])])
-    assert batch.cluster_start.tolist() == [[True, True, False], [True, True, True]]
+    assert [batch[i].spectrum.mults for i in range(2)] == [(1, 2), (1, 1, 1)]
+    assert batch.same_cluster[0].tolist() == [[True, False, False], [False, True, True],
+                                              [False, True, True]]
     for point in (orbit_point(make_hermitian(rho)), batch, batch[1]):
-        assert not point.cluster_start.flags.writeable
+        assert not point.same_cluster.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
-            point.cluster_start = np.ones(3, bool)
+            point.same_cluster = np.ones((3, 3), bool)
 
 
 def test_check_report_verdict_is_derived():
@@ -141,7 +142,6 @@ def test_public_arrays_are_read_only():
         "batch rho": batch.rho,
         "batch frame": batch.frame,
         "batch eigenvalues": batch.eigenvalues,
-        "batch cluster_start": batch.cluster_start,
         "batch gaps": batch.gaps,
         "batch same_cluster": batch.same_cluster,
         "batch inv_gaps": batch.inv_gaps,
@@ -149,8 +149,8 @@ def test_public_arrays_are_read_only():
         **{f"batch {row} {name}": getattr(batch[index], name)
            for row, index in (("row", 1), ("numpy row", np.int64(0)), ("slice", slice(1, None)),
                               ("index array", [1, 0]))
-           for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
-                        "same_cluster", "inv_gaps", "frame_dagger")},
+           for name in ("rho", "frame", "eigenvalues", "gaps", "same_cluster", "inv_gaps",
+                        "frame_dagger")},
         **{f"batch report {name}": value for name, value in vars(report).items()},
         "tangent_map": x.ambient,
         "lift": lift(x).matrix,
@@ -161,8 +161,8 @@ def test_public_arrays_are_read_only():
         "with_gauge frame": with_gauge(p, random_gauge(p, rng)).frame,
         "evolve rho": evolve(p, a, 0.1).rho,
         **{f"{point} {name}": getattr(q, name) for point, q in points.items()
-           for name in ("rho", "frame", "eigenvalues", "cluster_start", "gaps",
-                        "same_cluster", "inv_gaps", "frame_dagger")},
+           for name in ("rho", "frame", "eigenvalues", "gaps", "same_cluster", "inv_gaps",
+                        "frame_dagger")},
     }
     writeable = [name for name, arr in arrays.items() if arr.flags.writeable]
     assert writeable == []

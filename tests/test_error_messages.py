@@ -28,7 +28,6 @@ from orbit_kahler import (
     TheoremViolationError,
     conjugate,
     conjugate_point,
-    expectation,
     full_report,
     full_report_batch,
     hermitian_product,
@@ -167,7 +166,7 @@ SINGLE = {
                                   tangent_map(IMAG_PAIRING[1], QUBIT)),
         NonRealResultError,
         "symplectic form has imaginary part 4.000e-01; inputs are likely not Hermitian"),
-    "expectation non-real": (lambda: expectation(IMAG_MEAN[0], QUBIT), NonRealResultError,
+    "expectation non-real": (lambda: uncertainty(IMAG_MEAN[0], QUBIT), NonRealResultError,
                              "expectation has imaginary part 7.000e-01; "
                              "inputs are likely not Hermitian"),
     "second moment non-real": (lambda: uncertainty(IMAG_SECOND[0], QUBIT),

