@@ -16,6 +16,13 @@ comparison baseline. :func:`full_report` reads h(X_A, X_B) through the kernel
 of :func:`~orbit_kahler.kahler.hermitian_product`, the lift pairing
 Tr((J B) Y) + i Tr(B Y), B the framed lift of X_A, Y the framed X_B, not the
 closed block form, so its guard still sees a rho that disagrees with its eigenvalues.
+
+The second moments Tr(rho A^2) and the Robertson-Schrodinger traces Tr(rho AB),
+Tr(rho BA) are read from rho A and rho B as elementwise sums, without forming
+a product. The second moment sums its own entries rather than calling
+``kahler._tr``, so the variance stays independent of the trace that every
+pairing shares, and the checks that compare the two still see a defect in that
+trace as a residual.
 """
 
 from __future__ import annotations
@@ -62,7 +69,8 @@ def _moments(a: np.ndarray, ra: np.ndarray, cfg: Config) -> tuple:
     """Mean and standard deviation from ``ra = rho @ A``; a tiny negative
     radicand (within ``tol_check``) is clamped to zero, a worse one fails."""
     mean = _mean(ra, cfg)
-    second = _real((ra @ a).trace(axis1=-2, axis2=-1), cfg, "second moment")
+    # Tr((rho A) A) as an elementwise sum, off kahler._tr (see the module docstring)
+    second = _real((ra * a.swapaxes(-1, -2)).sum(axis=(-2, -1)), cfg, "second moment")
     radicand = second - mean * mean
     _require(radicand < -cfg.tol_check, NegativeVarianceError,
              lambda i: f"variance radicand {radicand[i]:.3e}")
@@ -81,12 +89,13 @@ def _geometric(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, p,
     return 0.5 * cfg.hbar * np.hypot(*parts)
 
 
-def _rs(a: np.ndarray, b: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray, p,
-        cfg: Config) -> np.ndarray:
-    """The Robertson-Schrodinger bound from the means Tr(rho A), Tr(rho B)."""
-    ab, ba = a @ b, b @ a
-    symmetrized = _real(_tr(p.rho, ab + ba) / 2.0, cfg, "symmetrized covariance")
-    commutator_mean = _tr(p.rho, ab - ba)
+def _rs(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, mean_a: np.ndarray,
+        mean_b: np.ndarray, cfg: Config) -> np.ndarray:
+    """The Robertson-Schrodinger bound from ``ra = rho @ A``, ``rb = rho @ B`` and the
+    means Tr(rho A), Tr(rho B); Tr(rho AB) and Tr(rho BA) are read without a product."""
+    rab, rba = _tr(ra, b), _tr(rb, a)
+    symmetrized = _real((rab + rba) / 2.0, cfg, "symmetrized covariance")
+    commutator_mean = rab - rba
     _require(np.abs(commutator_mean.real) > cfg.tol_check, NonRealResultError,
              lambda i: f"commutator expectation has real part {commutator_mean.real[i]:.3e}")
     return np.hypot(symmetrized - mean_a * mean_b, commutator_mean.imag / 2.0)
@@ -152,8 +161,8 @@ def rs_bound(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
         sqrt( (<{A,B}>/2 - <A><B>)^2 + (<[A,B]>/(2i))^2 ).
     """
     _check_dims(p, a, b)
-    mean_a = _mean(p.rho @ a.matrix, cfg)
-    return float(_rs(a.matrix, b.matrix, mean_a, _mean(p.rho @ b.matrix, cfg), p, cfg))
+    ra, rb = p.rho @ a.matrix, p.rho @ b.matrix
+    return float(_rs(a.matrix, b.matrix, ra, rb, _mean(ra, cfg), _mean(rb, cfg), cfg))
 
 
 @_value_type
@@ -182,7 +191,7 @@ def _report(a: np.ndarray, b: np.ndarray, p, cfg: Config, parts=None) -> tuple:
     mean_a, delta_a = _moments(a, ra, cfg)
     mean_b, delta_b = _moments(b, rb, cfg)
     geometric = _geometric(a, b, ra, rb, p, cfg, parts)
-    robertson = _rs(a, b, mean_a, mean_b, p, cfg)
+    robertson = _rs(a, b, ra, rb, mean_a, mean_b, cfg)
     product = delta_a * delta_b
     slack_geometric = product - geometric
     slack_rs = product - robertson
