@@ -202,6 +202,33 @@ class TestLiftPairing:
                 assert scaled == pytest.approx(c * c * bound, rel=1e-12, abs=0.0)
 
 
+class TestTraceMoments:
+    """full_report's variances and RS bound, read as traces of rho A and rho B,
+    against the formulas with explicit products, across dims, spectra and hbar."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("dim", TestLiftPairing.DIMS)
+    def test_matches_explicit_products(self, dim, hbar):
+        cfg = Config(hbar=hbar)
+        rng = np.random.default_rng(300 + dim)
+        for spectrum in _pure_degenerate_mixed(dim):
+            p = random_density(spectrum, rng, cfg)
+            a, b = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+            report = full_report(a, b, p, cfg)
+            rho, ma, mb = p.rho, a.matrix, b.matrix
+            for delta, m in ((report.deltaA, ma), (report.deltaB, mb)):
+                variance = np.trace(rho @ m @ m).real - np.trace(rho @ m).real ** 2
+                assert abs(delta ** 2 - variance) <= 1e-12 * max(1.0, np.linalg.norm(m) ** 2)
+            mean_a, mean_b = np.trace(rho @ ma).real, np.trace(rho @ mb).real
+            symmetrized = np.trace(rho @ (ma @ mb + mb @ ma)).real / 2.0 - mean_a * mean_b
+            commutator = np.trace(rho @ (ma @ mb - mb @ ma)).imag / 2.0
+            tol = 1e-12 * max(1.0, np.linalg.norm(ma) * np.linalg.norm(mb))
+            assert abs(report.rs_bound - np.hypot(symmetrized, commutator)) <= tol
+            # the single-quantity functions run the same kernels
+            assert uncertainty(a, p, cfg) == report.deltaA
+            assert rs_bound(a, b, p, cfg) == report.rs_bound
+
+
 class TestRsBound:
     def test_qubit_value(self, sigma_x, sigma_y, qubit_point):
         # anticommutator term 0, commutator term |<sz>| = 0.4
