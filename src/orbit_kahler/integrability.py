@@ -95,7 +95,7 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     return CheckReport("involutivity", *_involutivity(p, samples, rng, cfg))
 
 
@@ -196,7 +196,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, rng, cfg))
 
 

@@ -114,6 +114,8 @@ ROWS = [
     ("trajectory", "t_max", REAL, lambda v: trajectory(QUBIT, SX, v, 3)),
     ("involutivity_check", "samples", COUNT, lambda v: involutivity_check(QUTRIT, v, 0)),
     ("nondegeneracy_check", "samples", COUNT, lambda v: nondegeneracy_check(QUTRIT, v, 0)),
+    ("involutivity_check", "seed", SEED, lambda v: involutivity_check(QUTRIT, 2, v)),
+    ("nondegeneracy_check", "seed", SEED, lambda v: nondegeneracy_check(QUTRIT, 2, v)),
     ("run_checks", "dims", COUNT,
      lambda v: run_checks(dims=(2, v), samples=1, names=["j_squared"])),
     ("run_checks", "samples", COUNT, lambda v: run_checks(samples=v, names=["j_squared"])),
