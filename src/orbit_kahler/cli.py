@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .checks import run_checks
-from .config import Config
+from .config import Config, _integer
 from .dynamics import trajectory
 from .errors import DimMismatchError, OrbitKahlerError, TheoremViolationError
 from .kahler import kahler_evaluation
@@ -77,10 +77,17 @@ def _build_config(args) -> Config:
 
 
 def _seed(args) -> int:
+    """``--seed``, else ``ORBIT_KAHLER_SEED``, else 0, as an integer >= 0."""
     if args.seed is not None:
-        return args.seed
+        return _integer("seed", args.seed, 0)
     env = os.environ.get("ORBIT_KAHLER_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"ORBIT_KAHLER_SEED must be an integer, got {env!r}") from None
+    return _integer("ORBIT_KAHLER_SEED", value, 0)
 
 
 def _emit(lines, out_path):

@@ -330,6 +330,25 @@ class TestChecksCommand:
         assert main(base + ["--out", str(via_env)]) == 0
         assert explicit.read_bytes() == via_env.read_bytes()
 
+    @pytest.mark.parametrize("command", [["sweep", "--grid", "0.5:1:3"],
+                                         ["checks", "--dims", "2", "--samples", "2"]],
+                             ids=["sweep", "checks"])
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], "-3", "ORBIT_KAHLER_SEED must be >= 0, got -3"),
+        ([], "abc", "ORBIT_KAHLER_SEED must be an integer, got 'abc'"),
+    ], ids=["negative-flag", "negative-env", "malformed-env"])
+    def test_seed_outside_domain_exits_2(self, command, flag, env, message, monkeypatch,
+                                         capsys):
+        # sweep printed numpy's "expected non-negative integer", and a malformed
+        # variable "invalid literal for int() with base 10: 'abc'"
+        if env is None:
+            monkeypatch.delenv("ORBIT_KAHLER_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ORBIT_KAHLER_SEED", env)
+        assert main(command + flag) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestEvolveCommand:
     def test_json_lines(self, qubit_files, capsys):
