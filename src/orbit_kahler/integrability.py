@@ -86,6 +86,14 @@ def _report_max(name, pairs, samples, tolerance, **extra):
     return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
+def _generator(seed) -> np.random.Generator:
+    """``seed`` itself if it is a Generator, else a Generator seeded by the
+    integer >= 0 that ``seed`` must be."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_integer("seed", seed, 0))
+
+
 def involutivity_check(p: OrbitPoint, samples: int, seed,
                        cfg: Config = DEFAULT_CONFIG) -> CheckReport:
     """Strictly-lower residual of commutators of strictly-upper block matrices.
@@ -95,7 +103,7 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = np.random.default_rng(_integer("seed", seed, 0))
+    rng = _generator(seed)
     return CheckReport("involutivity", *_involutivity(p, samples, rng, cfg))
 
 
@@ -196,7 +204,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = np.random.default_rng(_integer("seed", seed, 0))
+    rng = _generator(seed)
     return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, rng, cfg))
 
 
