@@ -80,9 +80,7 @@ def _seed(args) -> int:
     """``--seed``, else ``ORBIT_KAHLER_SEED``, else 0, as an integer >= 0."""
     if args.seed is not None:
         return _integer("seed", args.seed, 0)
-    env = os.environ.get("ORBIT_KAHLER_SEED")
-    if not env:
-        return 0
+    env = os.environ.get("ORBIT_KAHLER_SEED") or "0"
     try:
         value = int(env)
     except ValueError:
