@@ -104,6 +104,9 @@ DATA = Path(__file__).parent / "data"
      "checks_seed1_samples75_dims2_4_8_12.jsonl"),
     # the default run at hbar != 1, where a dropped or squared hbar shows
     (["--seed", "1", "--hbar", "0.7"], "checks_seed1_hbar0_7.jsonl"),
+    # five rows per dim group in every finite-difference and flow suite
+    (["--seed", "2", "--samples", "250", "--dims", "2,3"],
+     "checks_seed2_samples250_dims2_3.jsonl"),
 ])
 def test_golden_output(args, golden, capsys):
     # the printed residuals and worst cases are pinned, byte for byte
