@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbit_kahler import CHECK_NAMES, make_spectrum, run_checks
+from orbit_kahler import CHECK_NAMES, DEFAULT_CONFIG, make_spectrum, run_checks
 from orbit_kahler.cli import main
 from orbit_kahler.checks import _report_max
 from orbit_kahler.sampling import random_spectrum
@@ -129,6 +129,36 @@ def test_first_failing_sample_named(config, message, tmp_path, capsys):
     assert main(["checks", "--samples", "2", "--config", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
+
+
+def test_first_failing_flow_sample_named(monkeypatch):
+    # white box: the flows of samples 1..4 of one dim group fail the frame
+    # check, sample 0's pass; the error is sample 1's own drift, naming the
+    # time of its first flowed row, with no row prefix
+    import orbit_kahler.operators as operators
+    from orbit_kahler import DegenerateDriftError
+    from orbit_kahler.errors import NotUnitaryError
+
+    original, failing = operators._require_frame, []
+
+    def require_frame(rho, frame, values, cfg):
+        point = original(rho, frame, values, cfg)
+        if not failing:
+            # the first pass builds the group's points, in sample order
+            failing.extend(values[1:])
+            return point
+        bad = [any(np.array_equal(row, v) for v in failing) for row in values]
+        if any(bad):
+            raise operators._BatchFailure(bad.index(True), NotUnitaryError("injected"))
+        return point
+
+    monkeypatch.setattr(operators, "_require_frame", require_frame)
+    step = DEFAULT_CONFIG.fd_step
+    with pytest.raises(DegenerateDriftError,
+                       match=f"^flow for time {step} left the validated orbit "
+                             "neighborhood: injected$"):
+        run_checks(dims=(3,), samples=125, seed=0, names=["nijenhuis_fd"])
+    assert len(failing) == 4
 
 
 @pytest.fixture(scope="module", params=[2, 30])
