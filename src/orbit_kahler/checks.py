@@ -12,9 +12,10 @@ Haar normals of a point, then its observables and other arrays. ``run_checks``
 draws, builds the drawn points of one dim in one stacked pass, and runs
 ``residual(points, *stacks, cfg)`` once on a suite's samples of one dim, each
 drawn entry stacked along rows: it returns their residuals and worst-case
-columns. ``report(name, inst, samples, results)`` then builds the suite's
-:class:`CheckReport` from the samples' (residual, worst case) pairs. The first
-failing sample in draw order raises its own error.
+columns, through point-or-stack kernels (the two bound suites through
+:func:`full_report` row by row). ``report(name, inst, samples, results)``
+then builds the suite's :class:`CheckReport` from the samples' (residual,
+worst case) pairs. The first failing sample in draw order raises its own error.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from functools import partial
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG, _integer, _is_integral
-from .dynamics import ehrenfest_check, evolve, trajectory
+from .dynamics import _ehrenfest, _flows
 from .errors import OrbitKahlerError
 from .integrability import (
     CheckReport,
     _involutivity,
     _nondegeneracy,
+    _closedness,
+    _nijenhuis,
     _report_max,
-    closedness_check,
-    nijenhuis_fd,
 )
 from .kahler import _h_blocks, _h_parts, _j, _omega, _symplectic, _tr
 from .operators import (
@@ -224,7 +225,7 @@ def _scalar_panel(a, b, p, cfg) -> np.ndarray:
 def _ad_equivariance(p, a, b, normals, cfg):
     before = _scalar_panel(a, b, p, cfg)
     u = _haar_frames(normals)
-    moved = _conjugate(a, u, cfg), _conjugate(b, u, cfg), _conjugated(p, u, cfg)
+    moved = _conjugate(a, u, cfg), _conjugate(b, u, cfg), _conjugated(p, u[None], cfg)[0]
     return np.abs(_scalar_panel(*moved, cfg) - before).max(axis=-1), _spectra(p)
 
 
@@ -254,42 +255,34 @@ def _variance_identity(p, a, cfg):
     return _max(residual, _max(0.0, sum_minus - sum_plus)), _spectra(p)
 
 
-def _per_row(check, recorded: bool = True):
-    """Residual calling ``check(*items, p, cfg)`` on each row alone, observables as uncopied
-    :class:`HermitianOperator` rows, failing as a stacked row; ``recorded`` records spectra."""
-    def residual(points, *stacks):
-        *stacks, cfg = stacks
-        values = []
-        for i in range(len(points)):
-            items = [_frozen_value(HermitianOperator, s[i]) if s.ndim > 2 else s[i] for s in stacks]
-            try:
-                values.append(check(*items, points[i], cfg))
-            except OrbitKahlerError as error:
-                raise _BatchFailure(i, error) from error
-        return np.array(values), _spectra(points) if recorded else {}
-    return residual
-
-
 def _bound_slack(field):
     """Residual of one bound of :func:`full_report`, called per row, by its ``field`` slack."""
-    slacks = _per_row(lambda a, b, p, cfg: getattr(full_report(a, b, p, cfg), field))
-
-    def residual(points, *stacks):
-        slack, columns = slacks(points, *stacks)
-        return _max(0.0, -slack), {"slack": slack.tolist(), **columns}
+    def residual(points, a, b, cfg):
+        slack = []
+        for i in range(len(points)):
+            a_i, b_i = (_frozen_value(HermitianOperator, s[i]) for s in (a, b))
+            try:
+                slack.append(getattr(full_report(a_i, b_i, points[i], cfg), field))
+            except OrbitKahlerError as error:
+                raise _BatchFailure(i, error) from error
+        slack = np.array(slack)
+        return _max(0.0, -slack), {"slack": slack.tolist(), **_spectra(points)}
     return residual
 
 
-def _spectrum_preservation(h, p, cfg):
-    traj = trajectory(p, h, t_max=1.0, steps=5, cfg=cfg)
-    eigenvalues = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
-    return float(np.max(np.abs(eigenvalues - p.eigenvalues)))
+def _spectrum_preservation(p, h, cfg):
+    # the five samples of trajectory(p, h, 1.0, 5): p and its flows to the nonzero times
+    flowed = _flows(p, h[None], np.linspace(0.0, 1.0, 5)[1:], cfg)
+    eigenvalues = np.sort(np.linalg.eigvalsh(np.concatenate([p.rho[None], flowed.rho])))
+    return np.abs(eigenvalues[..., ::-1] - p.eigenvalues).max(axis=(0, -1)), _spectra(p)
 
 
-def _flow_composition(h, times, p, cfg):
-    two_step = evolve(evolve(p, h, times[0], cfg), h, times[1], cfg)
-    one_step = evolve(p, h, times[0] + times[1], cfg)
-    return float(np.max(np.abs(two_step.rho - one_step.rho)))
+def _flow_composition(p, h, times, cfg):
+    # evolve(p, h, t0) and evolve(p, h, t0 + t1) in one pass, then the first to t1
+    first, second = times[..., 0], times[..., 1]
+    flowed = _flows(p, h[None], np.stack([first, first + second]), cfg)
+    two_step = _flows(flowed[0], h[None], second[None], cfg)
+    return np.abs(two_step.rho[0] - flowed.rho[1]).max(axis=(-2, -1)), {}
 
 
 def _kept(points, cfg):
@@ -341,20 +334,21 @@ _CATALOG = [
            _gauge_invariance),
     _Suite("involutivity", *_panel(_involutivity)),
     _Suite("nondegeneracy", *_panel(_nondegeneracy)),
-    _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point), _per_row(nijenhuis_fd),
+    _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point),
+           lambda p, a, b, cfg: (_nijenhuis(a, b, p, cfg), _spectra(p)),
            _fd_count, _finish(_fd_tolerance)),
-    _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point), _per_row(closedness_check),
+    _Suite("closedness_fd", _draw(3, _Instances.multi_cluster_point),
+           lambda p, a, b, c, cfg: (_closedness(a, b, c, p, cfg), _spectra(p)),
            _fd_count, _finish(_fd_tolerance)),
     _Suite("uncertainty_bound", _draw(2), _bound_slack("slack_geometric")),
     _Suite("rs_baseline", _draw(2), _bound_slack("slack_rs")),
     _Suite("pure_state_equality", _pure_point, _pure_state_equality),
     _Suite("variance_identity", _draw(1), _variance_identity),
-    _Suite("spectrum_preservation", _draw(1, _UNMIXED), _per_row(_spectrum_preservation),
-           _fd_count),
+    _Suite("spectrum_preservation", _draw(1, _UNMIXED), _spectrum_preservation, _fd_count),
     _Suite("flow_composition",
            _draw(1, _UNMIXED, lambda inst: inst.rng.uniform(-1.0, 1.0, size=2)),
-           _per_row(_flow_composition, recorded=False), _fd_count),
-    _Suite("ehrenfest", _draw(2, _UNMIXED), _per_row(ehrenfest_check, recorded=False),
+           _flow_composition, _fd_count),
+    _Suite("ehrenfest", _draw(2, _UNMIXED), lambda p, a, h, cfg: (_ehrenfest(a, h, p, cfg), {}),
            _fd_count, _finish(_fd_tolerance)),
 ]
 

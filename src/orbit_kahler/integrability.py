@@ -13,9 +13,10 @@ on vector fields extended from generators, with Lie brackets approximated by
 central finite differences along exact unitary flows. Both residuals must
 vanish: the first exactly, the second quadratically in the step.
 
-Each check flows the point along all of its generators, forward and
-backward, in one stacked pass of :mod:`.dynamics`, and evaluates the fields
-on the flowed rows as one stack through the point-or-stack kernels.
+Each finite-difference check is a kernel on a point or a stack of N points:
+it flows the points along all of their generators, forward and backward, in
+one stacked pass of :mod:`.dynamics`, and evaluates the fields on the flowed
+rows as one stack. The public function runs it on one point.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
-from .kahler import _j, _j_factor, _omega, _symplectic
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum, _stacked
+from .kahler import _j, _j_factor, _omega, _real_rows, _tr
+from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum
 from .sampling import _gaussian
 from .tangent import _framed_tangent, _lift, _tangent
 
@@ -134,14 +135,19 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     discretization residual, O(fd_step^2).
     """
     _check_dims(p, a, b)
+    return float(_nijenhuis(a.matrix, b.matrix, p, cfg))
+
+
+def _nijenhuis(a: np.ndarray, b: np.ndarray, p: OrbitPoint, cfg: Config) -> np.ndarray:
+    """:func:`nijenhuis_fd` at a point or an N-stack ``p``: 0-d or (N,)."""
     hbar = cfg.hbar
     # the fields X_A, X_B and their pointwise J, each flowed along the lift
     # of its value at p
-    x = _framed_tangent(np.stack([a.matrix, b.matrix]), p, hbar)
+    x = _framed_tangent(np.stack([a, b]), p, hbar)
     lifted = p.from_frame(_lift(np.concatenate([x, _j(x, p, cfg)]), p, hbar))
     flowed = _flows(p, lifted, (cfg.fd_step, -cfg.fd_step), cfg)
     # along the flows of A and JA the fields of B and JB, along B and JB those of A and JA
-    other = np.stack([b.matrix, b.matrix, a.matrix, a.matrix] * 2)
+    other = np.stack([b, b, a, a] * 2)
     plain = _tangent(other, flowed.rho, hbar)
     twisted = flowed.from_frame(_j(flowed.to_frame(plain), flowed, cfg))
     # D_A B, D_B A, D_JA B, D_JB A and D_A JB, D_B JA, D_JA JB, D_JB JA
@@ -152,7 +158,7 @@ def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
     total = (d_plain[0] - d_plain[1]      # [A, B]
              + p.from_frame(_j(mixed, p, cfg))
              - (d_twisted[2] - d_twisted[3]))  # [JA, JB]
-    return float(np.max(np.abs(total)))
+    return np.abs(total).max(axis=(-2, -1))
 
 
 def closedness_check(a: HermitianOperator, b: HermitianOperator,
@@ -165,8 +171,14 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     return is the finite-difference residual, O(fd_step^2).
     """
     _check_dims(p, a, b, c)
+    return float(_closedness(a.matrix, b.matrix, c.matrix, p, cfg))
+
+
+def _closedness(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: OrbitPoint,
+                cfg: Config) -> np.ndarray:
+    """:func:`closedness_check` at a point or an N-stack ``p``: 0-d or (N,)."""
     hbar = cfg.hbar
-    ops = np.stack([a.matrix, b.matrix, c.matrix])
+    ops = np.stack([a, b, c])
     x = _framed_tangent(ops, p, hbar)
     # rows 0-5 flow along A, B, C; rows 6-11 along the lifts of X_A, X_B, X_C
     lifted = p.from_frame(_lift(x, p, hbar))
@@ -175,8 +187,7 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     # omega(X_B, X_C), omega(X_A, X_C), omega(X_A, X_B) along the flows of A, B, C
     commutators = np.repeat([ops[i] @ ops[j] - ops[j] @ ops[i]
                              for i, j in ((1, 2), (0, 2), (0, 1))], 2, axis=0)
-    omega = _stacked(lambda rows: _symplectic(commutators[:len(rows)], rows.rho, cfg),
-                     flowed[:6])
+    omega = _real_rows(_tr(commutators, flowed.rho[:6]) / (1j * hbar), p, cfg)
     along_a, along_b, along_c = _differences(omega, cfg)
     derivative_terms = along_a - along_b + along_c
 
@@ -187,10 +198,9 @@ def closedness_check(a: HermitianOperator, b: HermitianOperator,
     # omega([A, B], X_C), omega([B, C], X_A), omega([C, A], X_B); the lift
     # drops the diagonal-block dirt, as in nijenhuis_fd
     brackets = p.to_frame(derivatives[0::2] - derivatives[1::2])
-    bracket_terms = _stacked(lambda rows: _omega(brackets[:len(rows)], rows, p, cfg),
-                             x[[2, 0, 1]]).sum()
+    bracket_terms = _real_rows(_tr(_lift(brackets, p, hbar), x[[2, 0, 1]]), p, cfg).sum(axis=0)
 
-    return float(abs((derivative_terms + bracket_terms) / 3.0))
+    return np.abs((derivative_terms + bracket_terms) / 3.0)
 
 
 def nondegeneracy_check(p: OrbitPoint, samples: int, seed,

@@ -40,8 +40,10 @@ from .errors import NonRealResultError, NotOffDiagonalError
 from .operators import (
     HermitianOperator,
     OrbitPoint,
+    _by_point,
     _check_dims,
     _require,
+    _stacked,
 )
 from .tangent import TangentVector, _lift, _require_same_base
 
@@ -73,6 +75,13 @@ def _real(z: np.ndarray, cfg: Config, what: str) -> np.ndarray:
              lambda i: f"{what} has imaginary part {z.imag[i]:.3e}; "
                        "inputs are likely not Hermitian")
     return z.real
+
+
+def _real_rows(z: np.ndarray, p, cfg: Config) -> np.ndarray:
+    """:func:`_real` of the (R, [N]) symplectic values ``z`` at a point or an N-stack
+    ``p``, one pass over them in (row, point) order (:func:`_by_point`)."""
+    real = _stacked(lambda z: _real(z, cfg, "symplectic form"), z.reshape(-1), _by_point(p))
+    return real.reshape(z.shape)
 
 
 def _require_offdiag(framed: np.ndarray, p, cfg: Config):

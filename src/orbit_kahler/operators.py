@@ -177,6 +177,15 @@ def _stacked(run, rows, rename=None):
     return done
 
 
+def _by_point(p, rename=lambda m, error: error):
+    """The ``rename`` of :func:`_stacked` for a pass over rows ordered (row, point)
+    at a point or an N-stack ``p``: failing row m raises ``rename(m, error)``, and
+    on a stack fails its point m % N as a stacked row."""
+    if p.rho.ndim == 2:
+        return rename
+    return lambda m, error: _BatchFailure(m % len(p), rename(m, error))
+
+
 # a stacked pass over many points holds at most this many matrix entries,
 # which bounds its memory at large dims; 2 ** 16 ran no faster on 2 vCPUs and
 # peaked at 52 MB RSS against 40 MB for checks --samples 1000 --dims 3,12
@@ -432,11 +441,20 @@ def _point_stack(rho: np.ndarray, frame: np.ndarray, values: np.ndarray,
     return _require_frame(rho, frame, values, cfg)
 
 
-def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config) -> OrbitPoint:
-    """The points ``U rho U^dag`` with frames ``U U_p`` for the (N, d, d) stack
-    ``u`` and a point or an N-stack ``p``; a failing row raises :class:`_BatchFailure`."""
-    return _point_stack(u @ p.rho @ _dagger(u), u @ p.frame,
-                        np.broadcast_to(p.eigenvalues, u.shape[:-1]), cfg)
+def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
+                rename=lambda m, error: error) -> OrbitPoint:
+    """The points ``U rho U^dag`` with frames ``U U_p`` for a point or an N-stack ``p``
+    and the (R, [N,] d, d) stack ``u``: rows (R, [N]), checked in one stacked pass in
+    (row, point) order, whose first failing row m raises :func:`_by_point` of ``rename``."""
+    rows, d = u.shape[:-2], p.dim
+    rho = (u @ p.rho @ _dagger(u)).reshape(-1, d, d)
+    frame = (u @ p.frame).reshape(-1, d, d)
+    values = np.broadcast_to(p.eigenvalues, u.shape[:-1]).reshape(-1, d)
+    q = _stacked(lambda r: _point_stack(r, frame[:len(r)], values[:len(r)], cfg), rho,
+                 _by_point(p, rename))
+    return _frozen_value(OrbitPoint, *(a.reshape(rows + a.shape[1:]) for a in
+                                       (q.rho, q.frame, q.eigenvalues)),
+                         frame_dagger=q.frame_dagger.reshape(rows + (d, d)))
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
@@ -599,7 +617,7 @@ def conjugate_point(p: OrbitPoint, unitary: np.ndarray,
         raise DimMismatchError(f"point dim {p.dim} vs unitary shape {u.shape}")
     _require_finite(u, NotUnitaryError)
     _require_unitary(u, _dagger(u), cfg)
-    return _stacked(lambda u: _conjugated(p, u, cfg), u[None])[0]
+    return _conjugated(p, u[None], cfg)[0]
 
 
 def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,13 +15,21 @@ from orbit_kahler import (
     geometric_bound,
     make_hermitian,
     nijenhuis_fd,
+    orbit_batch,
+    random_density,
     rs_bound,
     symplectic,
     trajectory,
     unitary_propagator,
 )
 from orbit_kahler.dynamics import Trajectory
-from orbit_kahler.sampling import gaussian_hermitian, random_point
+from orbit_kahler.sampling import (
+    gaussian_hermitian,
+    maximally_mixed_spectrum,
+    pure_spectrum,
+    random_point,
+    random_spectrum,
+)
 
 from conftest import labelled_point
 
@@ -230,6 +239,67 @@ def test_flow_rows_equal_one_evolve_each(dim):
             assert point.spectrum == p.spectrum
             assert np.array_equal(point.rho, 0.5 * (rho + rho.conj().T))
             assert np.array_equal(point.frame, u @ p.frame)
+    # a stack of points, one generator each, to shared or per-point times:
+    # row (generator, time) holds, at point n, the point evolve gives alone
+    batch = orbit_batch([random_point(dim, rng).rho for _ in range(3)])
+    h = np.stack([[gaussian_hermitian(dim, rng).matrix for _ in range(3)] for _ in range(2)])
+    for times in ((1e-4, -0.7), rng.uniform(-1.0, 1.0, size=(2, 3))):
+        flowed = _flows(batch, h, times, Config())
+        assert flowed.rho.shape == (4, 3, dim, dim)
+        for row, n in itertools.product(range(4), range(3)):
+            time = np.asarray(times)[row % 2]
+            alone = evolve(batch[n], make_hermitian(h[row // 2, n]),
+                           float(time[n] if time.ndim else time))
+            for name in ("rho", "frame", "eigenvalues", "frame_dagger"):
+                assert np.array_equal(getattr(flowed[row][n], name), getattr(alone, name))
+
+
+def _stack_draws(dim, n, rng):
+    """An n-stack of points of ``dim`` with random, maximally mixed and pure
+    spectra (degenerate ones included), and n-stacks of Gaussian observables."""
+    spectra = [random_spectrum(dim, rng), maximally_mixed_spectrum(dim), pure_spectrum(dim)]
+    batch = orbit_batch([random_density(spectra[i % 3], rng).rho for i in range(n)])
+    observables = [np.stack([gaussian_hermitian(dim, rng).matrix for _ in range(n)])
+                   for _ in range(3)]
+    return batch, observables
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_stacked_flow_kernels_equal_public_rows(dim, n):
+    # each row of a stacked kernel or flow residual is, bit for bit, the
+    # public function on that row's point alone
+    from orbit_kahler.checks import _flow_composition, _spectrum_preservation
+    from orbit_kahler.dynamics import _ehrenfest
+    from orbit_kahler.integrability import _closedness, _nijenhuis
+
+    rng = np.random.default_rng(10 * dim + n)
+    batch, (a, b, c) = _stack_draws(dim, n, rng)
+    times = rng.uniform(-1.0, 1.0, size=(n, 2))
+    cfg = Config()
+    stacked = {
+        "nijenhuis": _nijenhuis(a, b, batch, cfg),
+        "closedness": _closedness(a, b, c, batch, cfg),
+        "ehrenfest": _ehrenfest(a, b, batch, cfg),
+        "spectrum": _spectrum_preservation(batch, a, cfg)[0],
+        "composition": _flow_composition(batch, a, times, cfg)[0],
+    }
+    for i in range(n):
+        p = batch[i]
+        ops = [make_hermitian(m[i]) for m in (a, b, c)]
+        traj = trajectory(p, ops[0], 1.0, 5, cfg)
+        values = np.sort(np.linalg.eigvalsh(np.stack([q.rho for q in traj.points])))[:, ::-1]
+        t0, t1 = times[i]
+        two_step = evolve(evolve(p, ops[0], t0, cfg), ops[0], t1, cfg)
+        one_step = evolve(p, ops[0], t0 + t1, cfg)
+        alone = {
+            "nijenhuis": nijenhuis_fd(*ops[:2], p, cfg),
+            "closedness": closedness_check(*ops, p, cfg),
+            "ehrenfest": ehrenfest_check(*ops[:2], p, cfg),
+            "spectrum": float(np.max(np.abs(values - p.eigenvalues))),
+            "composition": float(np.max(np.abs(two_step.rho - one_step.rho))),
+        }
+        assert {key: float(value[i]) for key, value in stacked.items()} == alone
 
 
 @pytest.mark.parametrize("flow", [
