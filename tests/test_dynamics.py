@@ -254,16 +254,6 @@ def test_flow_rows_equal_one_evolve_each(dim):
                 assert np.array_equal(getattr(flowed[row][n], name), getattr(alone, name))
 
 
-def _stack_draws(dim, n, rng):
-    """An n-stack of points of ``dim`` with random, maximally mixed and pure
-    spectra (degenerate ones included), and n-stacks of Gaussian observables."""
-    spectra = [random_spectrum(dim, rng), maximally_mixed_spectrum(dim), pure_spectrum(dim)]
-    batch = orbit_batch([random_density(spectra[i % 3], rng).rho for i in range(n)])
-    observables = [np.stack([gaussian_hermitian(dim, rng).matrix for _ in range(n)])
-                   for _ in range(3)]
-    return batch, observables
-
-
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_stacked_flow_kernels_equal_public_rows(dim, n):
@@ -274,7 +264,10 @@ def test_stacked_flow_kernels_equal_public_rows(dim, n):
     from orbit_kahler.integrability import _closedness, _nijenhuis
 
     rng = np.random.default_rng(10 * dim + n)
-    batch, (a, b, c) = _stack_draws(dim, n, rng)
+    # random, maximally mixed and pure spectra, degenerate ones included
+    spectra = [random_spectrum(dim, rng), maximally_mixed_spectrum(dim), pure_spectrum(dim)]
+    batch = orbit_batch([random_density(spectra[i % 3], rng).rho for i in range(n)])
+    a, b, c = (np.stack([gaussian_hermitian(dim, rng).matrix for _ in range(n)]) for _ in range(3))
     times = rng.uniform(-1.0, 1.0, size=(n, 2))
     cfg = Config()
     stacked = {
