@@ -35,7 +35,9 @@ from .integrability import (
     _nondegeneracy,
     _closedness,
     _nijenhuis,
+    _norms,
     _report_max,
+    _squares,
 )
 from .kahler import _h_blocks, _h_parts, _j, _omega, _symplectic, _tr
 from .operators import (
@@ -140,11 +142,6 @@ def _spectra(p) -> dict:
     return {"spectrum": p.eigenvalues}
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    # Python's float ** 2 rounds a few values unlike numpy's x ** 2
-    return np.array([v ** 2 for v in values.tolist()])
-
-
 def _max(a, b) -> np.ndarray:
     """Python's max(a, b) per row, where np.maximum would give -0.0 or NaN in place of a."""
     return np.where(b > a, b, a)
@@ -168,7 +165,7 @@ def _metric_symmetry(p, h, k, cfg):
 
 def _metric_positivity(p, h, cfg):
     x = _framed_tangent(h, p, cfg.hbar)
-    squared = np.array([float(np.linalg.norm(row)) ** 2 for row in x])
+    squared = _squares(_norms(x))
     # a zero tangent has no ratio: residual -inf and ratio inf keep it out of the report
     kept = squared != 0.0
     g = _omega(_j(x, p, cfg), x, p, cfg)

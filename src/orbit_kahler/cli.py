@@ -33,7 +33,7 @@ from .config import Config, _integer
 from .dynamics import trajectory
 from .errors import DimMismatchError, OrbitKahlerError, TheoremViolationError
 from .kahler import kahler_evaluation
-from .operators import _CHUNK_ENTRIES, _orbit_stack, _prefixed, _stacked, orbit_point
+from .operators import _orbit_stack, _passes, _prefixed, _stacked, orbit_point
 from .sampling import gaussian_hermitian
 from .serialize import (
     check_report_to_json,
@@ -198,17 +198,16 @@ def _cmd_sweep(args, cfg: Config) -> int:
     # every row is evaluated before any is written, so a failing sweep writes nothing
     table = np.empty((len(values), dim + 5))
     table[:, :dim] = values
-    chunk = max(1, _CHUNK_ENTRIES // dim ** 2)
-    for start in range(0, len(values), chunk):
-        rows = values[start:start + chunk]
+    for chunk in _passes(len(values), dim ** 2):
+        rows = values[chunk]
         rhos = np.zeros(rows.shape + (dim,), dtype=complex)
         rhos[:, np.arange(dim), np.arange(dim)] = rows
         # deltaA to rs_bound; a failing row is named by its row in the sweep
-        table[start:start + chunk, dim:] = np.stack(_stacked(
+        table[chunk, dim:] = np.stack(_stacked(
             lambda stack: _report(a.matrix, b.matrix, _orbit_stack(stack, cfg), cfg)[:5], rhos,
-            lambda m, error: _prefixed(start + m, error)), axis=1)
-    lines = (",".join(map(repr, row)) for start in range(0, len(table), chunk)
-             for row in table[start:start + chunk].tolist())
+            lambda m, error: _prefixed(chunk.start + m, error)), axis=1)
+    lines = (",".join(map(repr, row)) for chunk in _passes(len(table), dim ** 2)
+             for row in table[chunk].tolist())
     _emit(itertools.chain([header], lines), args.out)
     return 0
 

@@ -16,12 +16,14 @@ vanish: the first exactly, the second quadratically in the step.
 Each finite-difference check is a kernel on a point or a stack of N points:
 it flows the points along all of their generators, forward and backward, in
 one stacked pass of :mod:`.dynamics`, and evaluates the fields on the flowed
-rows as one stack. The public function runs it on one point.
+rows as one stack. The public function runs it on one point. The sampled
+involutivity and nondegeneracy checks draw their samples at one point as
+stacks, in passes of at most ``_CHUNK_ENTRIES`` matrix entries, each drawn
+in one call and evaluated as one stack, in sample order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,8 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG, _integer
 from .dynamics import _differences, _flows
 from .kahler import _j, _j_factor, _omega, _real_rows, _tr
-from .operators import HermitianOperator, OrbitPoint, _check_dims, _normals, _spectrum
+from .operators import (HermitianOperator, OrbitPoint, _check_dims, _generator, _normals,
+                        _passes, _spectrum, _stacked)
 from .sampling import _gaussian
 from .tangent import _framed_tangent, _lift, _tangent
 
@@ -70,29 +73,29 @@ def _case(p: OrbitPoint, index: int, **extra) -> dict:
     return {"sample": index, "dim": p.dim, **extra, "spectrum": p.eigenvalues}
 
 
-def _worst(pairs) -> tuple:
-    """The (residual, worst_case) pair a report keeps: the last of the largest
-    residuals, or the last NaN, so that a NaN fails the report; (0.0, {}) if none."""
-    worst = (0.0, {})
-    for pair in pairs:
-        if pair[0] >= worst[0] or math.isnan(pair[0]):
-            worst = pair
-    return worst
+def _worst(residuals: np.ndarray):
+    """The index of the sample a report keeps: the last of the largest residuals,
+    or the last NaN, so that a NaN fails the report; None if all are below 0.0."""
+    index = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
+    return None if residuals[index] < 0.0 else index
 
 
 def _report_max(name, pairs, samples, tolerance, **extra):
     """Build a report from (residual, worst_case) pairs; ``extra`` entries
     are appended to the worst case, whose spectrum alone is read off."""
-    max_residual, worst = _worst(pairs)
+    index = _worst(np.array([residual for residual, _ in pairs]))
+    max_residual, worst = (0.0, {}) if index is None else pairs[index]
     return CheckReport(name, max_residual, samples, tolerance, {**worst, **extra})
 
 
-def _generator(seed) -> np.random.Generator:
-    """``seed`` itself if it is a Generator, else a Generator seeded by the
-    integer >= 0 that ``seed`` must be."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(_integer("seed", seed, 0))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of ``x``, one ``np.linalg.norm`` per matrix: reports pin its rounding."""
+    return np.array([float(np.linalg.norm(m)) for m in x])
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    # Python's float ** 2 rounds a few values unlike numpy's x ** 2
+    return np.array([v ** 2 for v in values.tolist()])
 
 
 def involutivity_check(p: OrbitPoint, samples: int, seed,
@@ -104,8 +107,7 @@ def involutivity_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = _generator(seed)
-    return CheckReport("involutivity", *_involutivity(p, samples, rng, cfg))
+    return CheckReport("involutivity", *_involutivity(p, samples, _generator(seed), cfg))
 
 
 def _involutivity(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
@@ -113,17 +115,15 @@ def _involutivity(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
     # the +i and -i eigenspaces of the J the library applies, in the frame of p
     factor = _j_factor(p)
     upper, lower = factor == 1j, factor == -1j
-    scale = 1.0
-    pairs = []
-    for index in range(samples):
-        upper_a = np.where(upper, _normals(p.dim, rng), 0.0)
-        upper_b = np.where(upper, _normals(p.dim, rng), 0.0)
+    scale, residuals = 1.0, np.empty(samples)
+    for chunk in _passes(samples, 2 * p.dim ** 2):
+        out = residuals[chunk]
+        upper_a, upper_b = np.where(upper, _normals(p.dim, rng, len(out), 2), 0.0).swapaxes(0, 1)
         commutator = upper_a @ upper_b - upper_b @ upper_a
-        residual = float(np.max(np.abs(commutator), where=lower, initial=0.0))
-        scale = max(scale, float(np.linalg.norm(upper_a) * np.linalg.norm(upper_b)))
-        pairs.append((residual, _case(p, index)))
-    max_residual, worst = _worst(pairs)
-    return max_residual, samples, 100.0 * np.finfo(float).eps * scale, worst
+        np.abs(commutator).max(axis=(-2, -1), where=lower, initial=0.0, out=out)
+        scale = max(scale, *(_norms(upper_a) * _norms(upper_b)).tolist())
+    index = _worst(residuals)
+    return float(residuals[index]), samples, 100.0 * np.finfo(float).eps * scale, _case(p, index)
 
 
 def nijenhuis_fd(a: HermitianOperator, b: HermitianOperator, p: OrbitPoint,
@@ -214,8 +214,7 @@ def nondegeneracy_check(p: OrbitPoint, samples: int, seed,
     """
     _check_dims(p)
     samples = _integer("samples", samples, 1)
-    rng = _generator(seed)
-    return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, rng, cfg))
+    return CheckReport("nondegeneracy", *_nondegeneracy(p, samples, _generator(seed), cfg))
 
 
 def _nondegeneracy(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
@@ -224,20 +223,19 @@ def _nondegeneracy(p: OrbitPoint, samples: int, rng, cfg: Config) -> tuple:
         note = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}
         return 0.0, samples, cfg.tol_check, note
     floor = cfg.hbar / p.spectrum.span
-    max_deficit = 0.0
-    smallest_witness = np.inf
-    worst = _case(p, 0, floor=floor)
-    for index in range(samples):
-        # a tangent generated by a Gaussian Hermitian matrix
-        x = _framed_tangent(_gaussian(p.dim, rng), p, cfg.hbar)
-        squared = float(np.linalg.norm(x)) ** 2
-        if squared == 0.0:
-            continue
-        witness = abs(float(_omega(x, _j(x, p, cfg), p, cfg))) / squared
-        deficit = max(0.0, floor - witness)
-        if witness < smallest_witness:
-            smallest_witness = witness
-            worst["sample"] = index
-            worst["smallest_witness"] = witness
-        max_deficit = max(max_deficit, deficit)
-    return max_deficit, samples, cfg.tol_check, worst
+    witnesses = np.full(samples, np.inf)
+    for chunk in _passes(samples, p.dim ** 2):
+        out = witnesses[chunk]
+        # Gaussian-generated tangents; a zero one has no witness, and a NaN witness reads inf
+        x = _framed_tangent(_gaussian(p.dim, rng, len(out)), p, cfg.hbar)
+        squared = _squares(_norms(x))
+        kept = squared != 0.0
+        omega = _stacked(lambda rows: _omega(rows, _j(rows, p, cfg), p, cfg), x[kept])
+        out[kept] = np.fmin(np.abs(omega) / squared[kept], np.inf)
+    # the first smallest witness (sample 0 if none), and the floor's excess over it
+    index = int(witnesses.argmin())
+    smallest = float(witnesses[index])
+    worst = _case(p, index, floor=floor)
+    if smallest < np.inf:
+        worst["smallest_witness"] = smallest
+    return max(0.0, floor - smallest), samples, cfg.tol_check, worst

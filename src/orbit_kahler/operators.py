@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def _require(bad, error, message):
     if bad.ndim == 0:
         if bad:
             raise error(message(()))
-    elif bad.any():
+    elif np.count_nonzero(bad):
         m = int(bad.argmax())
         raise _BatchFailure(m, error(message(m)))
 
@@ -190,6 +191,12 @@ def _by_point(p, rename=lambda m, error: error):
 # which bounds its memory at large dims; 2 ** 16 ran no faster on 2 vCPUs and
 # peaked at 52 MB RSS against 40 MB for checks --samples 1000 --dims 3,12
 _CHUNK_ENTRIES = 2 ** 12
+
+
+def _passes(items: int, entries: int):
+    """A slice per pass over ``items`` of ``entries`` matrix entries: _CHUNK_ENTRIES or one item."""
+    size = max(1, _CHUNK_ENTRIES // entries)
+    return (slice(start, start + size) for start in range(0, items, size))
 
 
 def _require_finite(arr: np.ndarray, error):
@@ -302,10 +309,9 @@ def make_spectrum(values, mults, cfg: Config = DEFAULT_CONFIG) -> Spectrum:
 
 
 def _spectrum(values: np.ndarray) -> Spectrum:
-    """The :class:`Spectrum` of the eigenvalues (d,) of one point."""
-    bounds = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.size]
-    return Spectrum(values=tuple(values[bounds[:-1]].tolist()),
-                    mults=tuple(end - start for start, end in zip(bounds, bounds[1:])))
+    """The :class:`Spectrum` of the eigenvalues (d,) of one point, a cluster per run."""
+    runs = [(value, len(list(run))) for value, run in groupby(values.tolist())]
+    return Spectrum(values=tuple(v for v, _ in runs), mults=tuple(m for _, m in runs))
 
 
 @_value_type
@@ -370,7 +376,7 @@ class OrbitPoint:
     @cached_property
     def inv_gaps(self) -> np.ndarray:
         """``1 / gaps`` off the diagonal cluster blocks, 0 on them."""
-        out = np.zeros_like(self.gaps)
+        out = np.zeros(self.gaps.shape)
         np.divide(1.0, self.gaps, out=out, where=~self.same_cluster)
         return _frozen(out)
 
@@ -452,9 +458,10 @@ def _conjugated(p: OrbitPoint, u: np.ndarray, cfg: Config,
     values = np.broadcast_to(p.eigenvalues, u.shape[:-1]).reshape(-1, d)
     q = _stacked(lambda r: _point_stack(r, frame[:len(r)], values[:len(r)], cfg), rho,
                  _by_point(p, rename))
-    return _frozen_value(OrbitPoint, *(a.reshape(rows + a.shape[1:]) for a in
-                                       (q.rho, q.frame, q.eigenvalues)),
-                         frame_dagger=q.frame_dagger.reshape(rows + (d, d)))
+    # the rows (R,) of a point are the checked stack itself
+    return q if p.rho.ndim == 2 else _frozen_value(
+        OrbitPoint, *(a.reshape(rows + a.shape[1:]) for a in (q.rho, q.frame, q.eigenvalues)),
+        frame_dagger=q.frame_dagger.reshape(rows + (d, d)))
 
 
 def _diagonalize(rho: np.ndarray, cfg: Config):
@@ -639,9 +646,11 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
     return _require_frame(p.rho, frame, p.eigenvalues, cfg)
 
 
-def _normals(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex Gaussian (dim, dim) matrix of one Haar draw."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _normals(dim: int, rng: np.random.Generator, *lead) -> np.ndarray:
+    """The complex Gaussian (*lead, dim, dim) matrices of Haar draws in one ``standard_normal``
+    call, bit for bit one call per matrix (real part, then imaginary) in row-major order."""
+    z = rng.standard_normal((*lead, 2, dim, dim))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def _haar_frames(z: np.ndarray) -> np.ndarray:
@@ -662,9 +671,16 @@ def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitPoint:
     return _point_stack((frames * values[..., None, :]) @ _dagger(frames), frames, values, cfg)
 
 
+def _generator(seed) -> np.random.Generator:
+    """``seed`` if it is a Generator, else one seeded by the integer >= 0 ``seed`` must be."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_integer("seed", seed, 0))
+
+
 def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from a seeded stream (QR with phase fix)."""
-    return _haar_frames(_normals(_integer("dim", dim, 1), np.random.default_rng(seed))[None])[0]
+    """Haar-distributed unitary from a Generator or an integer seed >= 0 (QR, phases fixed)."""
+    return _haar_frames(_normals(_integer("dim", dim, 1), _generator(seed))[None])[0]
 
 
 def random_density(spectrum: Spectrum, seed,

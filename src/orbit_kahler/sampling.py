@@ -35,10 +35,10 @@ def gaussian_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     return HermitianOperator(_gaussian(_integer("dim", dim, 1), rng))
 
 
-def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The matrix of :func:`gaussian_hermitian`."""
-    z = _normals(dim, rng)
-    return 0.5 * (z + z.conj().T)
+def _gaussian(dim: int, rng: np.random.Generator, *lead) -> np.ndarray:
+    """The matrices (*lead, dim, dim) of :func:`gaussian_hermitian`, drawn as :func:`_normals`."""
+    z = _normals(dim, rng, *lead)
+    return 0.5 * (z + z.conj().swapaxes(-1, -2))
 
 
 def maximally_mixed_spectrum(dim: int, cfg: Config = DEFAULT_CONFIG) -> Spectrum:

@@ -176,16 +176,17 @@ def test_single_suite_matches_full_run(full_catalog, name):
     assert [dumps(check_report_to_json(r)) for r in alone] == [lines[name]]
 
 
-@pytest.mark.parametrize("entries", [1, 60])
-def test_chunked_catalog_unchanged(entries, monkeypatch):
+@pytest.mark.parametrize("module, entries", [("checks", 1), ("checks", 60), ("operators", 1)],
+                         ids=["1", "60", "panel-passes-1"])
+def test_chunked_catalog_unchanged(module, entries, monkeypatch):
     # pending draws are built and evaluated whenever they reach the chunk
-    # size in matrix entries: after every sample, or every few samples
-    import orbit_kahler.checks as checks_module
-
+    # size in matrix entries: after every sample, or every few samples; a
+    # panel point's samples are drawn and evaluated in passes of that size,
+    # here one sample each
     def lines():
         return [dumps(check_report_to_json(r)) for r in _suite(samples=12, seed=3)]
     whole = lines()
-    monkeypatch.setattr(checks_module, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(f"orbit_kahler.{module}._CHUNK_ENTRIES", entries)
     assert lines() == whole
 
 
@@ -234,6 +235,12 @@ class TestReportMax:
         assert math.isnan(report.max_residual)
         assert not report.passed
         assert report.worst_case == {"sample": worst}
+
+    def test_residuals_below_zero_keep_no_sample(self):
+        # a zero tangent's residual is -inf: it is never the worst case
+        pairs = [(-math.inf, {"sample": 0}), (-1.0, {"sample": 1})]
+        report = _report_max("suite", pairs, 2, 1e-9, extra=1)
+        assert report.max_residual == 0.0 and report.worst_case == {"extra": 1}
 
     def test_finite_ties_keep_the_last_sample(self):
         pairs = [(0.0, {"sample": 0}), (2e-10, {"sample": 1}), (1e-10, {"sample": 2}),

@@ -494,17 +494,17 @@ class TestSweepCommand:
         assert stacked == [3, 1]
 
     def test_row_named_across_chunks(self, monkeypatch, capsys):
-        import orbit_kahler.cli as cli_module
+        import orbit_kahler.operators as operators_module
 
-        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 4)  # one qubit row
+        monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 4)  # one qubit row
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "row 1:" in captured.err
 
     def test_failing_second_chunk_writes_no_file(self, monkeypatch, tmp_path, capsys):
-        import orbit_kahler.cli as cli_module
+        import orbit_kahler.operators as operators_module
 
-        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 4)  # one qubit row
+        monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 4)  # one qubit row
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0",
                      "--out", str(out)]) == 3
@@ -512,17 +512,17 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_chunked_output_unchanged(self, monkeypatch, capsys):
-        import orbit_kahler.cli as cli_module
+        import orbit_kahler.operators as operators_module
 
         args = ["sweep", "--spectra", str(DATA / "spectra_d5.json"), "--seed", "5"]
-        monkeypatch.setattr(cli_module, "_CHUNK_ENTRIES", 25)  # one d=5 row
+        monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 25)  # one d=5 row
         assert main(args) == 0
         assert capsys.readouterr().out == (DATA / "sweep_spectra_d5_seed5.csv").read_text()
 
     def test_grid_longer_than_one_chunk(self, qubit_files, tmp_path):
-        import orbit_kahler.cli as cli_module
+        import orbit_kahler.operators as operators_module
 
-        rows = 2 * cli_module._CHUNK_ENTRIES // 4 + 3
+        rows = 2 * operators_module._CHUNK_ENTRIES // 4 + 3
         out = tmp_path / "long.csv"
         assert main(["sweep", "--grid", f"0.5:1.0:{rows}", "--a", qubit_files["a"],
                      "--b", qubit_files["b"], "--out", str(out)]) == 0

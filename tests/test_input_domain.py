@@ -30,7 +30,7 @@ from orbit_kahler import (
     unitary_propagator,
 )
 from orbit_kahler.cli import main
-from orbit_kahler.operators import haar_unitary
+from orbit_kahler.operators import haar_unitary, random_density
 from orbit_kahler.sampling import (
     gaussian_hermitian,
     maximally_mixed_spectrum,
@@ -104,6 +104,8 @@ ROWS = [
     ("pure_spectrum", "dim", COUNT, pure_spectrum),
     ("gaussian_hermitian", "dim", COUNT, lambda v: gaussian_hermitian(v, _rng())),
     ("haar_unitary", "dim", COUNT, lambda v: haar_unitary(v, 0)),
+    ("haar_unitary", "seed", SEED, lambda v: haar_unitary(2, v)),
+    ("random_density", "seed", SEED, lambda v: random_density(QUTRIT.spectrum, v)),
     ("make_spectrum", "multiplicities", COUNT, lambda v: make_spectrum([1 / 3], [v])),
     ("make_spectrum", "eigenvalues", REAL, lambda v: make_spectrum([v], [1])),
     ("matrix_from_json", "n", COUNT, lambda v: matrix_from_json(_matrix_json(v))),

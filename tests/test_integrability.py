@@ -1,9 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import orbit_kahler.operators as operators_module
 from orbit_kahler import (
+    CheckReport,
     Config,
     DegenerateDriftError,
+    NonRealResultError,
     apply_J,
     closedness_check,
     involutivity_check,
@@ -16,7 +22,19 @@ from orbit_kahler import (
     symplectic_tangent,
     tangent_map,
 )
-from orbit_kahler.sampling import gaussian_hermitian, random_point
+from orbit_kahler.integrability import _case, _involutivity, _nondegeneracy
+from orbit_kahler.kahler import _j, _j_factor, _omega
+from orbit_kahler.operators import _normals
+from orbit_kahler.sampling import (
+    _gaussian,
+    gaussian_hermitian,
+    maximally_mixed_spectrum,
+    pure_spectrum,
+    random_point,
+    random_spectrum,
+)
+from orbit_kahler.serialize import check_report_to_json, dumps
+from orbit_kahler.tangent import _framed_tangent
 
 
 def _multi_cluster_point(dim, rng, cfg=None):
@@ -171,3 +189,151 @@ class TestNondegeneracy:
                 == nondegeneracy_check(qubit_point, samples=5, seed=3))
         assert (involutivity_check(qubit_point, samples=5, seed=3)
                 == involutivity_check(qubit_point, samples=5, seed=3))
+
+
+# The per-sample loops the stacked panel kernels replaced, with the draws and
+# the tie rule they used, as references for the kernels.
+
+def _reference_normals(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _reference_worst(pairs):
+    worst = (0.0, {})
+    for pair in pairs:
+        if pair[0] >= worst[0] or math.isnan(pair[0]):
+            worst = pair
+    return worst
+
+
+def _reference_involutivity(p, samples, rng, cfg):
+    factor = _j_factor(p)
+    upper, lower = factor == 1j, factor == -1j
+    scale = 1.0
+    pairs = []
+    for index in range(samples):
+        upper_a = np.where(upper, _reference_normals(p.dim, rng), 0.0)
+        upper_b = np.where(upper, _reference_normals(p.dim, rng), 0.0)
+        commutator = upper_a @ upper_b - upper_b @ upper_a
+        residual = float(np.max(np.abs(commutator), where=lower, initial=0.0))
+        scale = max(scale, float(np.linalg.norm(upper_a) * np.linalg.norm(upper_b)))
+        pairs.append((residual, _case(p, index)))
+    max_residual, worst = _reference_worst(pairs)
+    return max_residual, samples, 100.0 * np.finfo(float).eps * scale, worst
+
+
+def _reference_nondegeneracy(p, samples, rng, cfg):
+    if p.spectrum.k == 1:
+        note = {"note": "single-cluster orbit: tangent space is zero", "dim": p.dim}
+        return 0.0, samples, cfg.tol_check, note
+    floor = cfg.hbar / p.spectrum.span
+    max_deficit = 0.0
+    smallest_witness = np.inf
+    worst = _case(p, 0, floor=floor)
+    for index in range(samples):
+        z = _reference_normals(p.dim, rng)
+        x = _framed_tangent(0.5 * (z + z.conj().T), p, cfg.hbar)
+        squared = float(np.linalg.norm(x)) ** 2
+        if squared == 0.0:
+            continue
+        witness = abs(float(_omega(x, _j(x, p, cfg), p, cfg))) / squared
+        deficit = max(0.0, floor - witness)
+        if witness < smallest_witness:
+            smallest_witness = witness
+            worst["sample"] = index
+            worst["smallest_witness"] = witness
+        max_deficit = max(max_deficit, deficit)
+    return max_deficit, samples, cfg.tol_check, worst
+
+
+_PANELS = [("involutivity", _involutivity, _reference_involutivity),
+           ("nondegeneracy", _nondegeneracy, _reference_nondegeneracy)]
+_SPECTRA = [lambda dim, rng: random_spectrum(dim, rng), lambda dim, rng: pure_spectrum(dim),
+            lambda dim, rng: maximally_mixed_spectrum(dim)]
+
+
+def _report_line(name, fields):
+    return dumps(check_report_to_json(CheckReport(name, *fields)))
+
+
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 2.3])
+@pytest.mark.parametrize("entries", [1, None], ids=["one-sample-passes", "default-passes"])
+def test_stacked_panels_match_the_per_sample_loops(hbar, entries, monkeypatch):
+    # the panel kernels draw and evaluate each pass as one stack; they give the
+    # reports of one draw and one evaluation per sample, and leave the stream
+    # where those leave it, on random, pure and maximally mixed orbits
+    if entries is not None:
+        monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", entries)
+    cfg = Config(hbar=hbar)
+    for dim in [*range(1, 9), 12]:
+        for kind, spectrum in enumerate(_SPECTRA):
+            rng = np.random.default_rng([dim, kind])
+            p = random_density(spectrum(dim, rng), rng, cfg)
+            for samples in (1, 2, 7, 40):
+                for name, kernel, reference in _PANELS:
+                    stacked, looped = (np.random.default_rng([dim, kind, samples])
+                                       for _ in range(2))
+                    fields = kernel(p, samples, stacked, cfg)
+                    expected = reference(p, samples, looped, cfg)
+                    assert CheckReport(name, *fields) == CheckReport(name, *expected)
+                    assert _report_line(name, fields) == _report_line(name, expected)
+                    assert stacked.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("entries", [1, None], ids=["one-sample-passes", "default-passes"])
+def test_stacked_nondegeneracy_raises_the_first_failing_sample(entries, monkeypatch):
+    # at tol_check 1e-30 the rounding in the imaginary part of omega fails a
+    # sample: the stacked pass raises the error of the sample the loop raises at
+    if entries is not None:
+        monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", entries)
+    cfg = Config(tol_check=1e-30)
+    raised = 0
+    for dim in (3, 4, 6, 12):
+        rng = np.random.default_rng(dim)
+        p = _multi_cluster_point(dim, rng, cfg)
+        errors = []
+        for kernel in (_nondegeneracy, _reference_nondegeneracy):
+            with pytest.raises(Exception) as caught:
+                kernel(p, 40, np.random.default_rng(dim), cfg)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        raised += errors[0][0] is NonRealResultError
+    assert raised == 4
+
+
+@pytest.mark.parametrize("check", [involutivity_check, nondegeneracy_check])
+def test_panel_memory_stays_bounded(check):
+    # 5000 samples at d = 12 are drawn in passes of about _CHUNK_ENTRIES matrix
+    # entries; drawn at once, their normals alone would take 23 MB or more
+    p = _multi_cluster_point(12, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        report = check(p, 5000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4e6, peak
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_stacked_draws_are_per_matrix_draws(dim):
+    # one standard_normal call per stack gives the bits, signed zeros included,
+    # of one call per matrix in row-major order, and leaves the stream in the
+    # same state
+    for seed in range(50):
+        stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        normals = _normals(dim, stacked, 3, 2)
+        hermitian = _gaussian(dim, stacked, 4)
+        assert np.array_equal(_bits(normals), _bits(np.array(
+            [[_reference_normals(dim, looped) for _ in range(2)] for _ in range(3)])))
+        z = [_reference_normals(dim, looped) for _ in range(4)]
+        assert np.array_equal(_bits(hermitian), _bits(np.array(
+            [0.5 * (m + m.conj().T) for m in z])))
+        assert stacked.bit_generator.state == looped.bit_generator.state
+        assert np.array_equal(_bits(_normals(dim, stacked)),
+                              _bits(_reference_normals(dim, looped)))
