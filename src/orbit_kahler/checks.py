@@ -7,9 +7,12 @@ table; the CLI ``checks`` command is a thin wrapper around it. Passing an
 explicit ``spectra`` pool restricts sampling to those orbits.
 
 A suite is a row ``(name, draw, residual, count, report)``. Each of its
-``count(samples, dims)`` samples is one ``draw(inst, index)``: the spectrum and
-Haar normals of a point, then its observables and other arrays. ``run_checks``
-draws, builds the drawn points of one dim in one stacked pass, and runs
+``count(samples, dims)`` samples is one ``draw(inst, index)``, which makes the
+sample's RNG calls and nothing else: the spectrum of a point, the raw normals of
+its Haar frame and of its observables in one call, then any other draws (a
+gauge's cluster-block normals, flow times). ``run_checks`` then turns the
+normals of one dim into frames and observables at once, builds the drawn points
+of the dim in one stacked pass with their gap masks, and runs
 ``residual(points, *stacks, cfg)`` once on a suite's samples of one dim, each
 drawn entry stacked along rows: it returns their residuals and worst-case
 columns, through point-or-stack kernels (the two bound suites through
@@ -42,25 +45,25 @@ from .integrability import (
 from .kahler import _h_blocks, _h_parts, _j, _omega, _symplectic, _tr
 from .operators import (
     HermitianOperator,
+    Spectrum,
     _BatchFailure,
     _CHUNK_ENTRIES,
+    _complex,
     _conjugate,
     _conjugated,
-    _freeze,
     _frozen_value,
     _haar_frames,
     _haar_points,
-    _normals,
     _passing,
     _point_stack,
     make_spectrum,
 )
 from .sampling import (
-    _gaussian,
-    _random_gauge,
+    _hermitian_part,
+    _spectrum_bounds,
+    _spectrum_draw,
     maximally_mixed_spectrum,
     pure_spectrum,
-    random_spectrum,
 )
 from .tangent import _framed_tangent, _lift, _split
 from .uncertainty import _moments, _report, _variance_split, full_report
@@ -69,22 +72,32 @@ __all__ = ["CHECK_NAMES", "run_checks"]
 
 
 class _Instances:
-    """Deterministic point draws, as spectrum and Haar normals, shared by all samples of a suite.
+    """Deterministic point spectra, shared by all samples of a suite; a sample's
+    draw takes its point's Haar normals with those of its observables.
 
     Points cycle through the requested dimensions with a fresh random spectrum
     each time (every tenth one maximally mixed so the zero-tangent edge case
-    stays covered), or through an explicit spectra pool (validated once, here).
+    stays covered), or through an explicit spectra pool (validated once, by
+    :func:`run_checks`). What a dim's draws share, its fixed spectra and the
+    checked bounds of its random ones, is built once per run in ``fixed``.
     """
 
-    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None):
+    def __init__(self, dims, rng: np.random.Generator, cfg: Config, pool=None, fixed=None):
         self.rng = rng
         self.cfg = cfg
         self.pool = pool
         self.dims = (tuple(sorted({s.total_dim for s in self.pool}))
                      if self.pool else tuple(dims))
+        self.fixed = {} if fixed is None else fixed
         self._count = 0
 
-    def point(self, mixed_every: int = 10) -> tuple:
+    def once(self, build, dim: int):
+        """``build(dim, cfg)``, built at its first use in a run that shares ``fixed``."""
+        if (build, dim) not in self.fixed:
+            self.fixed[build, dim] = build(dim, self.cfg)
+        return self.fixed[build, dim]
+
+    def point(self, mixed_every: int = 10) -> Spectrum:
         index = self._count
         self._count += 1
         if self.pool:
@@ -92,13 +105,13 @@ class _Instances:
         else:
             dim = self.dims[index % len(self.dims)]
             if mixed_every and index % mixed_every == mixed_every - 1:
-                spectrum = maximally_mixed_spectrum(dim, self.cfg)
+                spectrum = self.once(maximally_mixed_spectrum, dim)
             else:
-                spectrum = random_spectrum(dim, self.rng, cfg=self.cfg)
+                spectrum = _spectrum_draw(self.rng, *self.once(_bounds, dim), self.cfg)
         self.spectrum, self.dim = spectrum, spectrum.total_dim
-        return spectrum, _normals(self.dim, self.rng)
+        return spectrum
 
-    def multi_cluster_point(self) -> tuple:
+    def multi_cluster_point(self) -> Spectrum:
         """A point whose orbit has a nonzero tangent space (k >= 2); the
         rejected draws still take their normals from the stream."""
         # every spectrum of dim 1 is a single cluster
@@ -106,24 +119,42 @@ class _Instances:
             raise ValueError("the spectra pool or dims give only single-cluster "
                              "orbits; this check needs a nonzero tangent space")
         while True:
-            spectrum, normals = self.point(mixed_every=0)
+            spectrum = self.point(mixed_every=0)
             if spectrum.k >= 2:
-                return spectrum, normals
+                return spectrum
+            self.rng.standard_normal((2, self.dim, self.dim))
+
+
+def _bounds(dim: int, cfg: Config) -> tuple:
+    """The bounds of :func:`random_spectrum` at its defaults, checked."""
+    return _spectrum_bounds(dim, max_clusters=4, max_mult=3, min_gap=0.05)
 
 
 _UNMIXED = partial(_Instances.point, mixed_every=0)
 
 
-def _draw(observables: int, point=_Instances.point, *extra):
-    """Draw of ``point(inst)``, ``observables`` observables and ``take(inst)`` of ``extra``."""
-    return lambda inst, index: (
-        *point(inst), *[_gaussian(inst.dim, inst.rng) for _ in range(observables)],
-        *[take(inst) for take in extra])
+def _draw(observables: int, point=_Instances.point, *extra, normals: int = 0):
+    """Draw of the spectrum ``point(inst)``, the normals of the point, of ``observables``
+    observables and of ``normals`` Haar unitaries in one call, and ``take(inst)`` of
+    ``extra``: the sample holds the spectrum, the raw normals (1 + observables, 2, d, d)
+    of its point and observables, each further (2, d, d) and each take."""
+    def draw(inst, index):
+        spectrum = point(inst)
+        z = inst.rng.standard_normal((1 + observables + normals, 2, inst.dim, inst.dim))
+        return (spectrum, z[:1 + observables], *z[1 + observables:],
+                *[take(inst) for take in extra])
+    return draw
 
 
 def _pure_point(inst, index) -> tuple:
     dim = inst.dims[index % len(inst.dims)]
-    return pure_spectrum(dim, inst.cfg), _normals(dim, inst.rng), _gaussian(dim, inst.rng)
+    return inst.once(pure_spectrum, dim), inst.rng.standard_normal((2, 2, dim, dim))
+
+
+def _block_normals(inst) -> tuple:
+    """The raw normals of :func:`random_gauge` at the drawn point, one (2, m, m) per
+    cluster block of size m, in its order; :func:`_gauges` builds the gauges."""
+    return tuple(inst.rng.standard_normal((2, m, m)) for m in inst.spectrum.mults)
 
 
 def _fd_count(samples: int, dims) -> int:
@@ -221,14 +252,32 @@ def _scalar_panel(a, b, p, cfg) -> np.ndarray:
 
 def _ad_equivariance(p, a, b, normals, cfg):
     before = _scalar_panel(a, b, p, cfg)
-    u = _haar_frames(normals)
+    u = _haar_frames(_complex(normals))
     moved = _conjugate(a, u, cfg), _conjugate(b, u, cfg), _conjugated(p, u[None], cfg)[0]
     return np.abs(_scalar_panel(*moved, cfg) - before).max(axis=-1), _spectra(p)
 
 
-def _gauge_invariance(p, a, b, gauge, cfg):
+def _gauges(blocks, dim: int) -> np.ndarray:
+    """The (N, d, d) gauges of :func:`random_gauge` from N samples' ``blocks``
+    (:func:`_block_normals`), with one stacked Haar QR per block size."""
+    gauges = np.zeros((len(blocks), dim, dim), dtype=np.complex128)
+    by_size = defaultdict(list)
+    for row, sample in enumerate(blocks):
+        start = 0
+        for z in sample:
+            end = start + z.shape[-1]
+            by_size[z.shape[-1]].append((row, slice(start, end), z))
+            start = end
+    for placed in by_size.values():
+        frames = _haar_frames(_complex(np.array([z for _, _, z in placed])))
+        for (row, span, _), u in zip(placed, frames):
+            gauges[row, span, span] = u
+    return gauges
+
+
+def _gauge_invariance(p, a, b, blocks, cfg):
     # with_gauge's point and frame checks; a drawn gauge is block diagonal
-    gauged = _point_stack(p.rho, p.frame @ gauge, p.eigenvalues, cfg)
+    gauged = _point_stack(p.rho, p.frame @ _gauges(blocks, p.dim), p.eigenvalues, cfg)
     before = _scalar_panel(a, b, p, cfg)
     return np.abs(_scalar_panel(a, b, gauged, cfg) - before).max(axis=-1), _spectra(p)
 
@@ -284,7 +333,7 @@ def _flow_composition(p, h, times, cfg):
 
 def _kept(points, cfg):
     """Residual that keeps each built point as its worst-case column."""
-    return np.zeros(len(points)), {"point": list(points)}
+    return np.zeros(len(points)), {"point": [points[i] for i in range(len(points))]}
 
 
 def _finish(tolerance):
@@ -324,11 +373,8 @@ _CATALOG = [
     _Suite("block_formula", _draw(2), _block_formula),
     _Suite("tangent_roundtrip", _draw(1), _tangent_roundtrip),
     _Suite("split_orthogonality", _draw(1), _split_orthogonality),
-    _Suite("ad_equivariance", _draw(2, _UNMIXED, lambda inst: _normals(inst.dim, inst.rng)),
-           _ad_equivariance),
-    _Suite("gauge_invariance",
-           _draw(2, _UNMIXED, lambda inst: _random_gauge(inst.spectrum, inst.rng)),
-           _gauge_invariance),
+    _Suite("ad_equivariance", _draw(2, _UNMIXED, normals=1), _ad_equivariance),
+    _Suite("gauge_invariance", _draw(2, _UNMIXED, _block_normals), _gauge_invariance),
     _Suite("involutivity", *_panel(_involutivity)),
     _Suite("nondegeneracy", *_panel(_nondegeneracy)),
     _Suite("nijenhuis_fd", _draw(2, _Instances.multi_cluster_point),
@@ -359,22 +405,34 @@ def _evaluate(pending, finished, cfg: Config) -> list:
     first failing sample raises its error, of its point or of its residual."""
     by_dim, suite = defaultdict(list), [id(results) for *_, results in pending]
     for position, (_, _, drawn, _) in enumerate(pending):
-        by_dim[drawn[0].total_dim].append(position)
+        by_dim[drawn[1].shape[-1]].append(position)
     failures = []
     for dim, positions in by_dim.items():
         drawn = [pending[i][2] for i in positions]
+        # the normals of a dim's samples in one stack: each point's row, then its observables'
+        normals = _complex(np.concatenate([d[1] for d in drawn]))
+        rows = list(itertools.accumulate((len(d[1]) for d in drawn), initial=0))
         points, failure = _passing(
             lambda frames: _haar_points([d[0] for d in drawn[:len(frames)]], frames, cfg),
-            _haar_frames(np.array([d[1] for d in drawn])))
+            _haar_frames(normals[rows[:-1]]))
         failures += [(positions[failure[0]], failure[1])] if failure else []
+        if points:
+            # with gaps and same_cluster, once per dim: its slices and rows take them
+            points.inv_gaps
+        gaussians = _hermitian_part(normals)
         # the samples of one suite are consecutive
         start = 0
         for _, group in itertools.groupby(positions[:len(points) if points else 0],
                                           suite.__getitem__):
             group = list(group)
-            part, start = points[start:start + len(group)], start + len(group)
+            part, first = points[start:start + len(group)], rows[start]
+            start += len(group)
             residual = pending[group[0]][0]
-            stacks = [_freeze(column, None) for column in zip(*(pending[i][2][2:] for i in group))]
+            block = gaussians[first:rows[start]].reshape(len(group), -1, dim, dim)
+            # one contiguous (N, d, d) stack per observable; a gauge's blocks pass as drawn
+            stacks = [np.ascontiguousarray(block[:, j]) for j in range(1, block.shape[1])]
+            stacks += [c if isinstance(c[0], tuple) else np.array(c)
+                       for c in zip(*(pending[i][2][2:] for i in group))]
             done, failed = _passing(
                 lambda rows: residual(rows, *(s[:len(rows)] for s in stacks), cfg), part)
             failures += [(group[failed[0]], failed[1])] if failed else []
@@ -426,11 +484,11 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
     # (residual, sample index, what it drew, its suite's results), up to
     # _CHUNK_ENTRIES matrix entries of pending points at a time; a suite is
     # reported, and its results let go, at the first evaluation after its last draw
-    pending, entries, finished, reports = [], 0, [], []
+    pending, entries, finished, reports, fixed = [], 0, [], [], {}
     for (name, draw, residual, count, report), child in zip(_CATALOG, children):
         if selected is not None and name not in selected:
             continue
-        inst = _Instances(dims, np.random.default_rng(child), cfg, pool=spectra)
+        inst = _Instances(dims, np.random.default_rng(child), cfg, spectra, fixed)
         results = [None] * count(samples, inst.dims)
         for index in range(len(results)):
             try:
@@ -440,7 +498,7 @@ def run_checks(dims=(2, 3, 4, 5, 6), samples: int = 200, seed: int = 0,
                 _evaluate(pending, finished, cfg)
                 raise
             pending.append((residual, index, drawn, results))
-            entries += drawn[1].size
+            entries += drawn[1].shape[-1] ** 2
             if entries >= _CHUNK_ENTRIES:
                 reports += _evaluate(pending, finished, cfg)
                 pending, entries, finished = [], 0, []

@@ -137,7 +137,10 @@ def _cmd_uncertainty(args, cfg: Config) -> int:
 
 
 def _cmd_checks(args, cfg: Config) -> int:
-    dims = tuple(int(part) for part in args.dims.split(","))
+    try:
+        dims = tuple(int(part) for part in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     samples = min(args.samples, 100) if args.quick else args.samples
     spectra = _load_spectra(args.spectra, cfg) if args.spectra else None
     reports = run_checks(dims=dims, samples=samples, seed=_seed(args), cfg=cfg,
@@ -155,11 +158,12 @@ def _cmd_evolve(args, cfg: Config) -> int:
 
 
 def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be START:STOP:NUM, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    num = int(parts[2])
+    try:
+        start, stop, num = text.split(":")
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError:
+        raise ValueError(f"--grid must be START:STOP:NUM, two numbers and an integer, "
+                         f"got {text!r}") from None
     if num < 1 or not 0.0 <= start <= 1.0 or not 0.0 <= stop <= 1.0:
         raise ValueError(f"bad grid {text!r}: need num >= 1 and 0 <= p <= 1")
     return np.linspace(start, stop, num)

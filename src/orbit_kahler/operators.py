@@ -38,7 +38,9 @@ until a prefix passes, and raises the error of the last row named, prefixed
 ``row i:``.
 
 Copies. The public constructors and :func:`orbit_batch` copy the arrays they
-are given; other points, rows and derived arrays freeze new arrays in place.
+are given; other points and derived arrays freeze new arrays in place. A row
+or slice of a stack views its arrays, and the derived arrays the stack has
+computed, which it need not freeze again.
 """
 
 from __future__ import annotations
@@ -92,9 +94,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _frozen_value(cls, *arrays, **cached):
     """A ``cls`` on ``arrays``, views of frozen or new arrays, with the values
     ``cached`` of its cached properties filled in, all made :func:`_frozen`."""
+    return _value(cls, [_frozen(arr) for arr in arrays],
+                  {name: _frozen(arr) for name, arr in cached.items()})
+
+
+def _value(cls, arrays, cached: dict):
+    """A ``cls`` on ``arrays`` and the ``cached`` values of its cached properties,
+    all of them read-only already, with every array they view."""
     value = object.__new__(cls)
-    for name, arr in (*zip(cls.__dataclass_fields__, arrays), *cached.items()):
-        value.__dict__[name] = _frozen(arr)
+    value.__dict__.update(zip(cls.__dataclass_fields__, arrays), **cached)
     return value
 
 
@@ -314,6 +322,11 @@ def _spectrum(values: np.ndarray) -> Spectrum:
     return Spectrum(values=tuple(v for v, _ in runs), mults=tuple(m for _, m in runs))
 
 
+# the cached properties of an OrbitPoint that have the shape of rho; rows and
+# slices of a stack take them sliced
+_DERIVED = ("gaps", "same_cluster", "inv_gaps", "frame_dagger")
+
+
 @_value_type
 class OrbitPoint:
     """A density operator with a cluster-ordered diagonalizing frame, or a
@@ -353,7 +366,12 @@ class OrbitPoint:
     def __getitem__(self, i) -> "OrbitPoint":
         if self.rho.ndim == 2:
             raise TypeError("a single OrbitPoint has no rows")
-        return _frozen_value(OrbitPoint, self.rho[i], self.frame[i], self.eigenvalues[i])
+        cached = {name: self.__dict__[name][i] for name in _DERIVED if name in self.__dict__}
+        rho = self.rho[i]
+        if rho.flags.writeable:  # an index array copies
+            return _frozen_value(OrbitPoint, rho, self.frame[i], self.eigenvalues[i], **cached)
+        # views of frozen arrays, read-only with all they view
+        return _value(OrbitPoint, (rho, self.frame[i], self.eigenvalues[i]), cached)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -649,7 +667,12 @@ def with_gauge(p: OrbitPoint, block_unitary: np.ndarray,
 def _normals(dim: int, rng: np.random.Generator, *lead) -> np.ndarray:
     """The complex Gaussian (*lead, dim, dim) matrices of Haar draws in one ``standard_normal``
     call, bit for bit one call per matrix (real part, then imaginary) in row-major order."""
-    z = rng.standard_normal((*lead, 2, dim, dim))
+    return _complex(rng.standard_normal((*lead, 2, dim, dim)))
+
+
+def _complex(z: np.ndarray) -> np.ndarray:
+    """The complex matrices (..., d, d) of :func:`_normals` from their real and
+    imaginary parts ``z`` (..., 2, d, d), as drawn."""
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
@@ -666,7 +689,8 @@ def _haar_points(spectra, frames: np.ndarray, cfg: Config) -> OrbitPoint:
     spectrum and row U of the (N, d, d) stack ``frames``, checked in one
     stacked pass. Row i is labelled by spectra[i], read back from its
     eigenvalues. A failing row raises :class:`_BatchFailure`."""
-    values = np.array([s.full_values() for s in spectra]).reshape(frames.shape[:-1])
+    values = np.repeat(np.array([v for s in spectra for v in s.values], dtype=float),
+                       [m for s in spectra for m in s.mults]).reshape(frames.shape[:-1])
     # U * lambda is U @ np.diag(lambda), bit for bit
     return _point_stack((frames * values[..., None, :]) @ _dagger(frames), frames, values, cfg)
 

@@ -34,9 +34,13 @@ __all__ = [
 ]
 
 
+# json.dumps builds an encoder per call for its non-default separators
+_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+
+
 def dumps(obj) -> str:
     """Deterministic single-line JSON."""
-    return json.dumps(obj, separators=(", ", ": "))
+    return _ENCODER.encode(obj)
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

@@ -1,14 +1,31 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from orbit_kahler import CHECK_NAMES, DEFAULT_CONFIG, make_spectrum, run_checks
 from orbit_kahler.cli import main
-from orbit_kahler.checks import _report_max
-from orbit_kahler.sampling import random_spectrum
+from orbit_kahler.checks import (
+    _UNMIXED,
+    _Instances,
+    _block_normals,
+    _draw,
+    _gauges,
+    _report_max,
+)
+from orbit_kahler.operators import _complex, random_density
+from orbit_kahler.sampling import (
+    _hermitian_part,
+    _spectrum_bounds,
+    _spectrum_draw,
+    maximally_mixed_spectrum,
+    pure_spectrum,
+    random_gauge,
+    random_spectrum,
+)
 from orbit_kahler.serialize import check_report_to_json, dumps
 
 
@@ -195,21 +212,18 @@ def test_random_spectrum_rejects_dim_below_1():
         random_spectrum(0, np.random.default_rng(0))
 
 
-class _BoundedRng:
+class _BoundedRng(np.random.Generator):
     """A seeded Generator that fails after ``limit`` uniform draws, so that a
     rejection loop which can never accept fails instead of spinning."""
 
     def __init__(self, seed, limit=1000):
-        self._rng = np.random.default_rng(seed)
+        super().__init__(np.random.PCG64(seed))  # the stream of default_rng(seed)
         self._left = limit
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
 
     def uniform(self, *args, **kwargs):
         self._left -= 1
         assert self._left >= 0, "the rejection loop accepted no draw"
-        return self._rng.uniform(*args, **kwargs)
+        return super().uniform(*args, **kwargs)
 
 
 def test_random_spectrum_rejects_bounds_it_cannot_meet():
@@ -222,6 +236,70 @@ def test_random_spectrum_rejects_bounds_it_cannot_meet():
             random_spectrum(4, _BoundedRng(seed), min_gap=0.5)
     # two levels 0.5 apart can be drawn
     assert random_spectrum(2, _BoundedRng(0), min_gap=0.5).k == 2
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_spectrum_draw_is_random_spectrum():
+    # the catalog's draw on bounds checked once gives random_spectrum's values,
+    # value types and stream state, over the grid of its numpy-rejection test
+    for kwargs in ((4, 3, .05), (8, 6, .05), (2, 6, .05), (4, 3, 0), (3, 4, .2)):
+        for dim in range(1, 13):
+            bounds = _spectrum_bounds(dim, *kwargs)
+            for seed in range(300):
+                rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+                s = _spectrum_draw(rng, *bounds, DEFAULT_CONFIG)
+                t = random_spectrum(dim, expected, *kwargs)
+                assert (s.values, s.mults) == (t.values, t.mults)
+                assert list(map(type, s.values + s.mults)) == list(map(type, t.values + t.mults))
+                assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("observables, normals", [(0, 0), (1, 0), (2, 0), (3, 0), (2, 1)])
+def test_catalog_draws_are_per_matrix_draws(observables, normals):
+    # one standard_normal call per sample, complex and Hermitian parts taken
+    # over a dim's samples at once as _evaluate takes them, gives the bits,
+    # signed zeros included, of the point's normals, each Gaussian observable
+    # and each further Haar normal drawn one matrix at a time, and the same
+    # stream state
+    def one_matrix(dim, rng):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    draw = _draw(observables, _UNMIXED, normals=normals)
+    for dim in range(1, 9):
+        for seed in range(20):
+            rng, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            inst = _Instances((dim,), rng, DEFAULT_CONFIG)
+            drawn = [draw(inst, index) for index in range(3)]
+            stacked = _complex(np.concatenate([d[1] for d in drawn]))
+            gaussians = _hermitian_part(stacked)
+            for i, (spectrum, _, *extra) in enumerate(drawn):
+                assert spectrum == random_spectrum(dim, looped)
+                row = i * (1 + observables)
+                assert np.array_equal(_bits(stacked[row]), _bits(one_matrix(dim, looped)))
+                for j in range(1, 1 + observables):
+                    m = one_matrix(dim, looped)
+                    assert np.array_equal(_bits(gaussians[row + j]), _bits(0.5 * (m + m.conj().T)))
+                for z in extra:
+                    assert np.array_equal(_bits(_complex(z)), _bits(one_matrix(dim, looped)))
+            assert rng.bit_generator.state == looped.bit_generator.state
+
+
+def test_gauges_built_at_evaluation_are_random_gauge():
+    # the block normals drawn per sample, turned into gauges with one QR per
+    # block size over the samples, are random_gauge's gauges bit for bit
+    for dim in range(1, 9):
+        rng = np.random.default_rng(dim)
+        spectra = ([random_spectrum(dim, rng, max_clusters=8, max_mult=6) for _ in range(10)]
+                   + [maximally_mixed_spectrum(dim), pure_spectrum(dim)])
+        points = [random_density(spectrum, rng) for spectrum in spectra]
+        drawn, looped = np.random.default_rng(100 + dim), np.random.default_rng(100 + dim)
+        blocks = [_block_normals(SimpleNamespace(rng=drawn, spectrum=s)) for s in spectra]
+        for gauge, p in zip(_gauges(blocks, dim), points):
+            assert np.array_equal(_bits(gauge), _bits(random_gauge(p, looped)))
+        assert drawn.bit_generator.state == looped.bit_generator.state
 
 
 class TestReportMax:

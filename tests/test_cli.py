@@ -29,6 +29,20 @@ def qubit_files(tmp_path):
     }
 
 
+def _stacked_passes(monkeypatch):
+    """The row counts of the sweep's stacked passes, in order, as it runs them."""
+    import orbit_kahler.cli as cli_module
+
+    passes, original = [], cli_module._orbit_stack
+
+    def counting(rhos, cfg):
+        passes.append(len(rhos))
+        return original(rhos, cfg)
+
+    monkeypatch.setattr(cli_module, "_orbit_stack", counting)
+    return passes
+
+
 def _exit_of(parse, argv, capsys):
     """(exit code, stdout, stderr) of a call that exits through argparse."""
     with pytest.raises(SystemExit) as exc:
@@ -349,6 +363,24 @@ class TestChecksCommand:
         assert main(command + flag) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["checks", "--dims", "2,,3"], "--dims must be comma-separated integers, got '2,,3'"),
+        (["checks", "--dims", "2,x"], "--dims must be comma-separated integers, got '2,x'"),
+        (["checks", "--dims", "2.5"], "--dims must be comma-separated integers, got '2.5'"),
+        (["sweep", "--grid", "a:b:c"],
+         "--grid must be START:STOP:NUM, two numbers and an integer, got 'a:b:c'"),
+        (["sweep", "--grid", "0.5:1:2.5"],
+         "--grid must be START:STOP:NUM, two numbers and an integer, got '0.5:1:2.5'"),
+        (["sweep", "--grid", "0.5:1.0"],
+         "--grid must be START:STOP:NUM, two numbers and an integer, got '0.5:1.0'"),
+    ], ids=["empty-dim", "word-dim", "fractional-dim", "word-grid", "fractional-num",
+            "short-grid"])
+    def test_malformed_option_named(self, argv, message, capsys):
+        # Python's "invalid literal for int() with base 10: ''" and "could not
+        # convert string to float: 'a'" named neither the option nor its value
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestEvolveCommand:
     def test_json_lines(self, qubit_files, capsys):
@@ -497,27 +529,35 @@ class TestSweepCommand:
         import orbit_kahler.operators as operators_module
 
         monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 4)  # one qubit row
+        passes = _stacked_passes(monkeypatch)
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "row 1:" in captured.err
+        # row 0 passes alone, and row 1 fails its own pass
+        assert passes == [1, 1]
 
     def test_failing_second_chunk_writes_no_file(self, monkeypatch, tmp_path, capsys):
         import orbit_kahler.operators as operators_module
 
         monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 4)  # one qubit row
+        passes = _stacked_passes(monkeypatch)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "0.5:0.5000000015:3", "--seed", "0",
                      "--out", str(out)]) == 3
         assert "row 1:" in capsys.readouterr().err
         assert not out.exists()
+        # the failing row is in the second pass, after the first one passed
+        assert passes == [1, 1]
 
     def test_chunked_output_unchanged(self, monkeypatch, capsys):
         import orbit_kahler.operators as operators_module
 
         args = ["sweep", "--spectra", str(DATA / "spectra_d5.json"), "--seed", "5"]
         monkeypatch.setattr(operators_module, "_CHUNK_ENTRIES", 25)  # one d=5 row
+        passes = _stacked_passes(monkeypatch)
         assert main(args) == 0
         assert capsys.readouterr().out == (DATA / "sweep_spectra_d5_seed5.csv").read_text()
+        assert passes == [1, 1, 1]  # the three spectra, one pass each
 
     def test_grid_longer_than_one_chunk(self, qubit_files, tmp_path):
         import orbit_kahler.operators as operators_module

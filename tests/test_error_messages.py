@@ -190,14 +190,11 @@ QUBIT_OP = make_hermitian(SZ)
 QUBIT_X = tangent_map(make_hermitian(SX), QUBIT)
 
 
-class _TiedLevels:
+class _TiedLevels(np.random.Generator):
     """A seeded Generator whose level draw is two levels 1e-12 apart."""
 
     def __init__(self):
-        self._rng = np.random.default_rng(0)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+        super().__init__(np.random.PCG64(0))
 
     def uniform(self, low, high, size):
         return np.array([0.5, 0.5 + 1e-12])

@@ -35,12 +35,15 @@ from orbit_kahler.sampling import (
     gaussian_hermitian,
     maximally_mixed_spectrum,
     pure_spectrum,
+    random_gauge,
+    random_point,
     random_spectrum,
 )
 from orbit_kahler.serialize import matrix_from_json
 
 QUBIT = orbit_point(make_hermitian(np.diag([0.7, 0.3])))
 QUTRIT = orbit_point(make_hermitian(np.diag([0.5, 0.3, 0.2])))
+DEGENERATE = orbit_point(make_hermitian(np.diag([0.4, 0.4, 0.2])))
 SX = make_hermitian(np.array([[0, 1], [1, 0]]))
 
 # values that no numeric parameter takes: bool is an int subclass, a numpy
@@ -100,6 +103,11 @@ ROWS = [
      lambda v: random_spectrum(4, _rng(), max_clusters=v)),
     ("random_spectrum", "max_mult", COUNT, lambda v: random_spectrum(4, _rng(), max_mult=v)),
     ("random_spectrum", "min_gap", NONNEGATIVE, lambda v: random_spectrum(3, _rng(), min_gap=v)),
+    # the samplers' rng is a Generator or a seed; an int or None raised AttributeError
+    ("random_spectrum", "seed", SEED, lambda v: random_spectrum(3, v)),
+    ("gaussian_hermitian", "seed", SEED, lambda v: gaussian_hermitian(2, v)),
+    ("random_point", "seed", SEED, lambda v: random_point(3, v)),
+    ("random_gauge", "seed", SEED, lambda v: random_gauge(DEGENERATE, v)),
     ("maximally_mixed_spectrum", "dim", COUNT, maximally_mixed_spectrum),
     ("pure_spectrum", "dim", COUNT, pure_spectrum),
     ("gaussian_hermitian", "dim", COUNT, lambda v: gaussian_hermitian(v, _rng())),
@@ -158,6 +166,17 @@ def _same(a, b):
 def test_spellings_of_one_value_agree(function, name, domain, call):
     first, *others = (call(value) for value in domain.spellings)
     assert all(_same(first, other) for other in others)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_spectrum(6, rng),
+    lambda rng: gaussian_hermitian(3, rng),
+    lambda rng: random_point(4, rng),
+    # each cluster block once drew from its own default_rng(seed)
+    lambda rng: random_gauge(DEGENERATE, rng),
+], ids=["random_spectrum", "gaussian_hermitian", "random_point", "random_gauge"])
+def test_seed_draws_as_its_generator(draw):
+    assert _same(draw(7), draw(np.random.default_rng(7)))
 
 
 def test_empty_matrix_rejected():
